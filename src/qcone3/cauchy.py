@@ -16,6 +16,28 @@ recovers polynomial values at any point whose distance from the center is
 below the radius, regardless of the point's own slice unit.  All quadrature
 is the trapezoid rule on the periodic parameter, which converges
 geometrically for these integrands.
+
+For polynomials the node loops run in complex arithmetic on the slice
+plane, which is exact because every node ``s = x0 + r e^{I t}`` lies in C_I.
+Write ``phi = r e^{i t}`` and ``z = x0 + phi``, and for a complex 4-vector
+``v`` let ``R(v) = Re v + I Im v``; left multiplication by an element of C_I
+is then complex multiplication, ``(a + I b) R(v) = R((a + i b) v)``.
+
+* ``F(s) = R(w)``, where ``w`` is four complex Horner evaluations at ``z``,
+  one per real coefficient column.
+* The kernel denominator ``q^2 - 2 Re(s) q + |s|^2`` has real coefficients
+  in q, so it is ``d = q_c^2 - 2 Re(z) q_c + |z|^2`` read in the plane C_J of
+  the target, with ``q_c = Re q + i |Im q|``; its inverse is ``a + J b`` for
+  ``1/d = a + i b``.  When q is real any unit serves as J, since b = 0.
+* With ``conj(s) phi`` read as ``m = r^2 + x0 phi`` and ``(a + J b) q`` kept
+  in C_J, each node contributes ``R(g w) + J R(h w)``, where
+  ``g = a m - (a Re q - b |Im q|) phi`` and
+  ``h = b m - (a |Im q| + b Re q) phi``.  The reconstruction is therefore two
+  complex 4-vector sums, combined once: ``(R(sum g w) + J R(sum h w)) / N``.
+* The closed integral is ``R(sum i phi w) * 2 pi / N``.
+
+Contours accept at most :data:`MAX_NODES` nodes, so no request does
+unbounded work.
 """
 
 from __future__ import annotations
@@ -26,10 +48,17 @@ from typing import Callable
 
 from .clifford3 import EPS, CliffordElement
 from .bislice import BiSlicePoly, QuatPoly
-from .errors import NotImaginaryUnit, OnSingularSphere, PointOutsideContour
+from .errors import (
+    InvalidContour,
+    NotImaginaryUnit,
+    OnSingularSphere,
+    PointOutsideContour,
+)
 from .qsplit import ConePoint, Quat, Q23, join
 
 DEFAULT_NODES = 512
+MIN_NODES = 16
+MAX_NODES = 65536
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,10 +71,17 @@ class SliceContour:
     nodes: int = DEFAULT_NODES
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("contour radius must be positive")
-        if self.nodes < 16:
-            raise ValueError("at least 16 quadrature nodes required")
+        if not math.isfinite(self.center):
+            raise InvalidContour(f"contour center must be finite, got {self.center}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise InvalidContour(
+                f"contour radius must be positive and finite, got {self.radius}"
+            )
+        if not MIN_NODES <= self.nodes <= MAX_NODES:
+            raise InvalidContour(
+                f"contour needs {MIN_NODES} to {MAX_NODES} quadrature nodes, "
+                f"got {self.nodes}"
+            )
         if not self.unit.is_unit_imaginary():
             raise NotImaginaryUnit("contour unit must square to -1")
 
@@ -73,11 +109,14 @@ def cauchy_kernel_quat(s: Quat, q: Quat, tol: float = EPS) -> Quat:
     denom = q * q - q * (2.0 * s.re()) + Quat(s.modulus_sq())
     scale = 1.0 + q.modulus_sq() + s.modulus_sq()
     if denom.modulus() <= tol * scale:
-        raise OnSingularSphere(
-            f"kernel singular: point on the sphere of Re={s.re():.6g}, "
-            f"|Im|={s.im_modulus():.6g}"
-        )
+        raise _singular(s.re(), s.im_modulus())
     return denom.inverse(tol) * (s.conj() - q)
+
+
+def _singular(re: float, im_modulus: float) -> OnSingularSphere:
+    return OnSingularSphere(
+        f"kernel singular: point on the sphere of Re={re:.6g}, |Im|={im_modulus:.6g}"
+    )
 
 
 def cauchy_kernel(s: ConePoint, x: ConePoint, tol: float = EPS) -> CliffordElement:
@@ -106,23 +145,88 @@ def contour_integral(contour: SliceContour, fn: Callable[[Quat], Quat]) -> Quat:
     return acc * step
 
 
+def _slice_values(poly: QuatPoly, contour: SliceContour):
+    """Yield ``(phi, w0, w1, w2, w3)`` at each trapezoid node of the contour.
+
+    ``phi = r e^{it}`` and the ``w`` are the complex Horner values of the four
+    coefficient columns at ``z = x0 + phi``, so that the polynomial's value at
+    the node ``x0 + r e^{It}`` is ``R(w)``.
+    """
+    rows = [c.as_tuple() for c in reversed(poly.coeffs)]
+    x0, r = contour.center, contour.radius
+    for theta in contour.thetas():
+        phi = complex(r * math.cos(theta), r * math.sin(theta))
+        z = x0 + phi
+        w0 = w1 = w2 = w3 = 0j
+        for c0, c1, c2, c3 in rows:
+            w0 = w0 * z + c0
+            w1 = w1 * z + c1
+            w2 = w2 * z + c2
+            w3 = w3 * z + c3
+        yield phi, w0, w1, w2, w3
+
+
+def _lift(unit: Quat, v0: complex, v1: complex, v2: complex, v3: complex) -> Quat:
+    """``R(v) = Re v + I Im v`` for the slice unit I."""
+    return Quat(v0.real, v1.real, v2.real, v3.real) + unit * Quat(
+        v0.imag, v1.imag, v2.imag, v3.imag
+    )
+
+
+def _closed_integral(poly: QuatPoly, contour: SliceContour) -> Quat:
+    """:func:`contour_integral` of a polynomial, in slice-plane arithmetic."""
+    v0 = v1 = v2 = v3 = 0j
+    for phi, w0, w1, w2, w3 in _slice_values(poly, contour):
+        ds = 1j * phi
+        v0 += ds * w0
+        v1 += ds * w1
+        v2 += ds * w2
+        v3 += ds * w3
+    return _lift(contour.unit, v0, v1, v2, v3) * (2.0 * math.pi / contour.nodes)
+
+
 def contour_integral_vanishes(
     poly: BiSlicePoly, contour_i: SliceContour, contour_j: SliceContour
 ) -> tuple[float, float]:
     """Magnitudes of the closed integrals of the two split components."""
     fp, fq = poly.split()
-    vi = contour_integral(contour_i, fp.eval)
-    vj = contour_integral(contour_j, fq.eval)
-    return vi.modulus(), vj.modulus()
+    return (
+        _closed_integral(fp, contour_i).modulus(),
+        _closed_integral(fq, contour_j).modulus(),
+    )
 
 
 def _reconstruct_component(
     poly: QuatPoly, contour: SliceContour, target: Quat, tol: float
 ) -> Quat:
-    acc = Quat()
-    for theta in contour.thetas():
-        s = contour.point(theta)
-        acc = acc + cauchy_kernel_quat(s, target, tol) * contour.phase(theta) * poly.eval(s)
+    x0, r_sq = contour.center, contour.radius**2
+    q_re, q_im = target.re(), target.im_modulus()
+    unit_j = target.im() / q_im if q_im > 0.0 else contour.unit
+    q_c = complex(q_re, q_im)
+    q_c_sq = q_c * q_c
+    q_scale = 1.0 + target.modulus_sq()
+    g0 = g1 = g2 = g3 = h0 = h1 = h2 = h3 = 0j
+    for phi, w0, w1, w2, w3 in _slice_values(poly, contour):
+        s_re = x0 + phi.real
+        s_sq = s_re * s_re + phi.imag * phi.imag
+        d = q_c_sq - 2.0 * s_re * q_c + s_sq
+        if abs(d) <= tol * (q_scale + s_sq):
+            raise _singular(s_re, abs(phi.imag))
+        inv = 1.0 / d
+        a, b = inv.real, inv.imag
+        m = r_sq + x0 * phi
+        g = a * m - (a * q_re - b * q_im) * phi
+        h = b * m - (a * q_im + b * q_re) * phi
+        g0 += g * w0
+        g1 += g * w1
+        g2 += g * w2
+        g3 += g * w3
+        h0 += h * w0
+        h1 += h * w1
+        h2 += h * w2
+        h3 += h * w3
+    unit_i = contour.unit
+    acc = _lift(unit_i, g0, g1, g2, g3) + unit_j * _lift(unit_i, h0, h1, h2, h3)
     return acc / contour.nodes
 
 

@@ -43,6 +43,10 @@ class PointOutsideContour(ConeAlgebraError):
     """Reconstruction target does not lie inside the integration contour."""
 
 
+class InvalidContour(ConeAlgebraError, ValueError):
+    """Contour center, radius or node count outside the supported range."""
+
+
 class NegativeRadicand(ConeAlgebraError):
     """Determinant radicand fell below zero beyond tolerance."""
 

@@ -4,8 +4,8 @@ Element grammar: signed terms ``<real>[*]<basis>`` over the basis tokens
 ``1, e0, e1, e2, e3, e12, e13, e23, e123``, whitespace-insensitive, e.g.
 ``2e23 - e1 + 3``.  Numbers are plain decimals without an exponent part
 (the letter ``e`` always starts a basis token).  An element may also be
-given positionally as 8 comma-separated reals in the fixed coefficient
-order ``(c0, c1, c2, c3, c12, c13, c23, c123)``.
+given positionally as 8 comma-separated finite reals in the fixed
+coefficient order ``(c0, c1, c2, c3, c12, c13, c23, c123)``.
 
 Polynomials: ``coeffs: [<element>, <element>, ...]`` lowest degree first,
 or a factored form ``(x - <element>)*(x - <element>)...`` with an optional
@@ -17,6 +17,7 @@ in term form.
 
 from __future__ import annotations
 
+import math
 import re
 from decimal import Decimal
 
@@ -78,8 +79,11 @@ class _Scanner:
         m = _NUMBER_RE.match(self.text, self.pos)
         if not m:
             return None
+        value = float(m.group())
+        if not math.isfinite(value):
+            raise self.error("number out of range")
         self.pos = m.end()
-        return float(m.group())
+        return value
 
     def take_basis(self, allow_one: bool) -> int | None:
         self.skip_ws()
@@ -137,9 +141,12 @@ def parse_element(text: str) -> CliffordElement:
         offset = 0
         for part in parts:
             try:
-                coeffs.append(float(part))
+                value = float(part)
             except ValueError:
                 raise ParseError("invalid real number", text, offset) from None
+            if not math.isfinite(value):
+                raise ParseError("coefficient must be finite", text, offset)
+            coeffs.append(value)
             offset += len(part) + 1
         return CliffordElement(coeffs)
     scanner = _Scanner(text)

@@ -12,6 +12,7 @@ from qcone3 import (
     BiSlicePoly,
     ConePoint,
     Quat,
+    QuatPoly,
     SliceContour,
     cauchy_kernel,
     cauchy_kernel_quat,
@@ -22,8 +23,14 @@ from qcone3 import (
     join,
     kernel_regularity_residual,
 )
-from qcone3.errors import NotImaginaryUnit, OnSingularSphere, PointOutsideContour
-from qcone3.qsplit import Q13, Q23
+from qcone3.cauchy import MAX_NODES, _closed_integral, _reconstruct_component
+from qcone3.errors import (
+    InvalidContour,
+    NotImaginaryUnit,
+    OnSingularSphere,
+    PointOutsideContour,
+)
+from qcone3.qsplit import Q12, Q13, Q23
 from helpers import rand_cone_point, rand_poly, rand_quat, rand_unit_imaginary
 
 
@@ -111,6 +118,22 @@ def test_contour_validation():
         SliceContour(0.0, 1.0, Q23, nodes=8)
     with pytest.raises(NotImaginaryUnit):
         SliceContour(0.0, 1.0, Q23 + Q13)
+
+
+def test_contour_validation_names_the_error():
+    for center, radius, nodes in (
+        (0.0, -1.0, 64),
+        (0.0, 0.0, 64),
+        (0.0, math.nan, 64),
+        (0.0, math.inf, 64),
+        (math.nan, 1.0, 64),
+        (-math.inf, 1.0, 64),
+        (0.0, 1.0, 8),
+        (0.0, 1.0, MAX_NODES + 1),
+    ):
+        with pytest.raises(InvalidContour):
+            SliceContour(center, radius, Q23, nodes)
+    assert SliceContour(0.0, 1.0, Q23, MAX_NODES).nodes == MAX_NODES
 
 
 def test_closed_integrals_vanish_for_polynomials():
@@ -204,3 +227,66 @@ def test_kernel_regularity_residuals():
             assert 2.0 < l1 / l2 < 8.0
         if r1 > 1e-10:
             assert 2.0 < r1 / r2 < 8.0
+
+
+def _reference_component(poly: QuatPoly, contour: SliceContour, target: Quat) -> Quat:
+    # The node loop in quaternion arithmetic, one kernel value per node.
+    acc = Quat()
+    for theta in contour.thetas():
+        s = contour.point(theta)
+        acc = acc + cauchy_kernel_quat(s, target) * contour.phase(theta) * poly.eval(s)
+    return acc / contour.nodes
+
+
+def test_slice_plane_quadrature_matches_quaternion_loop():
+    rng = random.Random(12)
+    for nodes in (16, 64, 512):
+        for degree in range(6):
+            poly = rand_poly(rng, degree)
+            fp, fq = poly.split()
+            center = rng.uniform(-0.5, 0.5)
+            radius = rng.uniform(1.0, 2.0)
+            ci = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
+            cj = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
+            dist = rng.uniform(0.2, 0.7) * radius
+            angle = rng.uniform(0.15, math.pi - 0.15)
+            targets = (
+                cone_point(
+                    center + dist * math.cos(angle),
+                    dist * math.sin(angle),
+                    rand_unit_imaginary(rng),
+                    rand_unit_imaginary(rng),
+                ),
+                # real point: i1 is None and the target plane's unit is a fallback
+                ConePoint(center + dist * math.cos(angle), 0.0, None, None),
+            )
+            for x in targets:
+                got = cauchy_reconstruct(poly, ci, cj, x)
+                want = join(
+                    _reference_component(fp, ci, x.p),
+                    _reference_component(fq, cj, x.q),
+                )
+                assert (got - want).magnitude() <= 1e-13 * (1 + want.magnitude())
+            _check_closed_integrals(poly, ci, cj)
+    # degree 15 at 16 nodes aliases onto the constant mode, so the closed
+    # integrals stay large and the comparison sees more than rounding
+    ci = SliceContour(0.3, 1.0, rand_unit_imaginary(rng), 16)
+    cj = SliceContour(0.3, 1.0, rand_unit_imaginary(rng), 16)
+    assert min(_check_closed_integrals(rand_poly(rng, 15), ci, cj)) > 1.0
+
+
+def _check_closed_integrals(poly, ci, cj) -> tuple[float, float]:
+    got = contour_integral_vanishes(poly, ci, cj)
+    for value, f, c in zip(got, poly.split(), (ci, cj)):
+        want = contour_integral(c, f.eval)
+        scale = 1 + max(f.eval(c.point(t)).modulus() for t in c.thetas())
+        assert (_closed_integral(f, c) - want).modulus() <= 1e-13 * scale
+        assert abs(value - want.modulus()) <= 1e-13 * scale
+    return got
+
+
+def test_slice_plane_quadrature_keeps_singular_test():
+    # the node at t = pi/2 is I, whose sphere holds every unit imaginary
+    contour = SliceContour(0.0, 1.0, Q23, 16)
+    with pytest.raises(OnSingularSphere):
+        _reconstruct_component(QuatPoly([1.0]), contour, Q12, 1e-12)

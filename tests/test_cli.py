@@ -2,7 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
+import pytest
+
+import qcone3
 from qcone3.cli import run
 
 
@@ -221,3 +227,40 @@ def test_usage_error_exit_code(capsys):
     code = run(["not-a-command"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_split_rejects_non_finite_coefficient(capsys, bad):
+    code, out, err = invoke(capsys, "split", f"1,0,0,{bad},0,0,0,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error") and "finite" in err
+
+
+CAUCHY_ARGS = ("cauchy-verify", "--poly", "coeffs: [0, 0, 1]", "--at", "0.5e1")
+
+
+@pytest.mark.parametrize(
+    "flags", [("--radius", "-1"), ("--radius", "2", "--nodes", "8")]
+)
+def test_cauchy_verify_rejects_invalid_contour(capsys, flags):
+    code, out, err = invoke(capsys, *CAUCHY_ARGS, *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InvalidContour:")
+
+
+def test_cauchy_verify_rejects_unbounded_node_count():
+    # In a child with a timeout, so unbounded work fails the test, not the run.
+    src = os.path.dirname(os.path.dirname(qcone3.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [*CAUCHY_ARGS, "--radius", "2", "--nodes", "100000000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcone3.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: InvalidContour:")

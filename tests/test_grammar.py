@@ -54,6 +54,15 @@ def test_positional_form():
         parse_element("1,2,3,4,x,6,7,8")
 
 
+def test_non_finite_numbers_rejected():
+    for text in ("nan,0,0,0,0,0,0,0", "0,inf,0,0,0,0,0,0", "0,0,0,0,0,0,0,-inf"):
+        with pytest.raises(ParseError, match="finite"):
+            parse_element(text)
+    with pytest.raises(ParseError, match="out of range") as info:
+        parse_element("e1 + " + "9" * 400 + "e2")
+    assert info.value.pos == 5
+
+
 def test_parse_errors_cite_position():
     with pytest.raises(ParseError) as info:
         parse_element("2e23 + z")
