@@ -52,7 +52,6 @@ from .bislice import (
     SliceSamples,
     dbar_residual,
     dbar_residual_single,
-    eval_poly,
     regular_conjugate,
     representation_formula,
     sample_slice_values,
@@ -63,7 +62,6 @@ from .bislice import (
     symmetrization,
 )
 from .stem import (
-    InducedFunction,
     StemFunction,
     RectDomain,
     builtin_stem,

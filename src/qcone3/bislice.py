@@ -2,24 +2,29 @@
 
 A polynomial here is a finite coefficient sequence a0..ad representing
 ``sum x^n a_n`` (variable powers on the left).  Splitting every coefficient
-turns such a polynomial into a pair of quaternionic polynomials, and
-evaluation, the star product, the regular conjugate and the symmetrization
-all descend to the components.
+turns such a polynomial into a pair of quaternionic polynomials, and that
+pair is its working form: :class:`BiSlicePoly` splits its coefficients once,
+at construction, and evaluation, degree, the star product, factor
+expansion, the regular conjugate and the symmetrization all run on the two
+:class:`QuatPoly` components.  ``BiSlicePoly.coeffs`` is the view for the
+boundary (grammar, records): the caller's own coefficients when the
+polynomial was built from coefficients, the joined pair otherwise.
 
 The star product of two polynomials is coefficient convolution with the
-noncommutative rule ``c_k = sum_{i+j=k} a_i b_j``.  Where the left factor is
-invertible at a point the product also has the pointwise form
-``f(x) * g(f(x)^{-1} x f(x))``; both forms are implemented and cross-checked
-in the tests.
+noncommutative rule ``c_k = sum_{i+j=k} a_i b_j``, one convolution per
+component.  Where the left factor is invertible at a point the product also
+has the pointwise form ``f(x) * g(f(x)^{-1} x f(x))``; both forms are
+implemented and cross-checked in the tests.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .clifford3 import EPS, CliffordElement, ZERO, scalar
 from .errors import NotImaginaryUnit, NotInvertibleAtPoint, NotOrthogonal, RealPoint
-from .qsplit import ConePoint, Quat, QuatPair, join, split
+from .qsplit import Q_ZERO, ConePoint, Quat, QuatPair, join, split
 
 
 class QuatPoly:
@@ -51,7 +56,7 @@ class QuatPoly:
     def star(self, other: "QuatPoly") -> "QuatPoly":
         out = [Quat() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero(0.0):
+            if a == Q_ZERO:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -69,10 +74,6 @@ class QuatPoly:
     def max_coeff(self) -> float:
         return max(a.modulus() for a in self.coeffs)
 
-    def trimmed(self, tol: float = EPS) -> "QuatPoly":
-        d = self.degree(tol)
-        return QuatPoly(self.coeffs[: d + 1]) if d >= 0 else QuatPoly((Quat(),))
-
     def __repr__(self) -> str:
         return f"QuatPoly({self.coeffs!r})"
 
@@ -86,36 +87,54 @@ class QuatPoly:
 
 
 class BiSlicePoly:
-    """Polynomial over the full algebra with right coefficients."""
+    """Polynomial over the full algebra with right coefficients.
 
-    __slots__ = ("coeffs",)
+    Held as the pair of its split components, two :class:`QuatPoly` of
+    equal length; ``coeffs`` is the coefficient view of that pair.
+    """
+
+    __slots__ = ("coeffs", "_pair")
 
     def __init__(self, coeffs: Iterable[CliffordElement | float]):
         tup = tuple(
             c if isinstance(c, CliffordElement) else scalar(float(c)) for c in coeffs
-        )
-        object.__setattr__(self, "coeffs", tup if tup else (ZERO,))
+        ) or (ZERO,)
+        p, q = zip(*map(split, tup))
+        object.__setattr__(self, "coeffs", tup)
+        object.__setattr__(self, "_pair", (QuatPoly(p), QuatPoly(q)))
+
+    @classmethod
+    def from_pair(cls, p: QuatPoly, q: QuatPoly) -> "BiSlicePoly":
+        """The polynomial whose split components are ``p`` and ``q``."""
+        if len(p.coeffs) != len(q.coeffs):
+            raise ValueError("split components must have equal length")
+        poly = cls.__new__(cls)
+        object.__setattr__(poly, "coeffs", tuple(map(join, p.coeffs, q.coeffs)))
+        object.__setattr__(poly, "_pair", (p, q))
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("BiSlicePoly is immutable")
 
     def degree(self, tol: float = EPS) -> int:
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[k].is_zero(tol):
-                return k
-        return -1
+        """Largest k whose coefficient has a split component above tol."""
+        return max(side.degree(tol) for side in self._pair)
 
     def split(self) -> tuple[QuatPoly, QuatPoly]:
-        pairs = [split(a) for a in self.coeffs]
-        return QuatPoly(p for p, _ in pairs), QuatPoly(q for _, q in pairs)
+        return self._pair
 
     def eval(self, x: "CliffordElement | ConePoint") -> CliffordElement:
         p, q = _point_pair(x)
-        fp, fq = self.split()
+        fp, fq = self._pair
         return join(fp.eval(p), fq.eval(q))
 
     def max_coeff(self) -> float:
-        return max(a.magnitude() for a in self.coeffs)
+        """Largest coefficient magnitude, sqrt((|p_k|^2 + |q_k|^2) / 2)."""
+        p, q = self._pair
+        return max(
+            math.sqrt((a.modulus_sq() + b.modulus_sq()) / 2)
+            for a, b in zip(p.coeffs, q.coeffs)
+        )
 
     def __repr__(self) -> str:
         return f"BiSlicePoly({self.coeffs!r})"
@@ -124,11 +143,12 @@ class BiSlicePoly:
     def from_factors(
         cls, constants: Sequence[CliffordElement], lead: float = 1.0
     ) -> "BiSlicePoly":
-        """Expand lead*(x - c1)*(x - c2)*... by convolution."""
-        poly = cls((scalar(lead),))
-        for c in constants:
-            poly = star_mul(poly, cls((-c, scalar(1.0))))
-        return poly
+        """Expand lead*(x - c1)*(x - c2)*... on each component."""
+        pairs = [split(c) for c in constants]
+        return cls.from_pair(
+            QuatPoly.from_factors([p for p, _ in pairs]).scale(lead),
+            QuatPoly.from_factors([q for _, q in pairs]).scale(lead),
+        )
 
     @classmethod
     def monomial(cls, n: int, coeff: CliffordElement | float = 1.0) -> "BiSlicePoly":
@@ -146,19 +166,10 @@ def split_poly(poly: BiSlicePoly) -> tuple[QuatPoly, QuatPoly]:
     return poly.split()
 
 
-def eval_poly(poly: BiSlicePoly, x: "CliffordElement | ConePoint") -> CliffordElement:
-    return poly.eval(x)
-
-
 def star_mul(f: BiSlicePoly, g: BiSlicePoly) -> BiSlicePoly:
-    """Coefficient convolution c_k = sum_{i+j=k} a_i b_j."""
-    out: list[CliffordElement] = [ZERO] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, a in enumerate(f.coeffs):
-        if a.is_zero(0.0):
-            continue
-        for j, b in enumerate(g.coeffs):
-            out[i + j] = out[i + j] + a * b
-    return BiSlicePoly(out)
+    """Coefficient convolution c_k = sum_{i+j=k} a_i b_j, per component."""
+    (fp, fq), (gp, gq) = f.split(), g.split()
+    return BiSlicePoly.from_pair(fp.star(gp), fq.star(gq))
 
 
 def star_mul_pointwise(
@@ -193,11 +204,13 @@ def star_mul_pointwise(
 
 def regular_conjugate(poly: BiSlicePoly) -> BiSlicePoly:
     """Coefficientwise conjugation; splits to the componentwise conjugates."""
-    return BiSlicePoly(a.conj() for a in poly.coeffs)
+    p, q = poly.split()
+    return BiSlicePoly.from_pair(p.conj_coeffs(), q.conj_coeffs())
 
 
 def symmetrization(poly: BiSlicePoly) -> BiSlicePoly:
-    return star_mul(poly, regular_conjugate(poly))
+    p, q = poly.split()
+    return BiSlicePoly.from_pair(p.symmetrization(), q.symmetrization())
 
 
 class SliceSamples(NamedTuple):
@@ -322,6 +335,15 @@ def slice_map(target: "BiSlicePoly | Callable", x: ConePoint) -> SliceMap:
     return phi_fn
 
 
+def central_differences(f: Callable, u: float, v: float, h: float) -> tuple:
+    """Central differences (df/du, df/dv) at (u, v) with step h, O(h^2)."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError("finite-difference step must be positive and finite")
+    du = (f(u + h, v) - f(u - h, v)) / (2.0 * h)
+    dv = (f(u, v + h) - f(u, v - h)) / (2.0 * h)
+    return du, dv
+
+
 def dbar_residual(
     target: "BiSlicePoly | Callable", x: ConePoint, h: float = 1e-5
 ) -> float:
@@ -331,10 +353,7 @@ def dbar_residual(
     differences of step h along the slices of ``x``; O(h^2) for regular
     targets, O(1) for maps such as pointwise conjugation.
     """
-    phi = slice_map(target, x)
-    u, v = x.alpha, x.beta
-    du = (phi(u + h, v) - phi(u - h, v)) / (2.0 * h)
-    dv = (phi(u, v + h) - phi(u, v - h)) / (2.0 * h)
+    du, dv = central_differences(slice_map(target, x), x.alpha, x.beta, h)
     pu, qu = split(du)
     pv, qv = split(dv)
     res_p = (pu + x.i1 * pv) * 0.5
@@ -350,9 +369,6 @@ def dbar_residual_single(
     Algebraically identical to :func:`dbar_residual`; computed through full
     Clifford products as an independent expression tree.
     """
-    phi = slice_map(target, x)
-    u, v = x.alpha, x.beta
-    du = (phi(u + h, v) - phi(u - h, v)) / (2.0 * h)
-    dv = (phi(u, v + h) - phi(u, v - h)) / (2.0 * h)
+    du, dv = central_differences(slice_map(target, x), x.alpha, x.beta, h)
     k = join(x.i1, x.i2)
     return ((du + k * dv) * 0.5).magnitude()

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .clifford3 import EPS, CliffordElement
-from .bislice import BiSlicePoly, QuatPoly
+from .bislice import BiSlicePoly, QuatPoly, central_differences
 from .errors import (
     InvalidContour,
     NotImaginaryUnit,
@@ -272,14 +272,9 @@ def kernel_regularity_residual(
     su2 = _unit_or_fallback(s.i2, x.i2)
 
     def left_side(sq: Quat, base: float, beta: float, unit: Quat) -> Quat:
-        du = (
-            cauchy_kernel_quat(sq, Quat(base + h) + unit * beta, tol)
-            - cauchy_kernel_quat(sq, Quat(base - h) + unit * beta, tol)
-        ) / (2 * h)
-        dv = (
-            cauchy_kernel_quat(sq, Quat(base) + unit * (beta + h), tol)
-            - cauchy_kernel_quat(sq, Quat(base) + unit * (beta - h), tol)
-        ) / (2 * h)
+        du, dv = central_differences(
+            lambda u, v: cauchy_kernel_quat(sq, Quat(u) + unit * v, tol), base, beta, h
+        )
         return (du + unit * dv) * 0.5
 
     left = join(
@@ -287,14 +282,12 @@ def kernel_regularity_residual(
     ).magnitude()
 
     def right_side(target: Quat, base: float, beta: float, unit: Quat) -> Quat:
-        du = (
-            cauchy_kernel_quat(Quat(base + h) + unit * beta, target, tol)
-            - cauchy_kernel_quat(Quat(base - h) + unit * beta, target, tol)
-        ) / (2 * h)
-        dv = (
-            cauchy_kernel_quat(Quat(base) + unit * (beta + h), target, tol)
-            - cauchy_kernel_quat(Quat(base) + unit * (beta - h), target, tol)
-        ) / (2 * h)
+        du, dv = central_differences(
+            lambda u, v: cauchy_kernel_quat(Quat(u) + unit * v, target, tol),
+            base,
+            beta,
+            h,
+        )
         return (du + dv * unit) * 0.5
 
     right = join(

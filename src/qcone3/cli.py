@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable
 
@@ -271,6 +272,18 @@ def _cmd_kernel(args, out: _Output) -> None:
 # -- parser wiring -----------------------------------------------------------------
 
 
+def _finite_flag(text: str, positive: bool) -> float:
+    """argparse type: a finite real >= 0, or > 0 when ``positive``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        bound = "> 0" if positive else ">= 0"
+        raise argparse.ArgumentTypeError(f"expected a finite number {bound}, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcone3",
@@ -285,7 +298,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pretty text or line-delimited JSON records",
     )
     common.add_argument(
-        "--tol", type=float, default=EPS, help="comparison tolerance (default %(default)g)"
+        "--tol",
+        type=lambda t: _finite_flag(t, False),
+        default=EPS,
+        help="comparison tolerance (default %(default)g)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -344,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--poly", required=True)
     p.add_argument("--at", required=True)
-    p.add_argument("--fd-step", type=float, default=1e-5)
+    p.add_argument("--fd-step", type=lambda t: _finite_flag(t, True), default=1e-5)
     p.set_defaults(handler=_cmd_dbar_check)
 
     p = sub.add_parser(

@@ -13,7 +13,7 @@ threads.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 #: Fixed coefficient order used everywhere, including serialized forms.
 BASIS_NAMES = ("1", "e1", "e2", "e3", "e12", "e13", "e23", "e123")
@@ -207,14 +207,10 @@ def scalar(value: float) -> CliffordElement:
     return CliffordElement((float(value), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
 
-def basis_element(index: int) -> CliffordElement:
-    coeffs = [0.0] * 8
-    coeffs[index] = 1.0
-    return CliffordElement(coeffs)
-
-
 #: The eight basis elements in coefficient order.
-BASIS: tuple[CliffordElement, ...] = tuple(basis_element(i) for i in range(8))
+BASIS: tuple[CliffordElement, ...] = tuple(
+    CliffordElement(float(i == k) for i in range(8)) for k in range(8)
+)
 
 E0, E1, E2, E3, E12, E13, E23, E123 = BASIS
 
@@ -244,7 +240,3 @@ def trace(x: CliffordElement) -> CliffordElement:
 def norm_n(x: CliffordElement) -> CliffordElement:
     """n(x) = x * conj(x).  Real (a multiple of 1) exactly on the cone."""
     return x * x.conj()
-
-
-def from_coeffs(coeffs: Sequence[float]) -> CliffordElement:
-    return CliffordElement(coeffs)

@@ -157,20 +157,19 @@ def parse_element(text: str) -> CliffordElement:
 
 
 def _format_number(value: float, sig: int | None) -> str:
-    if sig is not None:
-        return f"{value:.{sig}g}"
-    out = repr(value)
+    out = repr(value) if sig is None else f"{value:.{sig}g}"
     if "e" in out or "E" in out:
         # Exponent notation is not part of the term grammar; fall back to
-        # the exact finite decimal expansion of the float.
-        out = format(Decimal(value), "f")
+        # fixed point: the exact expansion of the float, or of its rounding.
+        out = format(Decimal(value if sig is None else out), "f")
     if out.endswith(".0"):
         out = out[:-2]
     return out
 
 
 def format_element(x: CliffordElement, sig: int | None = None) -> str:
-    """Render in the term grammar.  Default mode reparses to the same floats."""
+    """Render in the term grammar.  Default mode reparses to the same floats;
+    ``sig`` rounds each coefficient to that many significant digits."""
     terms: list[tuple[float, str]] = [
         (c, BASIS_NAMES[i]) for i, c in enumerate(x.coeffs) if c != 0.0
     ]
@@ -178,13 +177,13 @@ def format_element(x: CliffordElement, sig: int | None = None) -> str:
         return "0"
     pieces: list[str] = []
     for k, (coeff, name) in enumerate(terms):
-        mag = abs(coeff)
+        number = _format_number(abs(coeff), sig)
         if name == "1":
-            body = _format_number(mag, sig)
-        elif mag == 1.0:
+            body = number
+        elif number == "1":
             body = name
         else:
-            body = f"{_format_number(mag, sig)}{name}"
+            body = number + name
         if k == 0:
             pieces.append(("-" if coeff < 0 else "") + body)
         else:
@@ -341,6 +340,8 @@ def parse_sphere(text: str) -> SphereDescriptor:
         radius = float(parts[1])
     except ValueError:
         raise ParseError("invalid real number", text, 0) from None
+    if not (math.isfinite(center) and math.isfinite(radius)):
+        raise ParseError("center and radius must be finite", text, 0)
     if radius < 0:
         raise ParseError("radius must be nonnegative", text, 0)
     return SphereDescriptor(center, radius)

@@ -100,27 +100,6 @@ def spherical_derivative(stem: StemFunction, at: ConePoint, tol: float = EPS) ->
 
 
 @dataclass(frozen=True, slots=True)
-class InducedFunction:
-    """A stem together with its induction rule, as a callable on cone points.
-
-    Well defined on points rather than slice charts: the charts
-    (beta, I1, I2) and (-beta, -I1, -I2) name the same point and parity
-    makes both give the same value.
-    """
-
-    stem: StemFunction
-
-    def __call__(self, at: ConePoint) -> CliffordElement:
-        return induce(self.stem, at)
-
-    def value_part(self, at: ConePoint) -> CliffordElement:
-        return spherical_value(self.stem, at)
-
-    def derivative_part(self, at: ConePoint, tol: float = EPS) -> CliffordElement:
-        return spherical_derivative(self.stem, at, tol)
-
-
-@dataclass(frozen=True, slots=True)
 class ParityReport:
     max_violation: float
     samples: int
@@ -179,8 +158,6 @@ def check_cauchy_riemann(
     10 times the largest observed second-derivative scale (floored at 1 so
     affine stems are judged against rounding noise, not against zero).
     """
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
     rng = random.Random(seed)
     dom = stem.domain
     worst = 0.0
@@ -189,10 +166,8 @@ def check_cauchy_riemann(
         a = rng.uniform(dom.alpha_min + 2 * h, dom.alpha_max - 2 * h)
         b = rng.uniform(-dom.beta_max + 2 * h, dom.beta_max - 2 * h)
         for one, two in ((stem.f1, stem.f2), (stem.g1, stem.g2)):
-            da1 = (one(a + h, b) - one(a - h, b)) / (2 * h)
-            db1 = (one(a, b + h) - one(a, b - h)) / (2 * h)
-            da2 = (two(a + h, b) - two(a - h, b)) / (2 * h)
-            db2 = (two(a, b + h) - two(a, b - h)) / (2 * h)
+            da1, db1 = bislice.central_differences(one, a, b, h)
+            da2, db2 = bislice.central_differences(two, a, b, h)
             worst = max(worst, (da1 - db2).modulus(), (db1 + da2).modulus())
             for comp in (one, two):
                 center = comp(a, b)
@@ -253,14 +228,10 @@ def stem_from_poly(
     )
 
 
-def identity_stem(domain: RectDomain = DEFAULT_DOMAIN) -> StemFunction:
-    return stem_from_poly(bislice.BiSlicePoly.monomial(1), domain)
-
-
 def builtin_stem(spec: str, domain: RectDomain = DEFAULT_DOMAIN) -> StemFunction:
     """Named stems: ``identity``, ``monomial:<n>``, ``constant:<element>``."""
     if spec == "identity":
-        return identity_stem(domain)
+        return stem_from_poly(bislice.BiSlicePoly.monomial(1), domain)
     if spec.startswith("monomial:"):
         n = int(spec.split(":", 1)[1])
         if n < 0:

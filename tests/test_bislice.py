@@ -13,6 +13,7 @@ from qcone3 import (
     E23,
     ZERO,
     BiSlicePoly,
+    CliffordElement,
     ConePoint,
     Quat,
     QuatPoly,
@@ -30,10 +31,22 @@ from qcone3 import (
     star_mul_pointwise,
     symmetrization,
 )
-from qcone3.bislice import complex_on_slice, reassemble_splitting
+from qcone3.bislice import central_differences, complex_on_slice, reassemble_splitting
+from qcone3.cauchy import kernel_regularity_residual
 from qcone3.errors import NotInvertibleAtPoint, NotOrthogonal
 from qcone3.qsplit import Q12, Q13, Q23
-from helpers import rand_cone_point, rand_element, rand_poly, rand_quat, rand_unit_imaginary
+from qcone3.stem import builtin_stem, check_cauchy_riemann
+from helpers import (
+    assert_coeffs_close,
+    clifford_conjugate,
+    clifford_from_factors,
+    clifford_star,
+    rand_cone_point,
+    rand_element,
+    rand_poly,
+    rand_quat,
+    rand_unit_imaginary,
+)
 
 
 def test_split_poly_examples():
@@ -62,9 +75,12 @@ def test_star_mul_splits_componentwise():
     for _ in range(100):
         f = rand_poly(rng, rng.randint(0, 3))
         g = rand_poly(rng, rng.randint(0, 3))
+        table = clifford_star(f.coeffs, g.coeffs)
+        assert_coeffs_close(star_mul(f, g).coeffs, table, 1e-12)
+        # the split of the table convolution is the star of the splits
         fp, fq = split_poly(f)
         gp, gq = split_poly(g)
-        hp, hq = split_poly(star_mul(f, g))
+        hp, hq = split_poly(BiSlicePoly(table))
         want_p = fp.star(gp)
         want_q = fq.star(gq)
         for got, want in ((hp, want_p), (hq, want_q)):
@@ -141,6 +157,7 @@ def test_regular_conjugate():
     assert all(a.isclose(b) for a, b in zip(back.coeffs, real_poly.coeffs))
     rng = random.Random(6)
     P = rand_poly(rng, 3)
+    assert_coeffs_close(regular_conjugate(P).coeffs, clifford_conjugate(P.coeffs), 1e-15)
     cp, cq = split_poly(regular_conjugate(P))
     fp, fq = split_poly(P)
     for got, src in ((cp, fp), (cq, fq)):
@@ -160,6 +177,8 @@ def test_symmetrization():
     rng = random.Random(7)
     for _ in range(50):
         P = rand_poly(rng, 2)
+        table = clifford_star(P.coeffs, clifford_conjugate(P.coeffs))
+        assert_coeffs_close(symmetrization(P).coeffs, table, 1e-12)
         sp, sq = split_poly(symmetrization(P))
         fp, fq = split_poly(P)
         for got, side in ((sp, fp), (sq, fq)):
@@ -187,6 +206,38 @@ def test_degree_additivity_and_zero_divisor_drop():
     f = BiSlicePoly([E0, wplus])
     g = BiSlicePoly([E0, wminus])
     assert star_mul(f, g).degree() == 1
+
+
+def test_from_factors_matches_table_expansion():
+    rng = random.Random(16)
+    for _ in range(50):
+        constants = [rand_element(rng) for _ in range(rng.randint(0, 4))]
+        lead = rng.uniform(-2.0, 2.0)
+        got = BiSlicePoly.from_factors(constants, lead)
+        assert_coeffs_close(got.coeffs, clifford_from_factors(constants, lead), 1e-12)
+        assert got.degree() == len(constants)
+
+
+def test_pair_is_the_working_form():
+    rng = random.Random(17)
+    coeffs = [rand_element(rng) for _ in range(3)]
+    poly = BiSlicePoly(coeffs)
+    # built from coefficients, the view is the caller's tuple, not a round trip
+    assert poly.coeffs == tuple(coeffs)
+    fp, fq = poly.split()
+    assert poly.split() is poly.split()
+    again = BiSlicePoly.from_pair(fp, fq)
+    assert again.split()[0] is fp and again.split()[1] is fq
+    assert_coeffs_close(again.coeffs, coeffs, 1e-15)
+    assert abs(poly.max_coeff() - max(c.magnitude() for c in coeffs)) < 1e-14
+    with pytest.raises(ValueError):
+        BiSlicePoly.from_pair(fp, QuatPoly(fq.coeffs[:2]))
+    # a coefficient is zero when both split components are within tol; all
+    # eight coordinates within tol is not enough
+    assert BiSlicePoly([E1, join(Quat(1.0), Quat(0.0))]).degree() == 1
+    small = CliffordElement([0.9e-10] * 8)
+    assert BiSlicePoly([E1, small]).degree() == 1
+    assert BiSlicePoly([E1, small * 0.1]).degree() == 0
 
 
 def test_representation_formula_identity_and_real():
@@ -280,3 +331,23 @@ def test_dbar_second_order_decay():
             assert 2.0 < r1 / r2 < 8.0
             decays += 1
     assert decays > 30
+
+
+def test_central_differences():
+    du, dv = central_differences(lambda u, v: u * u * v, 1.0, 2.0, 1e-3)
+    assert abs(du - 4.0) < 1e-9 and abs(dv - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
+def test_finite_difference_step_must_be_positive_and_finite(h):
+    x = rand_cone_point(random.Random(18))
+    P = BiSlicePoly.monomial(2)
+    for call in (
+        lambda: central_differences(lambda u, v: u, 0.0, 0.0, h),
+        lambda: dbar_residual(P, x, h),
+        lambda: dbar_residual_single(P, x, h),
+        lambda: kernel_regularity_residual(cone_point(3.0, 0.0, None, None), x, h),
+        lambda: check_cauchy_riemann(builtin_stem("identity"), h, samples=1),
+    ):
+        with pytest.raises(ValueError, match="step"):
+            call()

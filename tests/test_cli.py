@@ -264,3 +264,43 @@ def test_cauchy_verify_rejects_unbounded_node_count():
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: InvalidContour:")
+
+
+@pytest.mark.parametrize("sphere", ["nan,1", "inf,1"])
+def test_mult_rejects_non_finite_sphere(capsys, sphere):
+    code, out, err = invoke(
+        capsys, "mult", "--factored", "(x - e1)*(x - e23)", "--sphere", sphere
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cone-check", "e1", "--tol", "nan"),
+        ("cone-check", "e1", "--tol", "-1"),
+        ("roots", "--factored", "(x - e1)*(x - e23)", "--tol", "nan"),
+    ],
+)
+def test_rejects_bad_tolerance(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err and "finite number >= 0" in err
+
+
+@pytest.mark.parametrize("step", ["0", "nan"])
+def test_dbar_check_rejects_bad_step(capsys, step):
+    code, out, err = invoke(
+        capsys, "dbar-check", "--poly", "coeffs: [0, 0, 1]", "--at", "e1", "--fd-step", step
+    )
+    assert code == 2
+    assert out == ""
+    assert "--fd-step" in err and "finite number > 0" in err
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    code, out, _ = invoke(capsys, "cone-check", "e1", "--tol", "0")
+    assert code == 0 and out.strip() == "true"

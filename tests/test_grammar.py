@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcone3 import (
     E0,
@@ -93,6 +95,35 @@ def test_print_parse_round_trip():
     assert parse_element(format_element(tiny)) == tiny
 
 
+def test_pretty_format_has_no_exponent_notation():
+    assert format_element(1e-20 * E1, 12) == "0.00000000000000000001e1"
+    assert format_element(1.5e25 * E0 - 3e-7 * E123, 12) == (
+        "15000000000000000000000000 - 0.0000003e123"
+    )
+    # a magnitude that rounds to 1 prints as the bare basis name
+    assert format_element(0.9999999999999 * E23 - 1.0000000000001 * E2, 12) == "-e2 + e23"
+
+
+def _magnitude_coeffs():
+    mantissa = st.floats(min_value=1.0, max_value=10.0, exclude_max=True)
+    value = st.builds(
+        lambda m, k, sign: sign * m * 10.0**k,
+        mantissa,
+        st.integers(min_value=-30, max_value=29),
+        st.sampled_from((1.0, -1.0)),
+    )
+    return st.lists(st.one_of(value, st.just(0.0)), min_size=8, max_size=8)
+
+
+@given(_magnitude_coeffs())
+@settings(max_examples=300)
+def test_pretty_output_reparses(coeffs):
+    x = CliffordElement(coeffs)
+    back = parse_element(format_element(x, 12))
+    for got, want in zip(back.coeffs, x.coeffs):
+        assert abs(got - want) <= 1e-11 * abs(want)
+
+
 def test_quat_forms():
     assert parse_quat("2e23 - 1").isclose(Quat(-1, 2, 0, 0))
     with pytest.raises(ParseError):
@@ -160,3 +191,6 @@ def test_parse_sphere():
         parse_sphere("1")
     with pytest.raises(ParseError):
         parse_sphere("1,-2")
+    for text in ("nan,1", "inf,1", "0,nan", "0,inf"):
+        with pytest.raises(ParseError, match="finite"):
+            parse_sphere(text)
