@@ -43,8 +43,7 @@ unbounded work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .clifford3 import EPS, CliffordElement
 from .bislice import BiSlicePoly, QuatPoly, central_differences
@@ -61,29 +60,35 @@ MIN_NODES = 16
 MAX_NODES = 65536
 
 
-@dataclass(frozen=True, slots=True)
-class SliceContour:
-    """Circle x0 + r e^{I t} inside the plane of the unit I."""
-
+class _ContourFields(NamedTuple):
     center: float
     radius: float
     unit: Quat
-    nodes: int = DEFAULT_NODES
+    nodes: int
 
-    def __post_init__(self):
-        if not math.isfinite(self.center):
-            raise InvalidContour(f"contour center must be finite, got {self.center}")
-        if not (math.isfinite(self.radius) and self.radius > 0):
+
+class SliceContour(_ContourFields):
+    """Circle x0 + r e^{I t} inside the plane of the unit I."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, center: float, radius: float, unit: Quat, nodes: int = DEFAULT_NODES
+    ) -> "SliceContour":
+        if not math.isfinite(center):
+            raise InvalidContour(f"contour center must be finite, got {center}")
+        if not (math.isfinite(radius) and radius > 0):
             raise InvalidContour(
-                f"contour radius must be positive and finite, got {self.radius}"
+                f"contour radius must be positive and finite, got {radius}"
             )
-        if not MIN_NODES <= self.nodes <= MAX_NODES:
+        if not MIN_NODES <= nodes <= MAX_NODES:
             raise InvalidContour(
                 f"contour needs {MIN_NODES} to {MAX_NODES} quadrature nodes, "
-                f"got {self.nodes}"
+                f"got {nodes}"
             )
-        if not self.unit.is_unit_imaginary():
+        if not unit.is_unit_imaginary():
             raise NotImaginaryUnit("contour unit must square to -1")
+        return super().__new__(cls, center, radius, unit, nodes)
 
     def point(self, theta: float) -> Quat:
         return Quat(self.center + self.radius * math.cos(theta)) + self.unit * (

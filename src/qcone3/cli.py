@@ -21,7 +21,7 @@ from typing import Callable
 
 from . import bislice, cauchy, grammar, qdet, qsplit, zeros
 from .clifford3 import EPS, CliffordElement
-from .errors import ConeAlgebraError, ParseError
+from .errors import ConeAlgebraError, NonFiniteResult, ParseError
 from .qsplit import ConePoint, Quat, SphereDescriptor
 
 PRETTY_DIGITS = 12
@@ -39,6 +39,16 @@ def _quat_list(q: Quat) -> list[float]:
     return list(q.as_tuple())
 
 
+def _all_finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_all_finite(v) for v in value)
+    return True
+
+
 class _Output:
     def __init__(self, mode: str):
         self.mode = mode
@@ -49,6 +59,16 @@ class _Output:
             self.lines.append(text)
 
     def record(self, **fields) -> None:
+        """Keep one record; every handler passes all of its numbers here.
+
+        The finiteness check runs in both output modes, so an overflow in
+        any result exits 1 instead of printing ``inf`` or ``nan``.
+        """
+        for name, value in fields.items():
+            if not _all_finite(value):
+                raise NonFiniteResult(
+                    f"{fields.get('cmd', 'result')}: {name} is not finite"
+                )
         if self.mode == "records":
             self.lines.append(json.dumps(fields))
 

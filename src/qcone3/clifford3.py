@@ -13,6 +13,7 @@ threads.
 from __future__ import annotations
 
 import math
+from operator import add, mul as _fmul, neg, sub
 from typing import Iterable
 
 #: Fixed coefficient order used everywhere, including serialized forms.
@@ -109,25 +110,25 @@ class CliffordElement:
     # -- ring operations ----------------------------------------------------------
 
     def __add__(self, other: "CliffordElement | float") -> "CliffordElement":
-        o = _coerce(other)
-        return CliffordElement(a + b for a, b in zip(self.coeffs, o.coeffs))
+        o = other if isinstance(other, CliffordElement) else _coerce(other)
+        return _element_from_floats(tuple(map(add, self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other: "CliffordElement | float") -> "CliffordElement":
-        o = _coerce(other)
-        return CliffordElement(a - b for a, b in zip(self.coeffs, o.coeffs))
+        o = other if isinstance(other, CliffordElement) else _coerce(other)
+        return _element_from_floats(tuple(map(sub, self.coeffs, o.coeffs)))
 
     def __rsub__(self, other: "CliffordElement | float") -> "CliffordElement":
         return _coerce(other) - self
 
     def __neg__(self) -> "CliffordElement":
-        return CliffordElement(-a for a in self.coeffs)
+        return _element_from_floats(tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other: "CliffordElement | float") -> "CliffordElement":
         if isinstance(other, (int, float)):
             s = float(other)
-            return CliffordElement(a * s for a in self.coeffs)
+            return _element_from_floats(tuple([a * s for a in self.coeffs]))
         acc = [0.0] * 8
         xs = self.coeffs
         ys = other.coeffs
@@ -142,7 +143,7 @@ class CliffordElement:
                     continue
                 k, sign = row[j]
                 acc[k] += sign * xi * yj
-        return CliffordElement(acc)
+        return _element_from_floats(tuple(acc))
 
     def __rmul__(self, other: float) -> "CliffordElement":
         if isinstance(other, (int, float)):
@@ -161,7 +162,7 @@ class CliffordElement:
     # -- involutions and scalar data ----------------------------------------------
 
     def conj(self) -> "CliffordElement":
-        return CliffordElement(s * c for s, c in zip(_CONJ_SIGNS, self.coeffs))
+        return _element_from_floats(tuple(map(_fmul, _CONJ_SIGNS, self.coeffs)))
 
     def magnitude(self) -> float:
         """Euclidean length of the coefficient vector."""
@@ -179,6 +180,21 @@ class CliffordElement:
 
     def __repr__(self) -> str:
         return f"CliffordElement({self.coeffs!r})"
+
+
+_new_element = object.__new__
+_set_coeffs = CliffordElement.coeffs.__set__
+
+
+def _element_from_floats(coeffs: tuple[float, ...]) -> CliffordElement:
+    """Wrap an 8-tuple of floats as an element without re-coercing it.
+
+    Library results whose coefficients are floats already come through here;
+    the public constructor keeps its ``float`` coercion and length check.
+    """
+    x = _new_element(CliffordElement)
+    _set_coeffs(x, coeffs)
+    return x
 
 
 def _coerce(value: "CliffordElement | float") -> CliffordElement:

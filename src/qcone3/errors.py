@@ -47,6 +47,14 @@ class InvalidContour(ConeAlgebraError, ValueError):
     """Contour center, radius or node count outside the supported range."""
 
 
+class NonFiniteResult(ConeAlgebraError):
+    """A computed result overflowed to inf or became nan."""
+
+
+class InputTooLarge(ConeAlgebraError, ValueError):
+    """A polynomial has more coefficients or factors than the grammar accepts."""
+
+
 class NegativeRadicand(ConeAlgebraError):
     """Determinant radicand fell below zero beyond tolerance."""
 

@@ -9,7 +9,8 @@ coefficient order ``(c0, c1, c2, c3, c12, c13, c23, c123)``.
 
 Polynomials: ``coeffs: [<element>, <element>, ...]`` lowest degree first,
 or a factored form ``(x - <element>)*(x - <element>)...`` with an optional
-leading real scale.
+leading real scale.  Either form has at most ``MAX_COEFFS`` coefficients,
+so at most ``MAX_COEFFS - 1`` factors.
 
 Matrices: ``[[<element>, <element>], [<element>, <element>]]`` with entries
 in term form.
@@ -22,7 +23,7 @@ import re
 from decimal import Decimal
 
 from .clifford3 import BASIS_NAMES, CliffordElement
-from .errors import ParseError, UnfactoredInput
+from .errors import InputTooLarge, ParseError, UnfactoredInput
 from .qsplit import Quat, SphereDescriptor
 
 _BASIS_INDEX = {
@@ -40,6 +41,10 @@ _BASIS_INDEX = {
 _BASIS_TOKENS = ("e123", "e12", "e13", "e23", "e0", "e1", "e2", "e3")
 
 _NUMBER_RE = re.compile(r"\d+\.\d*|\.\d+|\d+")
+
+#: Most coefficients a parsed polynomial may have.  It bounds the quadratic
+#: cost of the star product and of the factor expansion.
+MAX_COEFFS = 256
 
 
 class _Scanner:
@@ -250,6 +255,11 @@ def parse_factored(text: str) -> tuple[float, list[CliffordElement]]:
         lead = num
     constants: list[CliffordElement] = []
     while True:
+        if len(constants) == MAX_COEFFS - 1:
+            raise InputTooLarge(
+                f"more than {MAX_COEFFS - 1} linear factors "
+                f"(at most MAX_COEFFS = {MAX_COEFFS} coefficients)"
+            )
         scanner.skip_ws()
         if scanner.peek() != "(":
             raise scanner.error("expected '(' opening a linear factor")
@@ -303,6 +313,10 @@ def parse_poly(text: str):
         if not (body.startswith("[") and body.endswith("]")):
             raise ParseError("expected '[...]' coefficient list", text, 0)
         items = _split_top_level(body[1:-1])
+        if len(items) > MAX_COEFFS:
+            raise InputTooLarge(
+                f"{len(items)} coefficients, more than MAX_COEFFS = {MAX_COEFFS}"
+            )
         return BiSlicePoly([parse_element(item) for item in items])
     lead, constants = parse_factored(stripped)
     return BiSlicePoly.from_factors(constants, lead)

@@ -18,67 +18,91 @@ couples (p, q) sharing real part and imaginary modulus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
-from .clifford3 import EPS, CliffordElement
+from .clifford3 import EPS, CliffordElement, _element_from_floats
 from .errors import NotImaginaryUnit, NotInCone, SingularElement
 
+_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class Quat:
+
+class Quat(tuple):
     """Quaternion on the even-subalgebra basis (1, e23, e13, e12).
 
     Field names carry the basis label they multiply.  The triple
     i = e23, j = -e13, k = e12 satisfies the usual quaternion relations
     under the Clifford product, but all data in this library is stated in
     the (w, a23, a13, a12) coordinates to avoid sign-convention drift.
+
+    A value is an immutable 4-tuple of floats ``(w, a23, a13, a12)``.  The
+    constructor coerces its arguments with ``float``; results computed here
+    are floats already and are built with ``_new(Quat, ...)``, which skips
+    that step.  The arithmetic operators below replace tuple concatenation
+    and repetition.
     """
 
-    w: float = 0.0
-    a23: float = 0.0
-    a13: float = 0.0
-    a12: float = 0.0
+    __slots__ = ()
+    __match_args__ = ("w", "a23", "a13", "a12")
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", float(self.w))
-        object.__setattr__(self, "a23", float(self.a23))
-        object.__setattr__(self, "a13", float(self.a13))
-        object.__setattr__(self, "a12", float(self.a12))
+    def __new__(
+        cls, w: float = 0.0, a23: float = 0.0, a13: float = 0.0, a12: float = 0.0
+    ) -> "Quat":
+        return _new(cls, (float(w), float(a23), float(a13), float(a12)))
+
+    w = property(itemgetter(0), doc="Real part, coefficient of 1.")
+    a23 = property(itemgetter(1), doc="Coefficient of e23.")
+    a13 = property(itemgetter(2), doc="Coefficient of e13.")
+    a12 = property(itemgetter(3), doc="Coefficient of e12.")
+
+    def __getnewargs__(self) -> tuple[float, float, float, float]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        w, a23, a13, a12 = self
+        return f"Quat(w={w!r}, a23={a23!r}, a13={a13!r}, a12={a12!r})"
 
     # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other: "Quat | float") -> "Quat":
-        o = _as_quat(other)
-        return Quat(self.w + o.w, self.a23 + o.a23, self.a13 + o.a13, self.a12 + o.a12)
+        x0, x1, x2, x3 = self
+        y0, y1, y2, y3 = other if isinstance(other, Quat) else _as_quat(other)
+        return _new(Quat, (x0 + y0, x1 + y1, x2 + y2, x3 + y3))
 
     __radd__ = __add__
 
     def __sub__(self, other: "Quat | float") -> "Quat":
-        o = _as_quat(other)
-        return Quat(self.w - o.w, self.a23 - o.a23, self.a13 - o.a13, self.a12 - o.a12)
+        x0, x1, x2, x3 = self
+        y0, y1, y2, y3 = other if isinstance(other, Quat) else _as_quat(other)
+        return _new(Quat, (x0 - y0, x1 - y1, x2 - y2, x3 - y3))
 
     def __rsub__(self, other: "Quat | float") -> "Quat":
         return _as_quat(other) - self
 
     def __neg__(self) -> "Quat":
-        return Quat(-self.w, -self.a23, -self.a13, -self.a12)
+        x0, x1, x2, x3 = self
+        return _new(Quat, (-x0, -x1, -x2, -x3))
 
     def __mul__(self, other: "Quat | float") -> "Quat":
+        x0, x1, x2, x3 = self
+        if isinstance(other, Quat):
+            # Product table of the even subalgebra under the Clifford product:
+            # e23*e13 = -e12, e13*e23 = e12, e23*e12 = e13, e12*e23 = -e13,
+            # e13*e12 = -e23, e12*e13 = e23, and each squares to -1.
+            y0, y1, y2, y3 = other
+            return _new(
+                Quat,
+                (
+                    x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3,
+                    x0 * y1 + x1 * y0 - x2 * y3 + x3 * y2,
+                    x0 * y2 + x2 * y0 + x1 * y3 - x3 * y1,
+                    x0 * y3 + x3 * y0 - x1 * y2 + x2 * y1,
+                ),
+            )
         if isinstance(other, (int, float)):
             s = float(other)
-            return Quat(self.w * s, self.a23 * s, self.a13 * s, self.a12 * s)
-        # Product table of the even subalgebra under the Clifford product:
-        # e23*e13 = -e12, e13*e23 = e12, e23*e12 = e13, e12*e23 = -e13,
-        # e13*e12 = -e23, e12*e13 = e23, and each squares to -1.
-        x0, x1, x2, x3 = self.w, self.a23, self.a13, self.a12
-        y0, y1, y2, y3 = other.w, other.a23, other.a13, other.a12
-        return Quat(
-            x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3,
-            x0 * y1 + x1 * y0 - x2 * y3 + x3 * y2,
-            x0 * y2 + x2 * y0 + x1 * y3 - x3 * y1,
-            x0 * y3 + x3 * y0 - x1 * y2 + x2 * y1,
-        )
+            return _new(Quat, (x0 * s, x1 * s, x2 * s, x3 * s))
+        return NotImplemented
 
     def __rmul__(self, other: float) -> "Quat":
         if isinstance(other, (int, float)):
@@ -91,19 +115,23 @@ class Quat:
     # -- conjugation, norms, parts ------------------------------------------------
 
     def conj(self) -> "Quat":
-        return Quat(self.w, -self.a23, -self.a13, -self.a12)
+        x0, x1, x2, x3 = self
+        return _new(Quat, (x0, -x1, -x2, -x3))
 
     def re(self) -> float:
-        return self.w
+        return self[0]
 
     def im(self) -> "Quat":
-        return Quat(0.0, self.a23, self.a13, self.a12)
+        _, x1, x2, x3 = self
+        return _new(Quat, (0.0, x1, x2, x3))
 
     def im_modulus(self) -> float:
-        return math.sqrt(self.a23**2 + self.a13**2 + self.a12**2)
+        _, x1, x2, x3 = self
+        return math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
 
     def modulus_sq(self) -> float:
-        return self.w**2 + self.a23**2 + self.a13**2 + self.a12**2
+        x0, x1, x2, x3 = self
+        return x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
 
     def modulus(self) -> float:
         return math.sqrt(self.modulus_sq())
@@ -117,7 +145,7 @@ class Quat:
     def power(self, n: int, tol: float = EPS) -> "Quat":
         if n < 0:
             return self.inverse(tol).power(-n)
-        result = Quat(1.0)
+        result = Q_ONE
         base = self
         k = n
         while k:
@@ -128,33 +156,33 @@ class Quat:
         return result
 
     def is_unit_imaginary(self, tol: float = EPS) -> bool:
-        sq = self * self
+        s0, s1, s2, s3 = self * self
         return (
-            abs(sq.w + 1.0) <= tol
-            and abs(sq.a23) <= tol
-            and abs(sq.a13) <= tol
-            and abs(sq.a12) <= tol
+            abs(s0 + 1.0) <= tol
+            and abs(s1) <= tol
+            and abs(s2) <= tol
+            and abs(s3) <= tol
         )
 
     def isclose(self, other: "Quat | float", tol: float = EPS) -> bool:
-        o = _as_quat(other)
+        x0, x1, x2, x3 = self
+        y0, y1, y2, y3 = _as_quat(other)
         return (
-            abs(self.w - o.w) <= tol
-            and abs(self.a23 - o.a23) <= tol
-            and abs(self.a13 - o.a13) <= tol
-            and abs(self.a12 - o.a12) <= tol
+            abs(x0 - y0) <= tol
+            and abs(x1 - y1) <= tol
+            and abs(x2 - y2) <= tol
+            and abs(x3 - y3) <= tol
         )
 
     def is_zero(self, tol: float = EPS) -> bool:
         return self.modulus() <= tol
 
     def to_clifford(self) -> CliffordElement:
-        return CliffordElement(
-            (self.w, 0.0, 0.0, 0.0, self.a12, self.a13, self.a23, 0.0)
-        )
+        w, a23, a13, a12 = self
+        return _element_from_floats((w, 0.0, 0.0, 0.0, a12, a13, a23, 0.0))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.w, self.a23, self.a13, self.a12)
+        return tuple(self)
 
 
 def _as_quat(value: "Quat | float") -> Quat:
@@ -186,9 +214,9 @@ class QuatPair(NamedTuple):
 
 def split(x: CliffordElement) -> QuatPair:
     """Quaternion pair of an element; closed-form inverse of :func:`join`."""
-    c = x.coeffs
-    p = Quat(c[0] + c[7], c[6] - c[1], c[5] + c[2], c[4] - c[3])
-    q = Quat(c[0] - c[7], c[6] + c[1], c[5] - c[2], c[4] + c[3])
+    c0, c1, c2, c3, c12, c13, c23, c123 = x.coeffs
+    p = _new(Quat, (c0 + c123, c23 - c1, c13 + c2, c12 - c3))
+    q = _new(Quat, (c0 - c123, c23 + c1, c13 - c2, c12 + c3))
     return QuatPair(p, q)
 
 
@@ -197,16 +225,18 @@ def join(p: "Quat | QuatPair", q: Quat | None = None) -> CliffordElement:
     if q is None:
         p, q = p  # type: ignore[misc]
     assert isinstance(p, Quat)
-    return CliffordElement(
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return _element_from_floats(
         (
-            0.5 * (p.w + q.w),
-            0.5 * (q.a23 - p.a23),
-            0.5 * (p.a13 - q.a13),
-            0.5 * (q.a12 - p.a12),
-            0.5 * (p.a12 + q.a12),
-            0.5 * (p.a13 + q.a13),
-            0.5 * (p.a23 + q.a23),
-            0.5 * (p.w - q.w),
+            0.5 * (p0 + q0),
+            0.5 * (q1 - p1),
+            0.5 * (p2 - q2),
+            0.5 * (q3 - p3),
+            0.5 * (p3 + q3),
+            0.5 * (p2 + q2),
+            0.5 * (p1 + q1),
+            0.5 * (p0 - q0),
         )
     )
 

@@ -19,8 +19,7 @@ identity function has spherical derivative 1 and the decomposition
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .clifford3 import EPS, CliffordElement
 from .errors import OutOfDomain, RealPoint
@@ -30,17 +29,21 @@ from .qsplit import ConePoint, Quat, join, split
 ComponentMap = Callable[[float, float], Quat]
 
 
-@dataclass(frozen=True, slots=True)
-class RectDomain:
-    """Axially symmetric sampling rectangle [a0, a1] x [-b1, b1]."""
-
+class _RectFields(NamedTuple):
     alpha_min: float
     alpha_max: float
     beta_max: float
 
-    def __post_init__(self):
-        if self.alpha_min > self.alpha_max or self.beta_max < 0:
+
+class RectDomain(_RectFields):
+    """Axially symmetric sampling rectangle [a0, a1] x [-b1, b1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha_min: float, alpha_max: float, beta_max: float) -> "RectDomain":
+        if alpha_min > alpha_max or beta_max < 0:
             raise ValueError("empty stem domain")
+        return super().__new__(cls, alpha_min, alpha_max, beta_max)
 
     def contains(self, alpha: float, beta: float) -> bool:
         return (
@@ -52,8 +55,7 @@ class RectDomain:
 DEFAULT_DOMAIN = RectDomain(-4.0, 4.0, 4.0)
 
 
-@dataclass(frozen=True, slots=True)
-class StemFunction:
+class StemFunction(NamedTuple):
     f1: ComponentMap
     f2: ComponentMap
     g1: ComponentMap
@@ -99,8 +101,7 @@ def spherical_derivative(stem: StemFunction, at: ConePoint, tol: float = EPS) ->
     return join(f2 / at.beta, g2 / at.beta)
 
 
-@dataclass(frozen=True, slots=True)
-class ParityReport:
+class ParityReport(NamedTuple):
     max_violation: float
     samples: int
     tolerance: float
@@ -132,8 +133,7 @@ def check_parity(
     return ParityReport(worst, samples, tol)
 
 
-@dataclass(frozen=True, slots=True)
-class CauchyRiemannReport:
+class CauchyRiemannReport(NamedTuple):
     max_residual: float
     tolerance: float
     second_derivative_scale: float

@@ -29,8 +29,7 @@ q-side points, and p-side points + 2m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bislice import BiSlicePoly, QuatPoly
 from .clifford3 import EPS, CliffordElement
@@ -51,8 +50,7 @@ def is_conjugate_pair(a: Quat, b: Quat, tol: float = EPS) -> bool:
     return (b - a.conj()).modulus() <= tol * scale
 
 
-@dataclass(frozen=True, slots=True)
-class QuatQuadraticZeros:
+class QuatQuadraticZeros(NamedTuple):
     """Zero shape of one quaternionic quadratic (p - a)*(p - b)."""
 
     kind: str  # "sphere" | "point" | "two_points"
@@ -104,8 +102,7 @@ def split_factors(
     return (a1, b1), (a2, b2)
 
 
-@dataclass(frozen=True, slots=True)
-class ZeroSetQuadratic:
+class ZeroSetQuadratic(NamedTuple):
     """Classified zero set of (x - alpha)*(x - beta)."""
 
     case: str
@@ -286,8 +283,7 @@ def sphere_zero_structure(
     return power, tuple(points)
 
 
-@dataclass(frozen=True, slots=True)
-class MultiplicityReport:
+class MultiplicityReport(NamedTuple):
     """The four multiplicity figures of a factored polynomial at one base."""
 
     base: SphereDescriptor

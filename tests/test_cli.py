@@ -10,6 +10,7 @@ import pytest
 
 import qcone3
 from qcone3.cli import run
+from qcone3.grammar import MAX_COEFFS
 
 
 def invoke(capsys, *argv):
@@ -304,3 +305,62 @@ def test_dbar_check_rejects_bad_step(capsys, step):
 def test_zero_tolerance_is_accepted(capsys):
     code, out, _ = invoke(capsys, "cone-check", "e1", "--tol", "0")
     assert code == 0 and out.strip() == "true"
+
+
+HUGE = "9" * 200  # 1e200: finite as input, its square overflows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("star", "--left", f"coeffs: [{HUGE}]", "--right", f"coeffs: [{HUGE}e1]"),
+        (
+            "star",
+            "--left",
+            f"coeffs: [{HUGE}]",
+            "--right",
+            f"coeffs: [{HUGE}e1]",
+            "--at",
+            "e1",
+        ),
+        ("eval", "--poly", f"coeffs: [0, {HUGE}]", "--at", f"{HUGE}e1"),
+    ],
+)
+@pytest.mark.parametrize("mode", ["pretty", "records"])
+def test_overflow_is_a_named_error(capsys, argv, mode):
+    code, out, err = invoke(capsys, *argv, "--output", mode)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: NonFiniteResult:")
+
+
+def _coeffs_text(n: int) -> str:
+    return "coeffs: [" + ", ".join(f"{k % 7}e1 - 0.5" for k in range(n)) + "]"
+
+
+def _factored_text(n_factors: int) -> str:
+    return "*".join(f"(x - 0.{k % 9 + 1}e23)" for k in range(n_factors))
+
+
+@pytest.mark.parametrize(
+    "poly", [_coeffs_text(MAX_COEFFS), _factored_text(MAX_COEFFS - 1)]
+)
+def test_polynomial_at_size_cap_is_accepted(capsys, poly):
+    code, out, _ = invoke(capsys, "eval", "--poly", poly, "--at", "0.5e1")
+    assert code == 0 and out.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--poly", _coeffs_text(MAX_COEFFS + 1), "--at", "e1"),
+        ("eval", "--poly", _factored_text(MAX_COEFFS), "--at", "e1"),
+        ("star", "--left", _coeffs_text(MAX_COEFFS + 1), "--right", "coeffs: [1]"),
+        ("mult", "--factored", _factored_text(MAX_COEFFS), "--sphere", "0,1"),
+    ],
+)
+def test_polynomial_past_size_cap_is_rejected(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InputTooLarge:")

@@ -1,8 +1,13 @@
 """Splitting isomorphism, cone membership, inverses and powers."""
 
+import copy
+import math
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcone3 import (
     E0,
@@ -26,7 +31,7 @@ from qcone3 import (
 )
 from qcone3.errors import NotImaginaryUnit, NotInCone, SingularElement
 from qcone3.qsplit import Q12, Q13, Q23, cone_residuals
-from helpers import rand_cone_point, rand_element, rand_unit_imaginary
+from helpers import rand_cone_point, rand_element, rand_quat, rand_unit_imaginary
 
 
 def test_quaternion_triple_relations():
@@ -241,3 +246,94 @@ def test_in_ball():
         r = rng.uniform(0.1, 5.0)
         components = max(pt.p.modulus_sq(), pt.q.modulus_sq())
         assert in_ball(pt, r) == (components < r)
+
+
+# -- Quat value semantics ---------------------------------------------------------
+
+
+def test_quat_is_immutable():
+    q = Quat(1.0, 2.0, 3.0, 4.0)
+    with pytest.raises(AttributeError):
+        q.w = 5.0
+    with pytest.raises(AttributeError):
+        q.extra = 5.0
+    assert q == Quat(1.0, 2.0, 3.0, 4.0)
+
+
+def test_quat_constructor_coerces_and_repr():
+    q = Quat(1, 0, 0, 2)
+    assert all(type(v) is float for v in (q.w, q.a23, q.a13, q.a12))
+    assert repr(q) == "Quat(w=1.0, a23=0.0, a13=0.0, a12=2.0)"
+    assert Quat(a13=3) == Quat(0.0, 0.0, 3.0, 0.0)
+    assert pickle.loads(pickle.dumps(q)) == q
+    assert copy.deepcopy(q) == q
+
+
+def test_quat_scalar_operators_are_arithmetic():
+    q = Quat(1.0, 0.0, 0.0, 2.0)
+    for result, want in (
+        (2 * q, Quat(2.0, 0.0, 0.0, 4.0)),
+        (q * 2, Quat(2.0, 0.0, 0.0, 4.0)),
+        (1 + q, Quat(2.0, 0.0, 0.0, 2.0)),
+        (q + 1, Quat(2.0, 0.0, 0.0, 2.0)),
+        (q - 1, Quat(0.0, 0.0, 0.0, 2.0)),
+        (1 - q, Quat(0.0, 0.0, 0.0, -2.0)),
+    ):
+        assert type(result) is Quat
+        assert result == want
+
+
+def test_equal_quats_hash_equal():
+    a = Quat(1, 2, 3, 4)
+    b = Quat(1.0, 2.0, 3.0, 4.0)
+    assert a == b and hash(a) == hash(b)
+    assert Q23 * Q13 == -Q12 and hash(Q23 * Q13) == hash(-Q12)
+    assert len({a, b, Q12}) == 2
+    assert a != Quat(1.0, 2.0, 3.0, 4.5)
+
+
+_mixed = st.one_of(
+    st.integers(-1000, 1000), st.floats(-1e3, 1e3, allow_nan=False)
+)
+_quats = st.builds(Quat, _mixed, _mixed, _mixed, _mixed)
+
+
+@given(_quats, _quats, _mixed)
+@settings(max_examples=200)
+def test_arithmetic_results_hold_floats(x, y, s):
+    results = [
+        x + y,
+        x - y,
+        x * y,
+        -x,
+        x.conj(),
+        x.im(),
+        x + s,
+        s + x,
+        x - s,
+        s - x,
+        x * s,
+        s * x,
+        x.power(3),
+        *split(join(x, y)),
+    ]
+    if s != 0:
+        results.append(x / s)
+    if x.modulus() > 1e-3:
+        results.append(x.inverse())
+    for r in results:
+        assert type(r) is Quat
+        assert all(type(v) is float for v in r), r
+    assert all(type(v) is float for v in join(x, y).coeffs)
+    assert all(type(v) is float for v in x.to_clifford().coeffs)
+
+
+def test_quat_product_matches_clifford_table():
+    rng = random.Random(11)
+    for _ in range(300):
+        p = rand_quat(rng)
+        q = rand_quat(rng)
+        table = p.to_clifford() * q.to_clifford()
+        scale = 1.0 + p.modulus() * q.modulus()
+        assert (p * q).to_clifford().isclose(table, 1e-13 * scale)
+        assert math.isclose((p * q).modulus(), p.modulus() * q.modulus(), rel_tol=1e-12)

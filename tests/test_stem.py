@@ -63,6 +63,16 @@ def test_induce_out_of_domain():
         induce(small, cone_point(2.0, 0.5, Q23, Q13))
 
 
+def test_rect_domain_validates_and_is_immutable():
+    for bounds in ((1.0, 0.0, 1.0), (0.0, 1.0, -1.0)):
+        with pytest.raises(ValueError):
+            RectDomain(*bounds)
+    dom = RectDomain(-1.0, 1.0, 2.0)
+    assert repr(dom) == "RectDomain(alpha_min=-1.0, alpha_max=1.0, beta_max=2.0)"
+    with pytest.raises(AttributeError):
+        dom.beta_max = 3.0
+
+
 def test_parity_reports():
     assert check_parity(IDENT).max_violation == 0
     assert check_parity(SQ).passed
