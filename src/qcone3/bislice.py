@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .clifford3 import EPS, CliffordElement, ZERO, scalar
+from .clifford3 import EPS, Q_ZERO, CliffordElement, Quat, QuatPair, ZERO, join, scalar, split
 from .errors import NotImaginaryUnit, NotInvertibleAtPoint, NotOrthogonal, RealPoint
-from .qsplit import Q_ZERO, ConePoint, Quat, QuatPair, join, split
+from .qsplit import ConePoint
 
 
 class QuatPoly:
@@ -366,8 +366,9 @@ def dbar_residual_single(
 ) -> float:
     """Residual of the one-operator form (1/2)(d_u + K d_v), K = join(I, J).
 
-    Algebraically identical to :func:`dbar_residual`; computed through full
-    Clifford products as an independent expression tree.
+    Algebraically identical to :func:`dbar_residual`.  It works on whole
+    elements, but the Clifford product ``K dv`` itself runs on the split
+    pair, so the two differ only in rounding, not as independent checks.
     """
     du, dv = central_differences(slice_map(target, x), x.alpha, x.beta, h)
     k = join(x.i1, x.i2)

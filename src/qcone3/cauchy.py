@@ -36,7 +36,8 @@ is then complex multiplication, ``(a + I b) R(v) = R((a + i b) v)``.
   complex 4-vector sums, combined once: ``(R(sum g w) + J R(sum h w)) / N``.
 * The closed integral is ``R(sum i phi w) * 2 pi / N``.
 
-Contours accept at most :data:`MAX_NODES` nodes, so no request does
+Contours accept at most :data:`MAX_NODES` nodes, and one quadrature at most
+:data:`MAX_NODE_TERMS` nodes times coefficients, so no request does
 unbounded work.
 """
 
@@ -45,19 +46,23 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .clifford3 import EPS, CliffordElement
+from .clifford3 import EPS, Q23, CliffordElement, Quat, join
 from .bislice import BiSlicePoly, QuatPoly, central_differences
 from .errors import (
+    InputTooLarge,
     InvalidContour,
     NotImaginaryUnit,
     OnSingularSphere,
     PointOutsideContour,
 )
-from .qsplit import ConePoint, Quat, Q23, join
+from .qsplit import ConePoint
 
 DEFAULT_NODES = 512
 MIN_NODES = 16
 MAX_NODES = 65536
+#: Most nodes x coefficients one contour's quadrature may evaluate (about
+#: 0.4 us each, so under 2 s per contour).
+MAX_NODE_TERMS = 2**21
 
 
 class _ContourFields(NamedTuple):
@@ -190,10 +195,21 @@ def _closed_integral(poly: QuatPoly, contour: SliceContour) -> Quat:
     return _lift(contour.unit, v0, v1, v2, v3) * (2.0 * math.pi / contour.nodes)
 
 
+def _check_work(poly: BiSlicePoly, *contours: SliceContour) -> None:
+    terms = len(poly.coeffs)
+    for contour in contours:
+        if contour.nodes * terms > MAX_NODE_TERMS:
+            raise InputTooLarge(
+                f"{contour.nodes} nodes x {terms} coefficients is more than "
+                f"MAX_NODE_TERMS = {MAX_NODE_TERMS}"
+            )
+
+
 def contour_integral_vanishes(
     poly: BiSlicePoly, contour_i: SliceContour, contour_j: SliceContour
 ) -> tuple[float, float]:
     """Magnitudes of the closed integrals of the two split components."""
+    _check_work(poly, contour_i, contour_j)
     fp, fq = poly.split()
     return (
         _closed_integral(fp, contour_i).modulus(),
@@ -243,6 +259,7 @@ def cauchy_reconstruct(
     tol: float = EPS,
 ) -> CliffordElement:
     """Reproduce poly(x) from its values on two slice circles."""
+    _check_work(poly, contour_i, contour_j)
     point = x if isinstance(x, ConePoint) else ConePoint.from_element(x, tol)
     fp, fq = poly.split()
     if not contour_i.contains(point.p):

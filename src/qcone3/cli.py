@@ -20,9 +20,9 @@ import sys
 from typing import Callable
 
 from . import bislice, cauchy, grammar, qdet, qsplit, zeros
-from .clifford3 import EPS, CliffordElement
+from .clifford3 import EPS, Q12, Q13, Q23, CliffordElement, Quat, split
 from .errors import ConeAlgebraError, NonFiniteResult, ParseError
-from .qsplit import ConePoint, Quat, SphereDescriptor
+from .qsplit import ConePoint, SphereDescriptor
 
 PRETTY_DIGITS = 12
 
@@ -78,8 +78,6 @@ class _Output:
 
 
 def _sample_units() -> list[Quat]:
-    from .qsplit import Q12, Q13, Q23
-
     units = [Q23, -Q23, Q13, Q12]
     for u, v, w in ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (2, -1, 1), (-1, 2, 2)):
         vec = Quat(0.0, u, v, w)
@@ -106,7 +104,7 @@ def _zero_part_pretty(part) -> str:
 
 def _cmd_split(args, out: _Output) -> None:
     x = grammar.parse_element(args.element)
-    p, q = qsplit.split(x)
+    p, q = split(x)
     out.pretty(grammar.format_quat_pair(p, q, PRETTY_DIGITS))
     out.record(cmd="split", element=_el_list(x), p=_quat_list(p), q=_quat_list(q))
 
@@ -243,8 +241,6 @@ def _cmd_det(args, out: _Output) -> None:
 def _cmd_cauchy_verify(args, out: _Output) -> None:
     poly = grammar.parse_poly(args.poly)
     x = ConePoint.from_element(grammar.parse_element(args.at), args.tol)
-    from .qsplit import Q13, Q23
-
     unit_i = x.i1 if x.i1 is not None else Q23
     unit_j = x.i2 if x.i2 is not None else Q13
     contour_i = cauchy.SliceContour(args.center, args.radius, unit_i, args.nodes)

@@ -2,8 +2,15 @@
 
 Elements live on the eight-dimensional basis (1, e1, e2, e3, e12, e13, e23,
 e123) where the generators satisfy ``e_i e_j + e_j e_i = -2 delta_ij``.  The
-signed product table is generated once at import time from those relations by
-canonical reordering with sign tracking, so no entry is hand transcribed.
+even subalgebra (1, e23, e13, e12) is a copy of the quaternions, and the
+central idempotents w+- = (1 +- e123)/2 split every element uniquely as
+x = w+ p + w- q.  :func:`split` and :func:`join` move between the eight
+coefficients and the pair in closed form, and the product is computed on the
+pair: ``x y = join(p r, q s)`` for x = (p, q), y = (r, s).
+
+An element keeps its eight coefficients as the boundary form, because in
+floats ``join(split(x))`` need not be ``x`` (c0 = 0.1 and c123 = 0.7 come
+back as c0 = 0.09999999999999998).
 
 Coefficients are plain Python floats.  All values are immutable and every
 operation is a pure function, so elements can be shared freely across
@@ -13,43 +20,16 @@ threads.
 from __future__ import annotations
 
 import math
-from operator import add, mul as _fmul, neg, sub
-from typing import Iterable
+from operator import add, itemgetter, mul as _fmul, neg, sub
+from typing import Iterable, NamedTuple
+
+from .errors import SingularElement
 
 #: Fixed coefficient order used everywhere, including serialized forms.
 BASIS_NAMES = ("1", "e1", "e2", "e3", "e12", "e13", "e23", "e123")
 
 #: Default absolute tolerance for floating-point comparisons.
 EPS = 1e-10
-
-# Each basis element is the ordered product of a subset of the generators
-# {1, 2, 3}; bit k of the mask marks generator e_{k+1}.
-_BASIS_MASKS = (0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
-_MASK_TO_INDEX = {mask: idx for idx, mask in enumerate(_BASIS_MASKS)}
-
-
-def _mask_bits(mask: int) -> list[int]:
-    return [k for k in range(3) if mask >> k & 1]
-
-
-def _basis_product(ma: int, mb: int) -> tuple[int, float]:
-    """Product of two basis subsets: result mask and accumulated sign.
-
-    Moving each generator of the right factor into canonical position costs
-    one sign flip per transposition; each repeated generator then squares to
-    -1.
-    """
-    swaps = 0
-    for b in _mask_bits(mb):
-        swaps += sum(1 for a in _mask_bits(ma) if a > b)
-    repeats = bin(ma & mb).count("1")
-    sign = -1.0 if (swaps + repeats) % 2 else 1.0
-    return _MASK_TO_INDEX[ma ^ mb], sign
-
-
-_PRODUCT_TABLE: tuple[tuple[tuple[int, float], ...], ...] = tuple(
-    tuple(_basis_product(ma, mb) for mb in _BASIS_MASKS) for ma in _BASIS_MASKS
-)
 
 # The conjugation is the anti-involution fixing 1 and e123 and negating the
 # grade-1 and grade-2 part.
@@ -129,21 +109,9 @@ class CliffordElement:
         if isinstance(other, (int, float)):
             s = float(other)
             return _element_from_floats(tuple([a * s for a in self.coeffs]))
-        acc = [0.0] * 8
-        xs = self.coeffs
-        ys = other.coeffs
-        for i in range(8):
-            xi = xs[i]
-            if xi == 0.0:
-                continue
-            row = _PRODUCT_TABLE[i]
-            for j in range(8):
-                yj = ys[j]
-                if yj == 0.0:
-                    continue
-                k, sign = row[j]
-                acc[k] += sign * xi * yj
-        return _element_from_floats(tuple(acc))
+        p, q = split(self)
+        r, s = split(other)
+        return join(p * r, q * s)
 
     def __rmul__(self, other: float) -> "CliffordElement":
         if isinstance(other, (int, float)):
@@ -236,6 +204,223 @@ ZERO = scalar(0.0)
 #: decomposition of the algebra.
 OMEGA_PLUS = (E0 + E123) / 2.0
 OMEGA_MINUS = (E0 - E123) / 2.0
+
+
+_new = tuple.__new__
+
+
+class Quat(tuple):
+    """Quaternion on the even-subalgebra basis (1, e23, e13, e12).
+
+    Field names carry the basis label they multiply.  The triple
+    i = e23, j = -e13, k = e12 satisfies the usual quaternion relations
+    under the Clifford product, but all data in this library is stated in
+    the (w, a23, a13, a12) coordinates to avoid sign-convention drift.
+
+    A value is an immutable 4-tuple of floats ``(w, a23, a13, a12)``.  The
+    constructor coerces its arguments with ``float``; results computed here
+    are floats already and are built with ``_new(Quat, ...)``, which skips
+    that step.  The arithmetic operators below replace tuple concatenation
+    and repetition.
+    """
+
+    __slots__ = ()
+    __match_args__ = ("w", "a23", "a13", "a12")
+
+    def __new__(
+        cls, w: float = 0.0, a23: float = 0.0, a13: float = 0.0, a12: float = 0.0
+    ) -> "Quat":
+        return _new(cls, (float(w), float(a23), float(a13), float(a12)))
+
+    w = property(itemgetter(0), doc="Real part, coefficient of 1.")
+    a23 = property(itemgetter(1), doc="Coefficient of e23.")
+    a13 = property(itemgetter(2), doc="Coefficient of e13.")
+    a12 = property(itemgetter(3), doc="Coefficient of e12.")
+
+    def __getnewargs__(self) -> tuple[float, float, float, float]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        w, a23, a13, a12 = self
+        return f"Quat(w={w!r}, a23={a23!r}, a13={a13!r}, a12={a12!r})"
+
+    # -- arithmetic ---------------------------------------------------------------
+
+    def __add__(self, other: "Quat | float") -> "Quat":
+        x0, x1, x2, x3 = self
+        y0, y1, y2, y3 = other if isinstance(other, Quat) else _as_quat(other)
+        return _new(Quat, (x0 + y0, x1 + y1, x2 + y2, x3 + y3))
+
+    __radd__ = __add__
+
+    def __sub__(self, other: "Quat | float") -> "Quat":
+        x0, x1, x2, x3 = self
+        y0, y1, y2, y3 = other if isinstance(other, Quat) else _as_quat(other)
+        return _new(Quat, (x0 - y0, x1 - y1, x2 - y2, x3 - y3))
+
+    def __rsub__(self, other: "Quat | float") -> "Quat":
+        return _as_quat(other) - self
+
+    def __neg__(self) -> "Quat":
+        x0, x1, x2, x3 = self
+        return _new(Quat, (-x0, -x1, -x2, -x3))
+
+    def __mul__(self, other: "Quat | float") -> "Quat":
+        x0, x1, x2, x3 = self
+        if isinstance(other, Quat):
+            # Product table of the even subalgebra under the Clifford product:
+            # e23*e13 = -e12, e13*e23 = e12, e23*e12 = e13, e12*e23 = -e13,
+            # e13*e12 = -e23, e12*e13 = e23, and each squares to -1.
+            y0, y1, y2, y3 = other
+            return _new(
+                Quat,
+                (
+                    x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3,
+                    x0 * y1 + x1 * y0 - x2 * y3 + x3 * y2,
+                    x0 * y2 + x2 * y0 + x1 * y3 - x3 * y1,
+                    x0 * y3 + x3 * y0 - x1 * y2 + x2 * y1,
+                ),
+            )
+        if isinstance(other, (int, float)):
+            s = float(other)
+            return _new(Quat, (x0 * s, x1 * s, x2 * s, x3 * s))
+        return NotImplemented
+
+    def __rmul__(self, other: float) -> "Quat":
+        if isinstance(other, (int, float)):
+            return self * other
+        return NotImplemented
+
+    def __truediv__(self, scalar: float) -> "Quat":
+        return self * (1.0 / float(scalar))
+
+    # -- conjugation, norms, parts ------------------------------------------------
+
+    def conj(self) -> "Quat":
+        x0, x1, x2, x3 = self
+        return _new(Quat, (x0, -x1, -x2, -x3))
+
+    def re(self) -> float:
+        return self[0]
+
+    def im(self) -> "Quat":
+        _, x1, x2, x3 = self
+        return _new(Quat, (0.0, x1, x2, x3))
+
+    def im_modulus(self) -> float:
+        _, x1, x2, x3 = self
+        return math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+
+    def modulus_sq(self) -> float:
+        x0, x1, x2, x3 = self
+        return x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+
+    def modulus(self) -> float:
+        return math.sqrt(self.modulus_sq())
+
+    def inverse(self, tol: float = EPS) -> "Quat":
+        n = self.modulus_sq()
+        if math.sqrt(n) <= tol:
+            raise SingularElement("quaternion modulus below tolerance")
+        return self.conj() / n
+
+    def power(self, n: int, tol: float = EPS) -> "Quat":
+        if n < 0:
+            return self.inverse(tol).power(-n)
+        result = Q_ONE
+        base = self
+        k = n
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def is_unit_imaginary(self, tol: float = EPS) -> bool:
+        s0, s1, s2, s3 = self * self
+        return (
+            abs(s0 + 1.0) <= tol
+            and abs(s1) <= tol
+            and abs(s2) <= tol
+            and abs(s3) <= tol
+        )
+
+    def isclose(self, other: "Quat | float", tol: float = EPS) -> bool:
+        x0, x1, x2, x3 = self
+        y0, y1, y2, y3 = _as_quat(other)
+        return (
+            abs(x0 - y0) <= tol
+            and abs(x1 - y1) <= tol
+            and abs(x2 - y2) <= tol
+            and abs(x3 - y3) <= tol
+        )
+
+    def is_zero(self, tol: float = EPS) -> bool:
+        return self.modulus() <= tol
+
+    def to_clifford(self) -> CliffordElement:
+        w, a23, a13, a12 = self
+        return _element_from_floats((w, 0.0, 0.0, 0.0, a12, a13, a23, 0.0))
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return tuple(self)
+
+
+def _as_quat(value: "Quat | float") -> Quat:
+    if isinstance(value, Quat):
+        return value
+    if isinstance(value, (int, float)):
+        return Quat(float(value))
+    raise TypeError(f"cannot interpret {type(value).__name__} as a quaternion")
+
+
+Q_ONE = Quat(1.0)
+Q_ZERO = Quat()
+Q23 = Quat(0.0, 1.0, 0.0, 0.0)
+Q13 = Quat(0.0, 0.0, 1.0, 0.0)
+Q12 = Quat(0.0, 0.0, 0.0, 1.0)
+
+
+class QuatPair(NamedTuple):
+    """Ordered couple (p, q) with x = w+ p + w- q."""
+
+    p: Quat
+    q: Quat
+
+    def __str__(self) -> str:
+        from .grammar import format_quat_pair
+
+        return format_quat_pair(self.p, self.q)
+
+
+def split(x: CliffordElement) -> QuatPair:
+    """Quaternion pair of an element; closed-form inverse of :func:`join`."""
+    c0, c1, c2, c3, c12, c13, c23, c123 = x.coeffs
+    p = _new(Quat, (c0 + c123, c23 - c1, c13 + c2, c12 - c3))
+    q = _new(Quat, (c0 - c123, c23 + c1, c13 - c2, c12 + c3))
+    return QuatPair(p, q)
+
+
+def join(p: "Quat | QuatPair", q: Quat | None = None) -> CliffordElement:
+    """Element w+ p + w- q from its quaternion pair."""
+    if q is None:
+        p, q = p  # type: ignore[misc]
+    assert isinstance(p, Quat)
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return _element_from_floats(
+        (
+            0.5 * (p0 + q0),
+            0.5 * (q1 - p1),
+            0.5 * (p2 - q2),
+            0.5 * (q3 - p3),
+            0.5 * (p3 + q3),
+            0.5 * (p2 + q2),
+            0.5 * (p1 + q1),
+            0.5 * (p0 - q0),
+        )
+    )
 
 
 def mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:

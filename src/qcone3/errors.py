@@ -52,7 +52,8 @@ class NonFiniteResult(ConeAlgebraError):
 
 
 class InputTooLarge(ConeAlgebraError, ValueError):
-    """A polynomial has more coefficients or factors than the grammar accepts."""
+    """An input is larger than the library accepts: a polynomial with too many
+    coefficients or factors, or a quadrature with too many nodes x coefficients."""
 
 
 class NegativeRadicand(ConeAlgebraError):

@@ -22,9 +22,9 @@ import math
 import re
 from decimal import Decimal
 
-from .clifford3 import BASIS_NAMES, CliffordElement
+from .clifford3 import BASIS_NAMES, CliffordElement, Quat
 from .errors import InputTooLarge, ParseError, UnfactoredInput
-from .qsplit import Quat, SphereDescriptor
+from .qsplit import SphereDescriptor
 
 _BASIS_INDEX = {
     "1": 0,

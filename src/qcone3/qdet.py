@@ -21,15 +21,20 @@ from __future__ import annotations
 
 import math
 
-from .clifford3 import EPS, CliffordElement
+from .clifford3 import E0, EPS, ZERO, CliffordElement, Quat, join, split
 from .errors import NegativeRadicand
-from .qsplit import Quat, join, split
 
 QuatMatrix = tuple[tuple[Quat, Quat], tuple[Quat, Quat]]
 
 
 class Matrix2:
-    """Immutable 2x2 matrix over the algebra with cached split sides."""
+    """Immutable 2x2 matrix over the algebra, held as its two split sides.
+
+    The quaternionic sides ``tilde`` (A') and ``tilde2`` (A'') are the
+    working form: determinant, invertibility and product run on them.  The
+    entries ``a, b, c, d`` are the boundary view: the caller's own elements
+    when built from entries, the joined sides when built from sides.
+    """
 
     __slots__ = ("a", "b", "c", "d", "tilde", "tilde2")
 
@@ -40,16 +45,12 @@ class Matrix2:
         c: CliffordElement,
         d: CliffordElement,
     ):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        pa, qa = split(a)
-        pb, qb = split(b)
-        pc, qc = split(c)
-        pd, qd = split(d)
-        object.__setattr__(self, "tilde", ((pa, pb), (pc, pd)))
-        object.__setattr__(self, "tilde2", ((qa, qb), (qc, qd)))
+        (pa, qa), (pb, qb), (pc, qc), (pd, qd) = map(split, (a, b, c, d))
+        self._store((a, b, c, d), ((pa, pb), (pc, pd)), ((qa, qb), (qc, qd)))
+
+    def _store(self, entries: tuple, tilde: QuatMatrix, tilde2: QuatMatrix) -> None:
+        for name, value in zip(self.__slots__, (*entries, tilde, tilde2)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix2 is immutable")
@@ -59,18 +60,18 @@ class Matrix2:
 
     @classmethod
     def identity(cls) -> "Matrix2":
-        from .clifford3 import E0, ZERO
-
         return cls(E0, ZERO, ZERO, E0)
 
     @classmethod
     def from_quat_sides(cls, tilde: QuatMatrix, tilde2: QuatMatrix) -> "Matrix2":
-        return cls(
-            join(tilde[0][0], tilde2[0][0]),
-            join(tilde[0][1], tilde2[0][1]),
-            join(tilde[1][0], tilde2[1][0]),
-            join(tilde[1][1], tilde2[1][1]),
+        """The matrix whose split sides are ``tilde`` and ``tilde2``."""
+        (pa, pb), (pc, pd) = tilde
+        (qa, qb), (qc, qd) = tilde2
+        m = cls.__new__(cls)
+        m._store(
+            (join(pa, qa), join(pb, qb), join(pc, qc), join(pd, qd)), tilde, tilde2
         )
+        return m
 
     def __repr__(self) -> str:
         return f"Matrix2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
@@ -149,12 +150,10 @@ def is_right_invertible(m: Matrix2, tol: float = EPS) -> bool:
 
 
 def matmul(m1: Matrix2, m2: Matrix2) -> Matrix2:
-    """Entrywise Clifford product-and-sum; split caches recomputed."""
-    a = m1.a * m2.a + m1.b * m2.c
-    b = m1.a * m2.b + m1.b * m2.d
-    c = m1.c * m2.a + m1.d * m2.c
-    d = m1.c * m2.b + m1.d * m2.d
-    return Matrix2(a, b, c, d)
+    """Matrix product, computed as :func:`quat_matmul` on each split side."""
+    return Matrix2.from_quat_sides(
+        quat_matmul(m1.tilde, m2.tilde), quat_matmul(m1.tilde2, m2.tilde2)
+    )
 
 
 def quat_matmul(s1: QuatMatrix, s2: QuatMatrix) -> QuatMatrix:

@@ -21,10 +21,10 @@ from __future__ import annotations
 import random
 from typing import Callable, NamedTuple
 
-from .clifford3 import EPS, CliffordElement
+from .clifford3 import EPS, CliffordElement, Quat, join, split
 from .errors import OutOfDomain, RealPoint
 from . import bislice
-from .qsplit import ConePoint, Quat, join, split
+from .qsplit import ConePoint
 
 ComponentMap = Callable[[float, float], Quat]
 

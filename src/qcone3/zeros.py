@@ -32,9 +32,9 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .bislice import BiSlicePoly, QuatPoly
-from .clifford3 import EPS, CliffordElement
+from .clifford3 import EPS, CliffordElement, Quat, join, split
 from .errors import UnfactoredInput
-from .qsplit import ConePoint, Quat, SphereDescriptor, split
+from .qsplit import ConePoint, SphereDescriptor
 
 
 def same_sphere(a: Quat, b: Quat, tol: float = EPS) -> bool:
@@ -112,8 +112,6 @@ class ZeroSetQuadratic(NamedTuple):
 
     def sample_elements(self, units: Sequence[Quat]) -> list[CliffordElement]:
         """Joined representatives of every reported zero, spheres sampled."""
-        from .qsplit import join
-
         out = []
         for ps in self.side_p.sample(units):
             for qs in self.side_q.sample(units):

@@ -23,8 +23,14 @@ from qcone3 import (
     join,
     kernel_regularity_residual,
 )
-from qcone3.cauchy import MAX_NODES, _closed_integral, _reconstruct_component
+from qcone3.cauchy import (
+    MAX_NODE_TERMS,
+    MAX_NODES,
+    _closed_integral,
+    _reconstruct_component,
+)
 from qcone3.errors import (
+    InputTooLarge,
     InvalidContour,
     NotImaginaryUnit,
     OnSingularSphere,
@@ -134,6 +140,21 @@ def test_contour_validation_names_the_error():
         with pytest.raises(InvalidContour):
             SliceContour(center, radius, Q23, nodes)
     assert SliceContour(0.0, 1.0, Q23, MAX_NODES).nodes == MAX_NODES
+
+
+
+def test_quadrature_work_is_bounded_jointly():
+    # At MAX_NODES nodes one coefficient past the bound fails both
+    # quadratures, whichever contour carries the excess.
+    terms = MAX_NODE_TERMS // MAX_NODES
+    small = SliceContour(0.0, 2.0, Q23, 64)
+    big = SliceContour(0.0, 2.0, Q13, MAX_NODES)
+    poly = BiSlicePoly([E1] * (terms + 1))
+    for ci, cj in ((big, small), (small, big)):
+        with pytest.raises(InputTooLarge):
+            cauchy_reconstruct(poly, ci, cj, 0.5 * E1)
+        with pytest.raises(InputTooLarge):
+            contour_integral_vanishes(poly, ci, cj)
 
 
 def test_closed_integrals_vanish_for_polynomials():

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import qcone3
+from qcone3 import cauchy
 from qcone3.cli import run
 from qcone3.grammar import MAX_COEFFS
 
@@ -46,6 +47,17 @@ def test_cone_check(capsys):
     assert code == 0 and out.strip() == "false"
     code, out, _ = invoke(capsys, "cone-check", "1 + 2e1 - e2 + e3")
     assert code == 0 and out.strip() == "true"
+    # a large cone point whose quadratic residual is rounding (3.7e-9), which
+    # kernel --s and dbar-check --at accept as well
+    big = (
+        "3000.0,79.27405783630957,2020.7259421636904,779.2740578363096,"
+        "4820.72594216369,2020.7259421636904,4120.72594216369,0.0"
+    )
+    code, out, _ = invoke(capsys, "cone-check", big)
+    assert code == 0 and out.strip() == "true"
+    # split (1e6 + 10e23, 1e6): a large real part does not hide r2 = 25
+    code, out, _ = invoke(capsys, "cone-check", "1000000,-5,0,0,0,0,5,0")
+    assert code == 0 and out.strip() == "false"
 
 
 def test_det_pretty(capsys):
@@ -360,6 +372,34 @@ def test_polynomial_at_size_cap_is_accepted(capsys, poly):
     ],
 )
 def test_polynomial_past_size_cap_is_rejected(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InputTooLarge:")
+
+
+class _NodeEvaluated(Exception):
+    pass
+
+
+@pytest.mark.parametrize("nodes, accepted", [(8192, True), (8193, False)])
+def test_cauchy_verify_bounds_nodes_times_coefficients(
+    capsys, monkeypatch, nodes, accepted
+):
+    # 256 coefficients: 8192 nodes is MAX_NODE_TERMS exactly, 8193 one node
+    # past.  A sentinel replaces the node loop, so reaching it costs nothing.
+    def no_nodes(poly, contour):
+        raise _NodeEvaluated
+
+    monkeypatch.setattr(cauchy, "_slice_values", no_nodes)
+    assert (nodes * MAX_COEFFS <= cauchy.MAX_NODE_TERMS) == accepted
+    poly = _coeffs_text(MAX_COEFFS)
+    argv = ("cauchy-verify", "--poly", poly, "--radius", "2", "--at", "0.3e1")
+    argv += ("--nodes", str(nodes))
+    if accepted:
+        with pytest.raises(_NodeEvaluated):
+            run(list(argv))
+        return
     code, out, err = invoke(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -1,4 +1,5 @@
-"""Core algebra: product table, conjugation, trace, norm, idempotents."""
+"""Core algebra: products against the table oracle, conjugation, trace, norm,
+idempotents."""
 
 import random
 
@@ -23,7 +24,7 @@ from qcone3 import (
     norm_n,
     trace,
 )
-from helpers import rand_cone_element
+from helpers import rand_cone_element, table_mul
 
 coeff = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 elements = st.builds(CliffordElement, st.tuples(*([coeff] * 8)))
@@ -43,6 +44,12 @@ def test_basis_products():
     assert (E1 * E1).isclose(-E0)
     assert (E123 * E123).isclose(E0)
     assert (E1 * E2 * E3).isclose(E123)
+
+
+def test_basis_products_match_table_exactly():
+    for a in BASIS:
+        for b in BASIS:
+            assert a * b == table_mul(a, b), (a, b)
 
 
 def test_idempotent_identities():

@@ -34,3 +34,22 @@ def test_import_loads_no_dataclasses_machinery():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_clifford3_stands_below_qsplit():
+    # The element's product runs on the quaternion pair defined beside it, so
+    # loading clifford3 alone (without the package __init__) must load no
+    # other qcone3 module than errors.
+    package_dir = os.path.dirname(qcone3.__file__)
+    code = (
+        "import sys, types\n"
+        f"pkg = types.ModuleType('qcone3'); pkg.__path__ = [{package_dir!r}]\n"
+        "sys.modules['qcone3'] = pkg\n"
+        "import qcone3.clifford3\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qcone3.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['qcone3.clifford3', 'qcone3.errors']"

@@ -16,13 +16,14 @@ from qcone3 import (
     det,
     det_both_sides,
     is_right_invertible,
+    join,
     matmul,
     split,
     split_matrix,
 )
 from qcone3.qdet import det_radicand, quat_matmul
 from qcone3.qsplit import Q13, Q23
-from helpers import rand_cone_element
+from helpers import rand_cone_element, table_mul
 
 SQRT3_MATRIX = Matrix2(E1, E2 + E23, -E0, E2)
 
@@ -114,10 +115,27 @@ def test_matmul():
     ta, ta2 = split_matrix(a)
     tb, tb2 = split_matrix(b)
     tp, tp2 = split_matrix(product)
-    for got, want in ((tp, quat_matmul(ta, tb)), (tp2, quat_matmul(ta2, tb2))):
-        for row_g, row_w in zip(got, want):
-            for x, y in zip(row_g, row_w):
-                assert x.isclose(y, 1e-12 * (1 + y.modulus()))
+    assert (tp, tp2) == (quat_matmul(ta, tb), quat_matmul(ta2, tb2))
+    # the entries against entrywise products through the 8x8 table
+    rows_a = ((a.a, a.b), (a.c, a.d))
+    cols_b = ((b.a, b.c), (b.b, b.d))
+    want = [
+        table_mul(x1, y1) + table_mul(x2, y2)
+        for (x1, x2) in rows_a
+        for (y1, y2) in cols_b
+    ]
+    for got, w in zip(product.entries(), want):
+        assert got.isclose(w, 1e-12 * (1 + w.magnitude()))
+
+
+def test_from_quat_sides_keeps_the_sides():
+    rng = random.Random(3)
+    for _ in range(50):
+        t, t2 = split_matrix(rand_cone_matrix(rng))
+        m = Matrix2.from_quat_sides(t, t2)
+        assert split_matrix(m) == (t, t2)
+        for entry, (row, col) in zip(m.entries(), ((0, 0), (0, 1), (1, 0), (1, 1))):
+            assert entry == join(t[row][col], t2[row][col])
 
 
 def test_binet():

@@ -6,7 +6,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcone3 import (
@@ -16,6 +16,7 @@ from qcone3 import (
     E12,
     E23,
     E123,
+    CliffordElement,
     ConePoint,
     Quat,
     cone_point,
@@ -31,7 +32,13 @@ from qcone3 import (
 )
 from qcone3.errors import NotImaginaryUnit, NotInCone, SingularElement
 from qcone3.qsplit import Q12, Q13, Q23, cone_residuals
-from helpers import rand_cone_point, rand_element, rand_quat, rand_unit_imaginary
+from helpers import (
+    rand_cone_point,
+    rand_element,
+    rand_quat,
+    rand_unit_imaginary,
+    table_mul,
+)
 
 
 def test_quaternion_triple_relations():
@@ -76,22 +83,39 @@ def test_round_trip_random():
 
 
 def test_split_is_algebra_homomorphism():
+    # split carries the table product to the componentwise quaternion
+    # product.  The element product is the join of that pair product, so it
+    # agrees with the table as well.  The two round differently, within a
+    # few ulps of |x||y| per coefficient.  Dense and sparse pairs at
+    # magnitudes 1e-3 ... 1e3.
     rng = random.Random(1)
-    for _ in range(300):
-        x = rand_element(rng)
-        y = rand_element(rng)
+    for trial in range(2400):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        density = 1.0 if trial % 2 else 0.3
+        x, y = (
+            CliffordElement(
+                rng.uniform(-scale, scale) if rng.random() < density else 0.0
+                for _ in range(8)
+            )
+            for _ in range(2)
+        )
+        want = table_mul(x, y)
+        bound = 8.0 * 2.0**-52 * x.magnitude() * y.magnitude()
         px, qx = split(x)
         py, qy = split(y)
-        pz, qz = split(x * y)
-        scale = 1.0 + pz.modulus() + qz.modulus()
-        assert pz.isclose(px * py, 1e-12 * scale)
-        assert qz.isclose(qx * qy, 1e-12 * scale)
+        pz, qz = split(want)
+        assert pz.isclose(px * py, bound) and qz.isclose(qx * qy, bound), (x, y)
+        got = (x * y).coeffs
+        assert all(abs(a - b) <= bound for a, b in zip(got, want.coeffs)), (x, y)
 
 
 def test_in_cone_examples():
     assert in_cone(E1)
     assert not in_cone(E123)
     assert not in_cone(E1 + E23)
+    # split (1e6 + 10e23, 1e6): the imaginary moduli 10 and 0 differ, and
+    # the large real part must not widen the quadratic residual's bound
+    assert not in_cone(CliffordElement([1e6, -5.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0]))
 
 
 def test_cone_characterization_matches_component_data():
@@ -152,8 +176,8 @@ def test_inverse_random():
     rng = random.Random(5)
     for _ in range(200):
         x = rand_element(rng) + 3 * E0  # shifted away from the zero divisors
-        assert (x * inverse(x)).isclose(E0, 1e-10)
-        assert (inverse(x) * x).isclose(E0, 1e-10)
+        assert table_mul(x, inverse(x)).isclose(E0, 1e-10)
+        assert table_mul(inverse(x), x).isclose(E0, 1e-10)
 
 
 def test_power_examples():
@@ -162,7 +186,7 @@ def test_power_examples():
     for _ in range(20):
         assert power(rand_element(rng), 0).isclose(E0)
     x = E0 + E1
-    assert power(x, 3).isclose(x * x * x, 1e-12)
+    assert power(x, 3).isclose(table_mul(table_mul(x, x), x), 1e-12)
     assert power(x, 3).isclose(-2 * E0 + 2 * E1)
 
 
@@ -173,7 +197,7 @@ def test_power_matches_repeated_mul():
         n = rng.randint(0, 8)
         direct = E0
         for _ in range(n):
-            direct = direct * x
+            direct = table_mul(direct, x)
         scale = 1.0 + direct.max_abs()
         assert power(x, n).isclose(direct, 1e-12 * scale)
 
@@ -225,6 +249,70 @@ def test_cone_point_from_element():
     assert pt.i1.isclose(-Q23) and pt.i2.isclose(Q23)
     with pytest.raises(NotInCone):
         ConePoint.from_element(E123)
+
+
+_units = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .filter(lambda v: math.fsum(c * c for c in v) > 0.01)
+    .map(lambda v: Quat(0.0, *v) / math.sqrt(math.fsum(c * c for c in v)))
+)
+# (i, j, sign): the cone residual r2 has the term sign * c_i * c_j
+_R2_TERMS = tuple(
+    t
+    for i, j, sign in ((2, 5, 1.0), (1, 6, -1.0), (3, 4, -1.0))
+    for t in ((i, j, sign), (j, i, sign))
+)
+
+
+def _accepted(x, tol=1e-10):
+    """in_cone and ConePoint.from_element, which must agree."""
+    try:
+        ConePoint.from_element(x, tol)
+    except NotInCone:
+        assert not in_cone(x, tol)
+        return False
+    assert in_cone(x, tol)
+    return True
+
+
+@given(
+    st.floats(-3.0, 6.0),
+    st.floats(0.0, 6.0),
+    st.floats(-1.0, 1.0),
+    st.floats(0.25, 1.0),
+    _units,
+    _units,
+    st.sampled_from((1.0, -1.0)),
+)
+@settings(max_examples=200)
+def test_cone_membership_is_scale_relative(log_scale, log_ratio, a, b, i1, i2, sign):
+    # the real part is up to 1e6 times the imaginary part; the imaginary
+    # part stays above 1e-5 so that moving r2 below barely moves its bound
+    assume(log_scale - log_ratio >= -5.0)
+    scale = 10.0**log_scale
+    x = cone_point(a * scale, b * scale / 10.0**log_ratio, i1, i2).element
+    assert _accepted(x)
+    tol = 1e-10
+    s = 1.0 + x.max_abs()
+    c = list(x.coeffs)
+    # c123 is held to tol * s: just inside passes both tests, just past fails
+    c[7] = sign * 0.99 * tol * s
+    assert _accepted(CliffordElement(c))
+    c[7] = sign * 1.01 * tol * s
+    assert not _accepted(CliffordElement(c))
+    # r2 is held to tol * s_im**2, s_im = 1 + max|x_im|: move it through its
+    # largest term.  Just inside, only in_cone is asserted: from_element also
+    # checks that the slice units square to -1, which is not scale-relative.
+    s_im = 1.0 + max(map(abs, x.coeffs[1:7]))
+    i, j, term_sign = max(_R2_TERMS, key=lambda t: abs(x.coeffs[t[1]]))
+    for factor, inside in ((0.99, True), (1.01, False)):
+        c = list(x.coeffs)
+        c[i] += sign * factor * tol * s_im * s_im / (term_sign * c[j])
+        y = CliffordElement(c)
+        r2_bound = tol * (1.0 + max(map(abs, y.coeffs[1:7]))) ** 2
+        assert (abs(cone_residuals(y)[1]) <= r2_bound) == inside
+        assert in_cone(y, tol) == inside
+    assert not _accepted(y)
 
 
 def test_cone_point_negative_beta_normalizes():
@@ -333,7 +421,7 @@ def test_quat_product_matches_clifford_table():
     for _ in range(300):
         p = rand_quat(rng)
         q = rand_quat(rng)
-        table = p.to_clifford() * q.to_clifford()
+        table = table_mul(p.to_clifford(), q.to_clifford())
         scale = 1.0 + p.modulus() * q.modulus()
         assert (p * q).to_clifford().isclose(table, 1e-13 * scale)
         assert math.isclose((p * q).modulus(), p.modulus() * q.modulus(), rel_tol=1e-12)
