@@ -44,7 +44,7 @@ unbounded work.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .clifford3 import EPS, Q23, CliffordElement, Quat, join
 from .bislice import BiSlicePoly, QuatPoly, central_differences
@@ -86,6 +86,14 @@ class SliceContour(_ContourFields):
             raise InvalidContour(
                 f"contour radius must be positive and finite, got {radius}"
             )
+        # Every node and every target inside the disc lies within ``reach`` of
+        # 0, so the kernel denominator and its singularity bound stay under
+        # 4 reach^2; past that they overflow and every node would look singular.
+        reach = abs(center) + radius
+        if not math.isfinite(4.0 * reach * reach):
+            raise InvalidContour(
+                f"contour reaches {reach:.6g} from 0; its kernel values would overflow"
+            )
         if not MIN_NODES <= nodes <= MAX_NODES:
             raise InvalidContour(
                 f"contour needs {MIN_NODES} to {MAX_NODES} quadrature nodes, "
@@ -94,17 +102,6 @@ class SliceContour(_ContourFields):
         if not unit.is_unit_imaginary():
             raise NotImaginaryUnit("contour unit must square to -1")
         return super().__new__(cls, center, radius, unit, nodes)
-
-    def point(self, theta: float) -> Quat:
-        return Quat(self.center + self.radius * math.cos(theta)) + self.unit * (
-            self.radius * math.sin(theta)
-        )
-
-    def phase(self, theta: float) -> Quat:
-        """r e^{I theta}, the slice measure density."""
-        return Quat(self.radius * math.cos(theta)) + self.unit * (
-            self.radius * math.sin(theta)
-        )
 
     def thetas(self) -> list[float]:
         return [2.0 * math.pi * k / self.nodes for k in range(self.nodes)]
@@ -142,19 +139,6 @@ def cauchy_kernel(s: ConePoint, x: ConePoint, tol: float = EPS) -> CliffordEleme
     return join(kp, kq)
 
 
-def contour_integral(contour: SliceContour, fn: Callable[[Quat], Quat]) -> Quat:
-    """Trapezoid value of the closed integral of ds f(s).
-
-    The differential of the parametrization is I r e^{I t} dt, kept on the
-    left of the integrand.
-    """
-    step = 2.0 * math.pi / contour.nodes
-    acc = Quat()
-    for theta in contour.thetas():
-        acc = acc + contour.unit * contour.phase(theta) * fn(contour.point(theta))
-    return acc * step
-
-
 def _slice_values(poly: QuatPoly, contour: SliceContour):
     """Yield ``(phi, w0, w1, w2, w3)`` at each trapezoid node of the contour.
 
@@ -184,7 +168,8 @@ def _lift(unit: Quat, v0: complex, v1: complex, v2: complex, v3: complex) -> Qua
 
 
 def _closed_integral(poly: QuatPoly, contour: SliceContour) -> Quat:
-    """:func:`contour_integral` of a polynomial, in slice-plane arithmetic."""
+    """Trapezoid value of the closed integral of ds poly(s), in slice-plane
+    arithmetic; the differential I r e^{I t} dt stays left of the integrand."""
     v0 = v1 = v2 = v3 = 0j
     for phi, w0, w1, w2, w3 in _slice_values(poly, contour):
         ds = 1j * phi
@@ -220,7 +205,7 @@ def contour_integral_vanishes(
 def _reconstruct_component(
     poly: QuatPoly, contour: SliceContour, target: Quat, tol: float
 ) -> Quat:
-    x0, r_sq = contour.center, contour.radius**2
+    x0, r_sq = contour.center, contour.radius * contour.radius
     q_re, q_im = target.re(), target.im_modulus()
     unit_j = target.im() / q_im if q_im > 0.0 else contour.unit
     q_c = complex(q_re, q_im)

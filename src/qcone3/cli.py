@@ -19,10 +19,11 @@ import math
 import sys
 from typing import Callable
 
-from . import bislice, cauchy, grammar, qdet, qsplit, zeros
+# Each handler imports the modules it computes with, so a call loads only
+# those (see the import contract in README.md).
+from . import grammar
 from .clifford3 import EPS, Q12, Q13, Q23, CliffordElement, Quat, split
 from .errors import ConeAlgebraError, NonFiniteResult, ParseError
-from .qsplit import ConePoint, SphereDescriptor
 
 PRETTY_DIGITS = 12
 
@@ -86,17 +87,17 @@ def _sample_units() -> list[Quat]:
 
 
 def _zero_part_fields(part) -> dict:
-    if isinstance(part, SphereDescriptor):
-        return {"kind": "sphere", "center": part.center, "radius": part.radius}
-    return {"kind": "point", "value": _quat_list(part)}
+    if isinstance(part, Quat):
+        return {"kind": "point", "value": _quat_list(part)}
+    return {"kind": "sphere", "center": part.center, "radius": part.radius}
 
 
 def _zero_part_pretty(part) -> str:
-    if isinstance(part, SphereDescriptor):
-        if part.is_point():
-            return f"point {_fmt(part.center)}"
-        return f"sphere(center {_fmt(part.center)}, radius {_fmt(part.radius)})"
-    return grammar.format_quat(part, PRETTY_DIGITS)
+    if isinstance(part, Quat):
+        return grammar.format_quat(part, PRETTY_DIGITS)
+    if part.is_point():
+        return f"point {_fmt(part.center)}"
+    return f"sphere(center {_fmt(part.center)}, radius {_fmt(part.radius)})"
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -110,6 +111,8 @@ def _cmd_split(args, out: _Output) -> None:
 
 
 def _cmd_cone_check(args, out: _Output) -> None:
+    from . import qsplit
+
     x = grammar.parse_element(args.element)
     r1, r2 = qsplit.cone_residuals(x)
     inside = qsplit.in_cone(x, args.tol)
@@ -132,6 +135,8 @@ def _cmd_eval(args, out: _Output) -> None:
 
 
 def _cmd_star(args, out: _Output) -> None:
+    from . import bislice
+
     left = grammar.parse_poly(args.left)
     right = grammar.parse_poly(args.right)
     product = bislice.star_mul(left, right)
@@ -154,6 +159,8 @@ def _cmd_star(args, out: _Output) -> None:
 
 
 def _cmd_roots(args, out: _Output) -> None:
+    from . import bislice, zeros
+
     lead, constants = grammar.parse_factored(args.factored)
     if len(constants) != 2:
         raise ConeAlgebraError(
@@ -187,6 +194,8 @@ def _cmd_roots(args, out: _Output) -> None:
 
 
 def _cmd_mult(args, out: _Output) -> None:
+    from . import zeros
+
     lead, constants = grammar.parse_factored(args.factored)
     base = grammar.parse_sphere(args.sphere)
     report = zeros.multiplicities(constants, base, args.tol)
@@ -217,6 +226,8 @@ def _cmd_mult(args, out: _Output) -> None:
 
 
 def _cmd_det(args, out: _Output) -> None:
+    from . import qdet
+
     matrix = grammar.parse_matrix(args.matrix)
     d1, d2 = qdet.det_both_sides(matrix, args.tol)
     tilde, tilde2 = qdet.split_matrix(matrix)
@@ -239,21 +250,25 @@ def _cmd_det(args, out: _Output) -> None:
 
 
 def _cmd_cauchy_verify(args, out: _Output) -> None:
+    from . import cauchy
+    from .qsplit import ConePoint
+
+    nodes = cauchy.DEFAULT_NODES if args.nodes is None else args.nodes
     poly = grammar.parse_poly(args.poly)
     x = ConePoint.from_element(grammar.parse_element(args.at), args.tol)
     unit_i = x.i1 if x.i1 is not None else Q23
     unit_j = x.i2 if x.i2 is not None else Q13
-    contour_i = cauchy.SliceContour(args.center, args.radius, unit_i, args.nodes)
-    contour_j = cauchy.SliceContour(args.center, args.radius, unit_j, args.nodes)
+    contour_i = cauchy.SliceContour(args.center, args.radius, unit_i, nodes)
+    contour_j = cauchy.SliceContour(args.center, args.radius, unit_j, nodes)
     value = cauchy.cauchy_reconstruct(poly, contour_i, contour_j, x, args.tol)
     expected = poly.eval(x)
     error = (value - expected).magnitude()
     out.pretty(f"reconstruction: {grammar.format_element(value, PRETTY_DIGITS)}")
     out.pretty(f"direct value:   {grammar.format_element(expected, PRETTY_DIGITS)}")
-    out.pretty(f"error: {error:.3e} at {args.nodes} nodes")
+    out.pretty(f"error: {error:.3e} at {nodes} nodes")
     out.record(
         cmd="cauchy-verify",
-        nodes=args.nodes,
+        nodes=nodes,
         center=args.center,
         radius=args.radius,
         value=_el_list(value),
@@ -263,6 +278,9 @@ def _cmd_cauchy_verify(args, out: _Output) -> None:
 
 
 def _cmd_dbar_check(args, out: _Output) -> None:
+    from . import bislice
+    from .qsplit import ConePoint
+
     poly = grammar.parse_poly(args.poly)
     x = ConePoint.from_element(grammar.parse_element(args.at), args.tol)
     r_pair = bislice.dbar_residual(poly, x, args.fd_step)
@@ -278,6 +296,9 @@ def _cmd_dbar_check(args, out: _Output) -> None:
 
 
 def _cmd_kernel(args, out: _Output) -> None:
+    from . import cauchy
+    from .qsplit import ConePoint
+
     s = ConePoint.from_element(grammar.parse_element(args.s), args.tol)
     x = ConePoint.from_element(grammar.parse_element(args.x), args.tol)
     value = cauchy.cauchy_kernel(s, x, args.tol)
@@ -367,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True)
     p.add_argument("--center", type=float, default=0.0)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--nodes", type=int, default=cauchy.DEFAULT_NODES)
+    p.add_argument("--nodes", type=int)
     p.add_argument("--at", required=True)
     p.set_defaults(handler=_cmd_cauchy_verify)
 

@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import math
 import re
-from decimal import Decimal
 
 from .clifford3 import BASIS_NAMES, CliffordElement, Quat
 from .errors import InputTooLarge, ParseError, UnfactoredInput
-from .qsplit import SphereDescriptor
 
 _BASIS_INDEX = {
     "1": 0,
@@ -166,6 +164,8 @@ def _format_number(value: float, sig: int | None) -> str:
     if "e" in out or "E" in out:
         # Exponent notation is not part of the term grammar; fall back to
         # fixed point: the exact expansion of the float, or of its rounding.
+        from decimal import Decimal
+
         out = format(Decimal(value if sig is None else out), "f")
     if out.endswith(".0"):
         out = out[:-2]
@@ -346,6 +346,8 @@ def parse_matrix(text: str):
 
 def parse_sphere(text: str) -> SphereDescriptor:
     """Parse ``x,y`` as a center/radius pair."""
+    from .qsplit import SphereDescriptor
+
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError("expected 'center,radius'", text, 0)

@@ -95,7 +95,8 @@ def det_radicand(side: QuatMatrix) -> float:
 def det_quat_side(side: QuatMatrix, tol: float = EPS) -> float:
     """Determinant of one quaternionic 2x2 matrix."""
     radicand = det_radicand(side)
-    scale = 1.0 + max(e.modulus_sq() for row in side for e in row) ** 2
+    largest = max(e.modulus_sq() for row in side for e in row)
+    scale = 1.0 + largest * largest
     if radicand < -tol * scale:
         raise NegativeRadicand(f"determinant radicand {radicand:.3e} is negative")
     return math.sqrt(max(radicand, 0.0))

@@ -29,6 +29,7 @@ q-side points, and p-side points + 2m.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 from .bislice import BiSlicePoly, QuatPoly
@@ -190,7 +191,7 @@ def divide_real_quadratic(
     if d < 2:
         return None
     s1 = -2.0 * base.center
-    s0 = base.center**2 + base.radius**2
+    s0 = base.center * base.center + base.radius * base.radius
     work = list(poly.coeffs[: d + 1])
     q = [Quat()] * (d - 1)
     for k in range(d, 1, -1):
@@ -228,7 +229,8 @@ def root_on_sphere(
         if zn.imag != 0.0:
             d_sum = d_sum + coeff * zn.imag
         zn *= z
-    scale = 1.0 + poly.max_coeff() * max(1.0, abs(z)) ** max(d, 1)
+    # A product of floats overflows to inf where ``**`` would raise.
+    scale = 1.0 + poly.max_coeff() * math.prod([max(1.0, abs(z))] * max(d, 1))
     if d_sum.modulus() <= tol * scale:
         return None
     unit = -(c_sum * d_sum.inverse(tol))

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from qcone3 import (
     E0,
@@ -12,6 +13,7 @@ from qcone3 import (
     CliffordElement,
     ConePoint,
     Quat,
+    SliceContour,
     cone_point,
     scalar,
 )
@@ -136,3 +138,38 @@ def assert_coeffs_close(
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.isclose(b, rel * (1 + b.magnitude())), (a, b)
+
+
+# -- reference: contour quadrature in quaternion arithmetic ----------------------
+#
+# The library's node loops run in slice-plane complex arithmetic; these walk
+# the same trapezoid nodes with one quaternion product per factor.
+
+
+def contour_point(contour: SliceContour, theta: float) -> Quat:
+    """The node x0 + r e^{I theta} of the contour."""
+    return Quat(contour.center + contour.radius * math.cos(theta)) + contour.unit * (
+        contour.radius * math.sin(theta)
+    )
+
+
+def contour_phase(contour: SliceContour, theta: float) -> Quat:
+    """r e^{I theta}, the slice measure density."""
+    return Quat(contour.radius * math.cos(theta)) + contour.unit * (
+        contour.radius * math.sin(theta)
+    )
+
+
+def contour_integral(contour: SliceContour, fn: Callable[[Quat], Quat]) -> Quat:
+    """Trapezoid value of the closed integral of ds f(s).
+
+    The differential of the parametrization is I r e^{I t} dt, kept on the
+    left of the integrand.
+    """
+    step = 2.0 * math.pi / contour.nodes
+    acc = Quat()
+    for theta in contour.thetas():
+        acc = acc + contour.unit * contour_phase(contour, theta) * fn(
+            contour_point(contour, theta)
+        )
+    return acc * step

@@ -55,6 +55,8 @@ from qcone3.errors import NotInvertibleAtPoint
 from qcone3.qsplit import Q12, Q13, Q23, cone_residuals
 from qcone3.zeros import component_multiplicity_total
 from helpers import (
+    contour_phase,
+    contour_point,
     rand_cone_element,
     rand_cone_point,
     rand_element,
@@ -343,8 +345,8 @@ def _monomial_errors(point: ConePoint, nodes: int) -> list[float]:
     for side, target, unit in ((0, point.p, point.i1), (1, point.q, point.i2)):
         contour = SliceContour(0.0, RADIUS, unit, nodes)
         for theta in contour.thetas():
-            s = contour.point(theta)
-            lead = cauchy_kernel_quat(s, target) * contour.phase(theta)
+            s = contour_point(contour, theta)
+            lead = cauchy_kernel_quat(s, target) * contour_phase(contour, theta)
             s_power = Quat(1.0)
             for degree in range(MAX_MONOMIAL_DEGREE + 1):
                 values[degree][side] = values[degree][side] + lead * s_power
@@ -397,8 +399,8 @@ def test_acceptance_7_cauchy_reconstruction():
         mi, mj = contour_integral_vanishes(poly, ci, cj)
         fp, fq = poly.split()
         bound_scale = 1.0 + max(
-            max(fp.eval(ci.point(t)).modulus() for t in ci.thetas()[:16]),
-            max(fq.eval(cj.point(t)).modulus() for t in cj.thetas()[:16]),
+            max(fp.eval(contour_point(ci, t)).modulus() for t in ci.thetas()[:16]),
+            max(fq.eval(contour_point(cj, t)).modulus() for t in cj.thetas()[:16]),
         )
         worst_vanish = max(worst_vanish, max(mi, mj) / bound_scale)
     assert worst_vanish < 1e-8

@@ -18,7 +18,6 @@ from qcone3 import (
     cauchy_kernel_quat,
     cauchy_reconstruct,
     cone_point,
-    contour_integral,
     contour_integral_vanishes,
     join,
     kernel_regularity_residual,
@@ -37,7 +36,15 @@ from qcone3.errors import (
     PointOutsideContour,
 )
 from qcone3.qsplit import Q12, Q13, Q23
-from helpers import rand_cone_point, rand_poly, rand_quat, rand_unit_imaginary
+from helpers import (
+    contour_integral,
+    contour_phase,
+    contour_point,
+    rand_cone_point,
+    rand_poly,
+    rand_quat,
+    rand_unit_imaginary,
+)
 
 
 def test_kernel_real_pole_examples():
@@ -254,8 +261,9 @@ def _reference_component(poly: QuatPoly, contour: SliceContour, target: Quat) ->
     # The node loop in quaternion arithmetic, one kernel value per node.
     acc = Quat()
     for theta in contour.thetas():
-        s = contour.point(theta)
-        acc = acc + cauchy_kernel_quat(s, target) * contour.phase(theta) * poly.eval(s)
+        s = contour_point(contour, theta)
+        phase = contour_phase(contour, theta)
+        acc = acc + cauchy_kernel_quat(s, target) * phase * poly.eval(s)
     return acc / contour.nodes
 
 
@@ -300,7 +308,7 @@ def _check_closed_integrals(poly, ci, cj) -> tuple[float, float]:
     got = contour_integral_vanishes(poly, ci, cj)
     for value, f, c in zip(got, poly.split(), (ci, cj)):
         want = contour_integral(c, f.eval)
-        scale = 1 + max(f.eval(c.point(t)).modulus() for t in c.thetas())
+        scale = 1 + max(f.eval(contour_point(c, t)).modulus() for t in c.thetas())
         assert (_closed_integral(f, c) - want).modulus() <= 1e-13 * scale
         assert abs(value - want.modulus()) <= 1e-13 * scale
     return got
@@ -311,3 +319,14 @@ def test_slice_plane_quadrature_keeps_singular_test():
     contour = SliceContour(0.0, 1.0, Q23, 16)
     with pytest.raises(OnSingularSphere):
         _reconstruct_component(QuatPoly([1.0]), contour, Q12, 1e-12)
+
+
+def test_contour_reach_keeps_kernel_squares_finite():
+    # 4 (|center| + radius)^2 must be finite: about 6.7039e153 of reach.
+    for center, radius in ((0.0, 6.71e153), (-6e153, 1e153), (0.0, 1e200)):
+        with pytest.raises(InvalidContour, match="overflow"):
+            SliceContour(center, radius, Q23, 64)
+    ci = SliceContour(0.0, 6.7e153, Q23, 64)
+    cj = SliceContour(0.0, 6.7e153, Q13, 64)
+    value = cauchy_reconstruct(BiSlicePoly([E0]), ci, cj, cone_point(0.5, 0.5, Q23, Q13))
+    assert value.isclose(E0, 1e-12)

@@ -404,3 +404,54 @@ def test_cauchy_verify_bounds_nodes_times_coefficients(
     assert code == 1
     assert out == ""
     assert err.startswith("error: InputTooLarge:")
+
+
+def test_cauchy_verify_defaults_to_512_nodes(capsys):
+    argv = (*CAUCHY_ARGS, "--radius", "2", "--output", "records")
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert records(out)[0]["nodes"] == cauchy.DEFAULT_NODES == 512
+
+
+BIG = "1" + "0" * 80  # 1e80 in the term grammar, which has no exponent part
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("det", "--matrix", f"[[{BIG}, 0], [0, {BIG}]]"), "NonFiniteResult"),
+        (
+            ("cauchy-verify", "--poly", "coeffs: [1, e1]", "--radius", "1e200", "--at", "e1"),
+            "InvalidContour",
+        ),
+    ],
+)
+@pytest.mark.parametrize("mode", ["pretty", "records"])
+def test_squares_past_float_range_are_named_errors(capsys, argv, error, mode):
+    code, out, err = invoke(capsys, *argv, "--output", mode)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {error}:")
+
+
+MULT_FAR = ("mult", "--factored", "(x - e1)*(x - e23)", "--sphere", "0,1e200")
+
+
+def test_mult_at_a_sphere_past_float_range_pretty(capsys):
+    code, out, _ = invoke(capsys, *MULT_FAR)
+    assert code == 0
+    assert out.splitlines() == [
+        "four-dimensional spherical: 0 at (sphere, sphere)",
+        "isolated: 0 at (0, 0)",
+        "two-dimensional first kind: 0",
+        "two-dimensional second kind: 0",
+    ]
+
+
+def test_mult_at_a_sphere_past_float_range_records(capsys):
+    code, out, _ = invoke(capsys, *MULT_FAR, "--output", "records")
+    assert code == 0
+    (rec,) = records(out)
+    counts = ("four_dimensional", "isolated", "first_kind", "second_kind")
+    assert [rec[k] for k in counts] == [0, 0, 0, 0]
+    assert rec["p_points"] == rec["q_points"] == []

@@ -1,10 +1,15 @@
 """The package's export list and import footprint."""
 
+import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 import qcone3
+
+SRC = os.path.dirname(os.path.dirname(qcone3.__file__))
 
 
 def test_all_names_resolve_and_are_unique():
@@ -53,3 +58,97 @@ def test_clifford3_stands_below_qsplit():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['qcone3.clifford3', 'qcone3.errors']"
+
+
+def _fresh(code: str, *argv: str) -> str:
+    """Run ``code`` in a new interpreter importing this tree; its stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_submodule():
+    code = "import sys, qcone3; print(sorted(m for m in sys.modules if m.startswith('qcone3.')))"
+    assert _fresh(code).strip() == "[]"
+
+
+def test_every_name_resolves_in_a_fresh_interpreter():
+    code = (
+        "import qcone3\n"
+        "print([n for n in qcone3.__all__ if getattr(qcone3, n, None) is None])"
+    )
+    assert _fresh(code).strip() == "[]"
+
+
+def test_dir_covers_all_before_any_access():
+    code = "import json, qcone3; print(json.dumps(dir(qcone3)))"
+    assert set(qcone3.__all__) <= set(json.loads(_fresh(code)))
+
+
+def test_unknown_attribute_names_the_package():
+    with pytest.raises(AttributeError, match="module 'qcone3' has no attribute 'no_such_name'"):
+        qcone3.no_such_name
+
+
+# Runs one CLI call, then prints its exit status, the qcone3 submodules it
+# loaded and whether it imported ``decimal``.
+_CLI_CALL = (
+    "import json, sys\n"
+    "from qcone3 import cli\n"
+    "code = cli.run(sys.argv[1:])\n"
+    "loaded = sorted(m[7:] for m in sys.modules if m.startswith('qcone3.'))\n"
+    "print(json.dumps([code, loaded, 'decimal' in sys.modules]))\n"
+)
+
+
+def _cli_call(*argv: str) -> tuple[int, list[str], bool]:
+    *_, last = _fresh(_CLI_CALL, *argv).splitlines()
+    return tuple(json.loads(last))
+
+
+_BASE = ["cli", "clifford3", "errors", "grammar"]
+_POLY = "coeffs: [1, e1]"
+
+
+_FOOTPRINTS = [
+    (["split", "e1"], []),
+    (["cone-check", "e1"], ["qsplit"]),
+    (["eval", "--poly", _POLY, "--at", "e23"], ["bislice", "qsplit"]),
+    (
+        ["star", "--left", _POLY, "--right", "coeffs: [e2]", "--at", "0.5e1"],
+        ["bislice", "qsplit"],
+    ),
+    (["roots", "--factored", "(x - e1)*(x - e23)"], ["bislice", "qsplit", "zeros"]),
+    (
+        ["mult", "--factored", "(x - e1)*(x - e23)", "--sphere", "0,1"],
+        ["bislice", "qsplit", "zeros"],
+    ),
+    (["det", "--matrix", "[[1, e1], [e2, 2]]"], ["qdet"]),
+    (
+        ["cauchy-verify", "--poly", _POLY, "--radius", "2", "--at", "0.5e1"],
+        ["bislice", "cauchy", "qsplit"],
+    ),
+    (["dbar-check", "--poly", _POLY, "--at", "0.5e1"], ["bislice", "qsplit"]),
+    (["kernel", "--s", "e1", "--x", "0.5e1"], ["bislice", "cauchy", "qsplit"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, extra", _FOOTPRINTS, ids=[argv[0] for argv, _ in _FOOTPRINTS]
+)
+def test_each_subcommand_loads_only_its_modules(argv, extra):
+    # The sets README.md's import contract lists; no subcommand loads stem.
+    code, loaded, _ = _cli_call(*argv)
+    assert code == 0
+    assert loaded == sorted(_BASE + extra)
+
+
+def test_decimal_loads_only_for_numbers_printed_with_an_exponent():
+    assert _cli_call("split", "0.5e1") == (0, _BASE, False)
+    assert _cli_call("split", "0.00000000000001e1") == (0, _BASE, True)
