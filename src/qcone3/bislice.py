@@ -335,6 +335,15 @@ def slice_map(target: "BiSlicePoly | Callable", x: ConePoint) -> SliceMap:
     return phi_fn
 
 
+def nan_max(*values: float) -> float:
+    """Largest of ``values``, or nan if any of them is nan.
+
+    ``max`` keeps a nan only in first place (``max(0.0, nan)`` is 0.0), so a
+    running worst case built with it would hide a nan residual.
+    """
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def central_differences(f: Callable, u: float, v: float, h: float) -> tuple:
     """Central differences (df/du, df/dv) at (u, v) with step h, O(h^2)."""
     if not (math.isfinite(h) and h > 0.0):

@@ -9,8 +9,9 @@ coefficient order ``(c0, c1, c2, c3, c12, c13, c23, c123)``.
 
 Polynomials: ``coeffs: [<element>, <element>, ...]`` lowest degree first,
 or a factored form ``(x - <element>)*(x - <element>)...`` with an optional
-leading real scale.  Either form has at most ``MAX_COEFFS`` coefficients,
-so at most ``MAX_COEFFS - 1`` factors.
+leading scale ``<number>[/<number>]*``, a finite nonzero real.  Either form
+has at most ``MAX_COEFFS`` coefficients, so at most ``MAX_COEFFS - 1``
+factors.
 
 Matrices: ``[[<element>, <element>], [<element>, <element>]]`` with entries
 in term form.
@@ -20,8 +21,9 @@ from __future__ import annotations
 
 import math
 import re
+from operator import neg
 
-from .clifford3 import BASIS_NAMES, CliffordElement, Quat
+from .clifford3 import BASIS_NAMES, ZERO, CliffordElement, Quat, _element_from_floats
 from .errors import InputTooLarge, ParseError, UnfactoredInput
 
 _BASIS_INDEX = {
@@ -35,99 +37,61 @@ _BASIS_INDEX = {
     "e23": 6,
     "e123": 7,
 }
-# Longest match first so e123 is not read as e12 followed by garbage.
-_BASIS_TOKENS = ("e123", "e12", "e13", "e23", "e0", "e1", "e2", "e3")
-
-_NUMBER_RE = re.compile(r"\d+\.\d*|\.\d+|\d+")
+# The basis tokens, longest match first so e123 is not read as e12 followed
+# by garbage.
+_BASIS = "e(?:123|12|13|23|[0-3])"
+_NUMBER = r"\d+\.\d*|\.\d+|\d+"
+_NUMBER_RE = re.compile(_NUMBER)
+# One signed term and the whitespace after it: groups sign, number, '*' and
+# basis token (or 1).  Every part is optional, so it always matches; the
+# loop in _parse_terms rejects the combinations the grammar does not allow.
+_TERM_RE = re.compile(rf"\s*([+-]?)\s*({_NUMBER})?\s*(\*)?\s*({_BASIS}|1)?\s*")
+_SPACE_RE = re.compile(r"\s*")
+_BRACKET_RE = re.compile(r"[()[\]]")
 
 #: Most coefficients a parsed polynomial may have.  It bounds the quadratic
 #: cost of the star product and of the factor expansion.
 MAX_COEFFS = 256
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.text, min(self.pos, len(self.text)))
-
-    def take_sign(self, required: bool) -> float:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "+":
-            self.pos += 1
-            return 1.0
-        if ch == "-":
-            self.pos += 1
-            return -1.0
-        if required:
-            raise self.error("expected '+' or '-' between terms")
-        return 1.0
-
-    def take_number(self) -> float | None:
-        self.skip_ws()
-        m = _NUMBER_RE.match(self.text, self.pos)
-        if not m:
-            return None
-        value = float(m.group())
-        if not math.isfinite(value):
-            raise self.error("number out of range")
-        self.pos = m.end()
-        return value
-
-    def take_basis(self, allow_one: bool) -> int | None:
-        self.skip_ws()
-        for tok in _BASIS_TOKENS:
-            if self.text.startswith(tok, self.pos):
-                self.pos += len(tok)
-                return _BASIS_INDEX[tok]
-        if allow_one and self.peek() == "1":
-            self.pos += 1
-            return 0
-        return None
+def _number(text: str, m: re.Match) -> float:
+    value = float(m.group())
+    if not math.isfinite(value):
+        raise ParseError("number out of range", text, m.start())
+    return value
 
 
-def _parse_terms(scanner: _Scanner) -> CliffordElement:
+def _parse_terms(text: str) -> list[float]:
+    """The eight coefficients of the signed terms that make up all of ``text``."""
     coeffs = [0.0] * 8
-    first = True
+    pos = 0
     while True:
-        scanner.skip_ws()
-        if scanner.at_end():
-            if first:
-                raise scanner.error("expected an element")
-            return CliffordElement(coeffs)
-        sign = scanner.take_sign(required=not first)
-        num = scanner.take_number()
-        if num is not None:
-            scanner.skip_ws()
-            starred = scanner.peek() == "*"
-            if starred:
-                scanner.pos += 1
-            idx = scanner.take_basis(allow_one=starred)
-            if idx is None:
-                if starred:
-                    raise scanner.error("expected a basis token after '*'")
-                idx = 0
-            coeffs[idx] += sign * num
+        m = _TERM_RE.match(text, pos)
+        sign, number, star, basis = m.groups()
+        if not sign:
+            if m.end(1) == len(text):
+                if pos == 0:
+                    raise ParseError("expected an element", text, len(text))
+                return coeffs
+            if pos:
+                raise ParseError("expected '+' or '-' between terms", text, m.start(1))
+        if number is None:
+            if star or not basis:
+                raise ParseError(
+                    "expected a number or basis token", text, m.start(3) if star else m.end()
+                )
+            value = 1.0
         else:
-            idx = scanner.take_basis(allow_one=False)
-            if idx is None:
-                raise scanner.error("expected a number or basis token")
-            coeffs[idx] += sign
-        first = False
+            value = float(number)
+            if value == math.inf:
+                raise ParseError("number out of range", text, m.start(2))
+            if star and not basis:
+                raise ParseError("expected a basis token after '*'", text, m.end())
+            if basis == "1" and not star:
+                # "2 1": the term ends at the 2, and the 1 that follows lacks a sign.
+                raise ParseError("expected '+' or '-' between terms", text, m.start(4))
+        coeffs[_BASIS_INDEX[basis or "1"]] += -value if sign == "-" else value
+        pos = m.end()
 
 
 def parse_element(text: str) -> CliffordElement:
@@ -152,11 +116,7 @@ def parse_element(text: str) -> CliffordElement:
             coeffs.append(value)
             offset += len(part) + 1
         return CliffordElement(coeffs)
-    scanner = _Scanner(text)
-    value = _parse_terms(scanner)
-    if not scanner.at_end():
-        raise scanner.error("trailing input after element")
-    return value
+    return _element_from_floats(tuple(_parse_terms(text)))
 
 
 def _format_number(value: float, sig: int | None) -> str:
@@ -213,6 +173,8 @@ def format_quat_pair(p: Quat, q: Quat, sig: int | None = None) -> str:
 
 
 def _split_top_level(text: str, sep: str = ",") -> list[str]:
+    if not _BRACKET_RE.search(text):
+        return text.split(sep)
     parts: list[str] = []
     depth = 0
     current = []
@@ -230,29 +192,41 @@ def _split_top_level(text: str, sep: str = ",") -> list[str]:
     return parts
 
 
+def _closing_paren(text: str, start: int) -> int:
+    """Index of the ')' that closes the '(' at ``start``, or -1."""
+    depth = 0
+    while (end := text.find(")", start)) >= 0:
+        depth += text.count("(", start, end) - 1
+        if depth == 0:
+            return end
+        start = end + 1
+    return -1
+
+
 def parse_factored(text: str) -> tuple[float, list[CliffordElement]]:
     """Factored polynomial ``[scale*](x - <element>)*...``.
 
     Returns the leading real scale and the factor constants c with factors
-    (x - c).  Anything nonlinear in a factor is rejected.
+    (x - c).  The scale, ``<number>`` or ``<number>/<number>``, must be
+    finite and nonzero.  Anything nonlinear in a factor is rejected.
     """
-    scanner = _Scanner(text)
-    scanner.skip_ws()
     lead = 1.0
-    num = scanner.take_number()
-    if num is not None:
-        scanner.skip_ws()
-        if scanner.peek() == "/":
-            scanner.pos += 1
-            den = scanner.take_number()
-            if den is None:
-                raise scanner.error("expected a denominator")
-            num /= den
-        scanner.skip_ws()
-        if scanner.peek() != "*":
-            raise scanner.error("expected '*' after leading scale")
-        scanner.pos += 1
-        lead = num
+    pos = scale_at = _SPACE_RE.match(text).end()
+    m = _NUMBER_RE.match(text, pos)
+    if m:
+        lead = _number(text, m)
+        pos = _SPACE_RE.match(text, m.end()).end()
+        if text.startswith("/", pos):
+            pos = _SPACE_RE.match(text, pos + 1).end()
+            m = _NUMBER_RE.match(text, pos)
+            if not m:
+                raise ParseError("expected a denominator", text, pos)
+            den = _number(text, m)
+            lead = lead / den if den else math.inf
+            pos = _SPACE_RE.match(text, m.end()).end()
+        if not text.startswith("*", pos):
+            raise ParseError("expected '*' after leading scale", text, pos)
+        pos += 1
     constants: list[CliffordElement] = []
     while True:
         if len(constants) == MAX_COEFFS - 1:
@@ -260,23 +234,13 @@ def parse_factored(text: str) -> tuple[float, list[CliffordElement]]:
                 f"more than {MAX_COEFFS - 1} linear factors "
                 f"(at most MAX_COEFFS = {MAX_COEFFS} coefficients)"
             )
-        scanner.skip_ws()
-        if scanner.peek() != "(":
-            raise scanner.error("expected '(' opening a linear factor")
-        start = scanner.pos
-        depth = 0
-        end = None
-        for k in range(start, len(scanner.text)):
-            if scanner.text[k] == "(":
-                depth += 1
-            elif scanner.text[k] == ")":
-                depth -= 1
-                if depth == 0:
-                    end = k
-                    break
-        if end is None:
-            raise scanner.error("unbalanced parenthesis")
-        body = scanner.text[start + 1 : end]
+        pos = _SPACE_RE.match(text, pos).end()
+        if not text.startswith("(", pos):
+            raise ParseError("expected '(' opening a linear factor", text, pos)
+        end = _closing_paren(text, pos)
+        if end < 0:
+            raise ParseError("unbalanced parenthesis", text, pos)
+        body = text[pos + 1 : end]
         stripped = body.strip()
         if not stripped.startswith("x"):
             raise UnfactoredInput(f"factor {body!r} is not of the form (x - element)")
@@ -284,20 +248,18 @@ def parse_factored(text: str) -> tuple[float, list[CliffordElement]]:
         if "x" in rest or "^" in rest or "*" in rest:
             raise UnfactoredInput(f"factor {body!r} is not linear in x")
         if rest.strip():
-            inner = _Scanner(rest)
-            shift = _parse_terms(inner)
-            if not inner.at_end():
-                raise ParseError("trailing input in factor", body, 0)
-            constants.append(-shift)
+            constants.append(_element_from_floats(tuple(map(neg, _parse_terms(rest)))))
         else:
-            constants.append(CliffordElement([0.0] * 8))
-        scanner.pos = end + 1
-        scanner.skip_ws()
-        if scanner.at_end():
-            return lead, constants
-        if scanner.peek() != "*":
-            raise scanner.error("expected '*' between factors")
-        scanner.pos += 1
+            constants.append(ZERO)
+        pos = _SPACE_RE.match(text, end + 1).end()
+        if pos == len(text):
+            break
+        if text[pos] != "*":
+            raise ParseError("expected '*' between factors", text, pos)
+        pos += 1
+    if lead == 0.0 or not math.isfinite(lead):
+        raise ParseError("leading scale must be finite and nonzero", text, scale_at)
+    return lead, constants
 
 
 def parse_poly(text: str):

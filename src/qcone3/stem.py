@@ -123,7 +123,7 @@ def check_parity(
         b = rng.uniform(0.0, dom.beta_max)
         f1p, f2p, g1p, g2p = stem.components(a, b)
         f1m, f2m, g1m, g2m = stem.components(a, -b)
-        worst = max(
+        worst = bislice.nan_max(
             worst,
             (f1p - f1m).modulus(),
             (f2p + f2m).modulus(),
@@ -168,7 +168,7 @@ def check_cauchy_riemann(
         for one, two in ((stem.f1, stem.f2), (stem.g1, stem.g2)):
             da1, db1 = bislice.central_differences(one, a, b, h)
             da2, db2 = bislice.central_differences(two, a, b, h)
-            worst = max(worst, (da1 - db2).modulus(), (db1 + da2).modulus())
+            worst = bislice.nan_max(worst, (da1 - db2).modulus(), (db1 + da2).modulus())
             for comp in (one, two):
                 center = comp(a, b)
                 dd_a = (comp(a + h, b) - center * 2.0 + comp(a - h, b)) / (h * h)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .bislice import BiSlicePoly, QuatPoly
+from .bislice import BiSlicePoly, QuatPoly, nan_max
 from .clifford3 import EPS, CliffordElement, Quat, join, split
 from .errors import UnfactoredInput
 from .qsplit import ConePoint, SphereDescriptor
@@ -378,8 +378,6 @@ def verify_zeros(
     units: Sequence[Quat],
     tol: float = 1e-9,
 ) -> float:
-    """Largest |poly| over sampled representatives of the zero set."""
-    worst = 0.0
-    for x in zero_set.sample_elements(units):
-        worst = max(worst, poly.eval(x).magnitude())
-    return worst
+    """Largest |poly| over sampled representatives of the zero set; nan if any is nan."""
+    residuals = [poly.eval(x).magnitude() for x in zero_set.sample_elements(units)]
+    return nan_max(0.0, *residuals)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from typing import Callable, Sequence
 
 from qcone3 import (
@@ -15,8 +16,10 @@ from qcone3 import (
     Quat,
     SliceContour,
     cone_point,
+    parse_element,
     scalar,
 )
+from qcone3.errors import ParseError, UnfactoredInput
 
 
 def rand_quat(rng: random.Random, scale: float = 1.5) -> Quat:
@@ -173,3 +176,147 @@ def contour_integral(contour: SliceContour, fn: Callable[[Quat], Quat]) -> Quat:
             contour_point(contour, theta)
         )
     return acc * step
+
+
+# -- oracle: the character-by-character scanner -------------------------------
+#
+# The library reads a signed term with one compiled regex.  This is the
+# scanner it replaced, which walks the text one character at a time; the
+# differential tests require both to return the same coefficients or raise
+# the same (message, position).
+
+_NUMBER_RE = re.compile(r"\d+\.\d*|\.\d+|\d+")
+_BASIS_INDEX = {"e0": 0, "e1": 1, "e2": 2, "e3": 3, "e12": 4, "e13": 5, "e23": 6, "e123": 7}
+_BASIS_TOKENS = ("e123", "e12", "e13", "e23", "e0", "e1", "e2", "e3")
+
+
+class Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.text, min(self.pos, len(self.text)))
+
+    def take_sign(self, required: bool) -> float:
+        self.skip_ws()
+        ch = self.peek()
+        if ch == "+":
+            self.pos += 1
+            return 1.0
+        if ch == "-":
+            self.pos += 1
+            return -1.0
+        if required:
+            raise self.error("expected '+' or '-' between terms")
+        return 1.0
+
+    def take_number(self) -> float | None:
+        self.skip_ws()
+        m = _NUMBER_RE.match(self.text, self.pos)
+        if not m:
+            return None
+        value = float(m.group())
+        if not math.isfinite(value):
+            raise self.error("number out of range")
+        self.pos = m.end()
+        return value
+
+    def take_basis(self, allow_one: bool) -> int | None:
+        self.skip_ws()
+        for tok in _BASIS_TOKENS:
+            if self.text.startswith(tok, self.pos):
+                self.pos += len(tok)
+                return _BASIS_INDEX[tok]
+        if allow_one and self.peek() == "1":
+            self.pos += 1
+            return 0
+        return None
+
+
+def scanner_terms(scanner: Scanner) -> CliffordElement:
+    coeffs = [0.0] * 8
+    first = True
+    while True:
+        scanner.skip_ws()
+        if scanner.at_end():
+            if first:
+                raise scanner.error("expected an element")
+            return CliffordElement(coeffs)
+        sign = scanner.take_sign(required=not first)
+        num = scanner.take_number()
+        if num is not None:
+            scanner.skip_ws()
+            starred = scanner.peek() == "*"
+            if starred:
+                scanner.pos += 1
+            idx = scanner.take_basis(allow_one=starred)
+            if idx is None:
+                if starred:
+                    raise scanner.error("expected a basis token after '*'")
+                idx = 0
+            coeffs[idx] += sign * num
+        else:
+            idx = scanner.take_basis(allow_one=False)
+            if idx is None:
+                raise scanner.error("expected a number or basis token")
+            coeffs[idx] += sign
+        first = False
+
+
+def scanner_element(text: str) -> CliffordElement:
+    """``parse_element`` through the scanner; the positional form is the library's."""
+    if "," in text:
+        return parse_element(text)
+    scanner = Scanner(text)
+    value = scanner_terms(scanner)
+    if not scanner.at_end():
+        raise scanner.error("trailing input after element")
+    return value
+
+
+def scanner_factor(body: str) -> CliffordElement:
+    """The constant c of the linear factor ``(<body>)``, read as ``(x - c)``."""
+    stripped = body.strip()
+    if not stripped.startswith("x"):
+        raise UnfactoredInput(f"factor {body!r} is not of the form (x - element)")
+    rest = stripped[1:]
+    if "x" in rest or "^" in rest or "*" in rest:
+        raise UnfactoredInput(f"factor {body!r} is not linear in x")
+    if not rest.strip():
+        return ZERO
+    inner = Scanner(rest)
+    shift = scanner_terms(inner)
+    if not inner.at_end():
+        raise ParseError("trailing input in factor", body, 0)
+    return -shift
+
+
+def split_top_level(text: str, sep: str = ",") -> list[str]:
+    """Split at ``sep`` outside brackets, walking the depth character by character."""
+    parts: list[str] = []
+    depth = 0
+    current = []
+    for ch in text:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        if ch == sep and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current))
+    return parts

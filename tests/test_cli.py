@@ -455,3 +455,39 @@ def test_mult_at_a_sphere_past_float_range_records(capsys):
     counts = ("four_dimensional", "isolated", "first_kind", "second_kind")
     assert [rec[k] for k in counts] == [0, 0, 0, 0]
     assert rec["p_points"] == rec["q_points"] == []
+
+
+# 1/0, 0/0, 0 and 1/1e-321 (which overflows to inf): none is a finite, nonzero scale.
+BAD_SCALES = ["1/0", "0/0", "0", "1/0." + "0" * 320 + "1"]
+
+
+@pytest.mark.parametrize("scale", BAD_SCALES, ids=["1/0", "0/0", "0", "1/1e-321"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("roots", "--factored", "{}*(x - e1)*(x - e2)"),
+        ("mult", "--factored", "{}*(x - e1)", "--sphere", "0,1"),
+        ("eval", "--poly", "{}*(x - e1)", "--at", "e2"),
+    ],
+    ids=["roots", "mult", "eval"],
+)
+def test_leading_scale_must_be_finite_and_nonzero(capsys, argv, scale):
+    argv = [arg.format(scale) for arg in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    message, echoed, caret = err.splitlines()
+    assert message == "parse error: leading scale must be finite and nonzero"
+    assert echoed.strip() == argv[2]
+    assert caret == "  ^"
+
+
+@pytest.mark.parametrize("mode", ["pretty", "records"])
+def test_roots_nan_residual_is_a_named_error(capsys, mode):
+    # lead 1e300 times constants of 1e11 overflows the coefficients to inf
+    # and their differences to nan; the residual must not read 0.
+    factored = "1" + "0" * 300 + "*(x - 100000000000e1)*(x - 100000000000e2)"
+    code, out, err = invoke(capsys, "roots", "--factored", factored, "--output", mode)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: NonFiniteResult: roots-summary: max_residual")

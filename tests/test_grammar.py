@@ -3,11 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcone3 import (
     E0,
+    BiSlicePoly,
     E1,
     E2,
     E3,
@@ -27,7 +28,8 @@ from qcone3 import (
     parse_sphere,
 )
 from qcone3.errors import ParseError, UnfactoredInput
-from helpers import rand_element
+from qcone3.grammar import _split_top_level
+from helpers import rand_element, scanner_element, scanner_factor, split_top_level
 
 
 def test_parse_basic_terms():
@@ -168,6 +170,129 @@ def test_parse_factored_rejects_nonlinear():
         parse_factored("(x - e1")
     with pytest.raises(ParseError):
         parse_factored("(x - e1)(x - e2)")
+
+
+def test_factor_parentheses_nest():
+    # The ')' closing a factor is the one at depth zero.
+    cases = [
+        ("(x - (e1))*(x)", ParseError, " - (e1)", 3),
+        ("(x - e1))", ParseError, "(x - e1))", 8),
+        (" (x - (e1)", ParseError, " (x - (e1)", 1),
+        ("(x - e1)*((x))", UnfactoredInput, None, None),
+    ]
+    for text, error, err_text, pos in cases:
+        with pytest.raises(error) as info:
+            parse_factored(text)
+        if error is ParseError:
+            assert (info.value.text, info.value.pos) == (err_text, pos)
+
+
+@pytest.mark.parametrize(
+    "text, message, pos",
+    [
+        ("2/*(x)", "expected a denominator", 2),
+        ("2 / 3 (x)", "expected '*' after leading scale", 6),
+        ("0(x - e1)", "expected '*' after leading scale", 1),
+        ("9" * 400 + "*(x)", "number out of range", 0),
+        ("1/" + "9" * 400 + "*(x)", "number out of range", 2),
+    ],
+)
+def test_leading_scale_syntax_errors(text, message, pos):
+    with pytest.raises(ParseError) as info:
+        parse_factored(text)
+    assert (info.value.message, info.value.pos) == (message, pos)
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [
+        "1/0",
+        "0/0",
+        "0",
+        " 0.0",
+        "1/0." + "0" * 320 + "1",
+        "0." + "0" * 400 + "1",
+        "0." + "0" * 300 + "1/1" + "0" * 100,
+    ],
+    ids=["1/0", "0/0", "0", "0.0", "1/1e-321", "1e-401", "1e-301/1e100"],
+)
+def test_leading_scale_must_be_finite_and_nonzero(scale):
+    # 1/1e-321 overflows to inf; 1e-401 and 1e-301/1e100 underflow to 0.
+    with pytest.raises(ParseError, match="^leading scale must be finite and nonzero$") as info:
+        parse_factored(scale + "*(x - e1)*(x - e2)")
+    assert info.value.pos == len(scale) - len(scale.lstrip())
+
+
+def test_subnormal_leading_scale_is_accepted():
+    lead, constants = parse_factored("0." + "0" * 320 + "1*(x - e1)")
+    assert lead == 1e-321 and constants[0].isclose(E1)
+
+
+# -- differential tests against the character-by-character scanner ---------------
+
+_TOKENS = (
+    "e123", "e12", "e13", "e23", "e0", "e1", "e2", "e3", "e",
+    "0", "1", "2", "9", "9" * 310, ".", "*", "+", "-", " ", "\t", "z",
+)  # fmt: skip
+_token_text = st.lists(st.sampled_from(_TOKENS), max_size=10).map("".join)
+
+
+def _outcome(parse, text):
+    """The repr of the parsed coefficients (it tells -0.0 from 0.0), or the error."""
+    try:
+        return repr(parse(text))
+    except ParseError as err:
+        return ("ParseError", err.message, err.text, err.pos)
+    except UnfactoredInput as err:
+        return ("UnfactoredInput", str(err))
+
+
+@given(_token_text)
+@example("2 1")  # the 1 lacks its sign: only "*" lets a number take the basis 1
+@example("2 * 1 - 3*e123 + .5 e12")
+@example("e1*e2")
+@example("+ *e1")
+@settings(max_examples=1000)
+def test_element_matches_scanner(text):
+    assert _outcome(lambda t: parse_element(t).coeffs, text) == _outcome(
+        lambda t: scanner_element(t).coeffs, text
+    )
+
+
+@given(_token_text)
+@settings(max_examples=500)
+def test_factor_body_matches_scanner(body):
+    assert _outcome(lambda t: [c.coeffs for c in parse_factored(t)[1]], f"(x{body})") == (
+        _outcome(lambda t: [scanner_factor(t).coeffs], f"x{body}")
+    )
+
+
+def _scanner_poly(text: str) -> BiSlicePoly:
+    """``parse_poly`` through the scanner, for the two forms built below."""
+    if text.startswith("coeffs: ["):
+        items = split_top_level(text[len("coeffs: [") : -1])
+        return BiSlicePoly([scanner_element(item) for item in items])
+    return BiSlicePoly.from_factors([scanner_factor(f) for f in text[1:-1].split(")*(")])
+
+
+@given(st.lists(_token_text, min_size=1, max_size=4), st.booleans())
+@settings(max_examples=500)
+def test_poly_matches_scanner(items, factored):
+    if factored:
+        items = [item.replace("*", "") for item in items]
+        text = "*".join(f"(x{item})" for item in items)
+    else:
+        text = "coeffs: [" + ", ".join(items) + "]"
+    assert _outcome(lambda t: [c.coeffs for c in parse_poly(t).coeffs], text) == _outcome(
+        lambda t: [c.coeffs for c in _scanner_poly(t).coeffs], text
+    )
+
+
+@given(st.lists(st.sampled_from(("e1", ",", " ", "(", ")", "[", "]")), max_size=10).map("".join))
+@settings(max_examples=300)
+def test_split_matches_depth_walk(text):
+    # An unmatched closer makes the depth negative, so a ',' after it stays.
+    assert _split_top_level(text) == split_top_level(text)
 
 
 def test_parse_matrix():

@@ -1,5 +1,6 @@
 """Stem components, parity, holomorphy checks, spherical value/derivative."""
 
+import math
 import random
 
 import pytest
@@ -96,6 +97,21 @@ def test_cauchy_riemann_reports():
         lambda a, b: Quat(b),
     )
     assert not check_cauchy_riemann(not_holo, 1e-5).passed
+
+
+def test_checks_keep_a_nan_residual():
+    # nan for alpha > 0 only, so finite residuals come before the first nan.
+    def half_nan(a, b):
+        return Quat(math.nan if a > 0 else a)
+
+    def odd(a, b):
+        return Quat(b)
+
+    nan_stem = StemFunction(half_nan, odd, half_nan, odd)
+    parity = check_parity(nan_stem)
+    assert math.isnan(parity.max_violation) and not parity.passed
+    cr = check_cauchy_riemann(nan_stem, 1e-5)
+    assert math.isnan(cr.max_residual) and not cr.passed
 
 
 def test_cauchy_riemann_for_polynomial_stems():

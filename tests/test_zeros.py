@@ -1,5 +1,6 @@
 """Quadratic zero classification and the multiplicity engine."""
 
+import math
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from qcone3 import (
     split_factors,
     verify_zeros,
 )
+from qcone3.bislice import nan_max
 from qcone3.errors import UnfactoredInput
 from qcone3.qsplit import Q12, Q13, Q23
 from qcone3.zeros import (
@@ -199,6 +201,26 @@ def test_classified_zeros_verify_on_random_inputs():
         poly = BiSlicePoly.from_factors([alpha, beta])
         zs = classify_quadratic(alpha, beta)
         assert verify_zeros(poly, zs, UNITS) < 1e-9 * (1 + poly.max_coeff()) * 10
+
+
+def test_verify_zeros_keeps_a_nan_residual():
+    # An infinite lead makes every coefficient inf or nan (inf * 0), so each
+    # sampled residual is nan; the worst of them must not read 0.
+    alpha, beta = E23 + E1, E23 - E1
+    zs = classify_quadratic(alpha, beta)
+    poly = BiSlicePoly.from_factors([alpha, beta])
+    assert len(zs.sample_elements(UNITS)) > 1
+    assert verify_zeros(poly, zs, UNITS) < 1e-12
+    nan_poly = BiSlicePoly.from_factors([alpha, beta], float("inf"))
+    assert math.isnan(verify_zeros(nan_poly, zs, UNITS))
+
+
+def test_nan_max():
+    nan = float("nan")
+    assert nan_max(0.0, 2.0, 1.0) == 2.0
+    assert nan_max(0.0, float("inf")) == float("inf")
+    for values in ((0.0, nan), (0.0, 1.0, nan, 2.0), (nan, 1.0), (nan,)):
+        assert math.isnan(nan_max(*values))
 
 
 def test_sphere_case_closed_under_unit_choices():
