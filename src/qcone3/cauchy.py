@@ -36,6 +36,13 @@ is then complex multiplication, ``(a + I b) R(v) = R((a + i b) v)``.
   complex 4-vector sums, combined once: ``(R(sum g w) + J R(sum h w)) / N``.
 * The closed integral is ``R(sum i phi w) * 2 pi / N``.
 
+Both quadratures read a node table: ``phi``, ``Re z``, ``|z|^2`` and ``m``
+once per circle, and ``w`` per split component, 470 bytes a node when the two
+contours share center, radius and node count (620 otherwise), so at most 31 MB
+(40 MB) at :data:`MAX_NODES`.  The module keeps the table of its last
+(polynomial, contour_i, contour_j) call, matched by identity, and replaces it
+in one assignment, so concurrent callers see a whole entry or none.
+
 Contours accept at most :data:`MAX_NODES` nodes, and one quadrature at most
 :data:`MAX_NODE_TERMS` nodes times coefficients, so no request does
 unbounded work.
@@ -139,17 +146,19 @@ def cauchy_kernel(s: ConePoint, x: ConePoint, tol: float = EPS) -> CliffordEleme
     return join(kp, kq)
 
 
-def _slice_values(poly: QuatPoly, contour: SliceContour):
-    """Yield ``(phi, w0, w1, w2, w3)`` at each trapezoid node of the contour.
-
-    ``phi = r e^{it}`` and the ``w`` are the complex Horner values of the four
-    coefficient columns at ``z = x0 + phi``, so that the polynomial's value at
-    the node ``x0 + r e^{It}`` is ``R(w)``.
-    """
-    rows = [c.as_tuple() for c in reversed(poly.coeffs)]
+def _slice_table(poly: QuatPoly, contour: SliceContour, circle: tuple = ()) -> tuple:
+    """Columns ``(phi, s_re, s_sq, m, w0, w1, w2, w3)`` over the trapezoid nodes;
+    the first four depend only on the circle, and ``circle`` can pass them in."""
     x0, r = contour.center, contour.radius
-    for theta in contour.thetas():
-        phi = complex(r * math.cos(theta), r * math.sin(theta))
+    if not circle:
+        phis = [complex(r * math.cos(t), r * math.sin(t)) for t in contour.thetas()]
+        s_res = [x0 + phi.real for phi in phis]
+        s_sqs = [s * s + phi.imag * phi.imag for s, phi in zip(s_res, phis)]
+        circle = phis, s_res, s_sqs, [r * r + x0 * phi for phi in phis]
+    rows = [c.as_tuple() for c in reversed(poly.coeffs)]
+    ws = [], [], [], []
+    put0, put1, put2, put3 = (w.append for w in ws)
+    for phi in circle[0]:
         z = x0 + phi
         w0 = w1 = w2 = w3 = 0j
         for c0, c1, c2, c3 in rows:
@@ -157,7 +166,30 @@ def _slice_values(poly: QuatPoly, contour: SliceContour):
             w1 = w1 * z + c1
             w2 = w2 * z + c2
             w3 = w3 * z + c3
-        yield phi, w0, w1, w2, w3
+        put0(w0)
+        put1(w1)
+        put2(w2)
+        put3(w3)
+    return (*circle, *ws)
+
+
+#: ``(poly, contour_i, contour_j, table)`` of the last quadrature, replaced whole.
+_last_table: tuple = ()
+
+
+def _node_table(poly: BiSlicePoly, ci: SliceContour, cj: SliceContour) -> tuple:
+    """Slice tables of the two split components, reused while the polynomial
+    and both contours are the same objects as in the previous call."""
+    global _last_table
+    last = _last_table
+    if last and last[0] is poly and last[1] is ci and last[2] is cj:
+        return last[3]
+    fp, fq = poly.split()
+    side_i = _slice_table(fp, ci)
+    same = ci[:2] == cj[:2] and ci.nodes == cj.nodes  # center, radius, nodes
+    table = side_i, _slice_table(fq, cj, side_i[:4] if same else ())
+    _last_table = (poly, ci, cj, table)
+    return table
 
 
 def _lift(unit: Quat, v0: complex, v1: complex, v2: complex, v3: complex) -> Quat:
@@ -167,11 +199,11 @@ def _lift(unit: Quat, v0: complex, v1: complex, v2: complex, v3: complex) -> Qua
     )
 
 
-def _closed_integral(poly: QuatPoly, contour: SliceContour) -> Quat:
-    """Trapezoid value of the closed integral of ds poly(s), in slice-plane
-    arithmetic; the differential I r e^{I t} dt stays left of the integrand."""
+def _closed_integral(side: tuple, contour: SliceContour) -> Quat:
+    """Trapezoid value of the closed integral of ds poly(s) from its slice table;
+    the differential I r e^{I t} dt stays left of the integrand."""
     v0 = v1 = v2 = v3 = 0j
-    for phi, w0, w1, w2, w3 in _slice_values(poly, contour):
+    for phi, w0, w1, w2, w3 in zip(side[0], *side[4:]):
         ds = 1j * phi
         v0 += ds * w0
         v1 += ds * w1
@@ -195,32 +227,28 @@ def contour_integral_vanishes(
 ) -> tuple[float, float]:
     """Magnitudes of the closed integrals of the two split components."""
     _check_work(poly, contour_i, contour_j)
-    fp, fq = poly.split()
+    side_i, side_j = _node_table(poly, contour_i, contour_j)
     return (
-        _closed_integral(fp, contour_i).modulus(),
-        _closed_integral(fq, contour_j).modulus(),
+        _closed_integral(side_i, contour_i).modulus(),
+        _closed_integral(side_j, contour_j).modulus(),
     )
 
 
 def _reconstruct_component(
-    poly: QuatPoly, contour: SliceContour, target: Quat, tol: float
+    side: tuple, contour: SliceContour, target: Quat, tol: float
 ) -> Quat:
-    x0, r_sq = contour.center, contour.radius * contour.radius
     q_re, q_im = target.re(), target.im_modulus()
     unit_j = target.im() / q_im if q_im > 0.0 else contour.unit
     q_c = complex(q_re, q_im)
     q_c_sq = q_c * q_c
     q_scale = 1.0 + target.modulus_sq()
     g0 = g1 = g2 = g3 = h0 = h1 = h2 = h3 = 0j
-    for phi, w0, w1, w2, w3 in _slice_values(poly, contour):
-        s_re = x0 + phi.real
-        s_sq = s_re * s_re + phi.imag * phi.imag
+    for phi, s_re, s_sq, m, w0, w1, w2, w3 in zip(*side):
         d = q_c_sq - 2.0 * s_re * q_c + s_sq
         if abs(d) <= tol * (q_scale + s_sq):
             raise _singular(s_re, abs(phi.imag))
         inv = 1.0 / d
         a, b = inv.real, inv.imag
-        m = r_sq + x0 * phi
         g = a * m - (a * q_re - b * q_im) * phi
         h = b * m - (a * q_im + b * q_re) * phi
         g0 += g * w0
@@ -246,13 +274,13 @@ def cauchy_reconstruct(
     """Reproduce poly(x) from its values on two slice circles."""
     _check_work(poly, contour_i, contour_j)
     point = x if isinstance(x, ConePoint) else ConePoint.from_element(x, tol)
-    fp, fq = poly.split()
     if not contour_i.contains(point.p):
         raise PointOutsideContour("first component outside its contour disc")
     if not contour_j.contains(point.q):
         raise PointOutsideContour("second component outside its contour disc")
-    vp = _reconstruct_component(fp, contour_i, point.p, tol)
-    vq = _reconstruct_component(fq, contour_j, point.q, tol)
+    side_i, side_j = _node_table(poly, contour_i, contour_j)
+    vp = _reconstruct_component(side_i, contour_i, point.p, tol)
+    vq = _reconstruct_component(side_j, contour_j, point.q, tol)
     return join(vp, vq)
 
 

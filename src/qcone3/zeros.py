@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 from .bislice import BiSlicePoly, QuatPoly, nan_max
 from .clifford3 import EPS, CliffordElement, Quat, join, split
-from .errors import UnfactoredInput
+from .errors import NonFiniteResult, UnfactoredInput
 from .qsplit import ConePoint, SphereDescriptor
 
 
@@ -246,7 +246,14 @@ def _real_root_count(poly: QuatPoly, x: float, tol: float) -> tuple[int, QuatPol
     count = 0
     current = poly
     while current.degree(tol) >= 1:
-        scale = 1.0 + current.max_coeff() * max(1.0, abs(x)) ** current.degree(tol)
+        # a product saturates to inf where ** raises OverflowError
+        degree = current.degree(tol)
+        scale = 1.0 + current.max_coeff() * math.prod([max(1.0, abs(x))] * degree)
+        if not math.isfinite(scale):
+            # an infinite bound would accept every root
+            raise NonFiniteResult(
+                f"real-root bound at {x:.6g} overflows for degree {degree}"
+            )
         if current.eval(Quat(x)).modulus() > 100 * tol * scale:
             break
         current, _ = left_divide_linear(current, Quat(x))

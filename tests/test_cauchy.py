@@ -14,6 +14,7 @@ from qcone3 import (
     Quat,
     QuatPoly,
     SliceContour,
+    cauchy,
     cauchy_kernel,
     cauchy_kernel_quat,
     cauchy_reconstruct,
@@ -27,6 +28,7 @@ from qcone3.cauchy import (
     MAX_NODES,
     _closed_integral,
     _reconstruct_component,
+    _slice_table,
 )
 from qcone3.errors import (
     InputTooLarge,
@@ -309,7 +311,7 @@ def _check_closed_integrals(poly, ci, cj) -> tuple[float, float]:
     for value, f, c in zip(got, poly.split(), (ci, cj)):
         want = contour_integral(c, f.eval)
         scale = 1 + max(f.eval(contour_point(c, t)).modulus() for t in c.thetas())
-        assert (_closed_integral(f, c) - want).modulus() <= 1e-13 * scale
+        assert (_closed_integral(_slice_table(f, c), c) - want).modulus() <= 1e-13 * scale
         assert abs(value - want.modulus()) <= 1e-13 * scale
     return got
 
@@ -318,7 +320,81 @@ def test_slice_plane_quadrature_keeps_singular_test():
     # the node at t = pi/2 is I, whose sphere holds every unit imaginary
     contour = SliceContour(0.0, 1.0, Q23, 16)
     with pytest.raises(OnSingularSphere):
-        _reconstruct_component(QuatPoly([1.0]), contour, Q12, 1e-12)
+        _reconstruct_component(_slice_table(QuatPoly([1.0]), contour), contour, Q12, 1e-12)
+
+
+# The node table of the last (polynomial, contour_i, contour_j) call is kept and
+# reused while all three are the same objects; equal copies never hit it.
+
+
+def _copies(poly, *contours):
+    return (BiSlicePoly(poly.coeffs), *(SliceContour(*c) for c in contours))
+
+
+def _memo_target(rng):
+    # inside every memo test contour: centers -0.2..0.1, radii 1.2 and up
+    return cone_point(
+        rng.uniform(-0.3, 0.3),
+        rng.uniform(0.1, 0.6),
+        rand_unit_imaginary(rng),
+        rand_unit_imaginary(rng),
+    )
+
+
+def _quadratures(args, x):
+    return cauchy_reconstruct(*args, x).coeffs, contour_integral_vanishes(*args)
+
+
+def test_memo_hit_equals_fresh_objects_float_for_float():
+    rng = random.Random(21)
+    for nodes in (16, 64, 512):
+        for degree in range(6):
+            poly = rand_poly(rng, degree)
+            ci = SliceContour(0.1, 1.5, rand_unit_imaginary(rng), nodes)
+            # the second circle alternates between ci's circle, whose columns
+            # the table shares, and a circle of its own
+            center, radius = (0.1, 1.5) if degree % 2 else (-0.2, 1.8)
+            cj = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
+            cauchy_reconstruct(poly, ci, cj, _memo_target(rng))
+            entry = cauchy._last_table
+            x = _memo_target(rng)
+            hit = _quadratures((poly, ci, cj), x)
+            assert cauchy._last_table is entry
+            assert hit == _quadratures(_copies(poly, ci, cj), x)
+
+
+def test_memo_interleaved_calls_return_their_own_values():
+    rng = random.Random(22)
+    for nodes in (16, 64, 512):
+        for degree in range(6):
+            p1, p2 = rand_poly(rng, degree), rand_poly(rng, degree)
+            ci, cj, ci2, cj2 = (
+                SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
+                for center, radius in ((0.1, 1.5), (-0.2, 1.8), (0.0, 1.2), (0.05, 1.6))
+            )
+            x = _memo_target(rng)
+            a = (p1, ci, cj)
+            for b in ((p2, ci, cj), (p1, ci, cj2), (p1, ci2, cj), (p2, ci2, cj2), (p1, cj, ci)):
+                want = [_quadratures(_copies(*args), x) for args in (a, b, a)]
+                assert [_quadratures(args, x) for args in (a, b, a)] == want
+
+
+def test_memo_hit_keeps_contour_and_singular_checks():
+    rng = random.Random(23)
+    for nodes in (16, 64, 512):
+        for degree in range(6):
+            poly = rand_poly(rng, degree)
+            ci = SliceContour(0.0, 1.0, Q23, nodes)
+            cj = SliceContour(0.0, 1.0, Q13, nodes)
+            cauchy_reconstruct(poly, ci, cj, cone_point(0.1, 0.2, Q12, Q12), 1e-6)
+            entry = cauchy._last_table
+            with pytest.raises(PointOutsideContour):
+                cauchy_reconstruct(poly, ci, cj, 3 * E0, 1e-6)
+            # inside the disc, 1e-9 from the sphere of the node I at t = pi/2
+            near = cone_point(0.0, 1.0 - 1e-9, Q12, Q12)
+            with pytest.raises(OnSingularSphere):
+                cauchy_reconstruct(poly, ci, cj, near, 1e-6)
+            assert cauchy._last_table is entry
 
 
 def test_contour_reach_keeps_kernel_squares_finite():

@@ -391,7 +391,7 @@ def test_cauchy_verify_bounds_nodes_times_coefficients(
     def no_nodes(poly, contour):
         raise _NodeEvaluated
 
-    monkeypatch.setattr(cauchy, "_slice_values", no_nodes)
+    monkeypatch.setattr(cauchy, "_slice_table", no_nodes)
     assert (nodes * MAX_COEFFS <= cauchy.MAX_NODE_TERMS) == accepted
     poly = _coeffs_text(MAX_COEFFS)
     argv = ("cauchy-verify", "--poly", poly, "--radius", "2", "--at", "0.3e1")
@@ -455,6 +455,22 @@ def test_mult_at_a_sphere_past_float_range_records(capsys):
     counts = ("four_dimensional", "isolated", "first_kind", "second_kind")
     assert [rec[k] for k in counts] == [0, 0, 0, 0]
     assert rec["p_points"] == rec["q_points"] == []
+
+
+@pytest.mark.parametrize("mode", ["pretty", "records"])
+def test_mult_at_a_real_base_past_float_range_is_a_named_error(capsys, mode):
+    # the real-root bound |x|^2 at x = 1e200 overflows; at 1e100 it does not
+    argv = ("mult", "--factored", "(x - e1)*(x - e23)", "--output", mode)
+    code, out, err = invoke(capsys, *argv, "--sphere", "1e200,0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: NonFiniteResult:")
+    code, out, _ = invoke(capsys, *argv, "--sphere", "1e100,0")
+    assert code == 0
+    if mode == "pretty":
+        assert "isolated: 0 at (0, 0)" in out.splitlines()
+    else:
+        assert records(out)[0]["isolated"] == 0
 
 
 # 1/0, 0/0, 0 and 1/1e-321 (which overflows to inf): none is a finite, nonzero scale.
