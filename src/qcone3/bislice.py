@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .clifford3 import EPS, Q_ZERO, CliffordElement, Quat, QuatPair, ZERO, join, scalar, split
+from .clifford3 import EPS, Q_ONE, CliffordElement, Quat, QuatPair, ZERO, _new, join, scalar, split
 from .errors import NotImaginaryUnit, NotInvertibleAtPoint, NotOrthogonal, RealPoint
 from .qsplit import ConePoint
 
@@ -47,29 +47,42 @@ class QuatPoly:
 
     def eval(self, p: Quat) -> Quat:
         # Horner nesting keeps the coefficients on the right:
-        # a0 + p(a1 + p(a2 + ...)).
-        acc = Quat()
-        for a in reversed(self.coeffs):
-            acc = p * acc + a
-        return acc
+        # a0 + p(a1 + p(a2 + ...)).  Each step is ``p * acc + a`` written out
+        # on floats, with Quat.__mul__'s expressions in its order.
+        x0, x1, x2, x3 = p
+        y0 = y1 = y2 = y3 = 0.0
+        for a0, a1, a2, a3 in reversed(self.coeffs):
+            y0, y1, y2, y3 = (
+                x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3 + a0,
+                x0 * y1 + x1 * y0 - x2 * y3 + x3 * y2 + a1,
+                x0 * y2 + x2 * y0 + x1 * y3 - x3 * y1 + a2,
+                x0 * y3 + x3 * y0 - x1 * y2 + x2 * y1 + a3,
+            )
+        return _new(Quat, (y0, y1, y2, y3))
 
     def star(self, other: "QuatPoly") -> "QuatPoly":
-        out = [Quat() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a == Q_ZERO:
+        # out[i + j] + a * b on floats, in the operator form's order; a zero
+        # coefficient (either sign) contributes nothing and is skipped.
+        n = len(self.coeffs) + len(other.coeffs) - 1
+        o0, o1, o2, o3 = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+        for i, (x0, x1, x2, x3) in enumerate(self.coeffs):
+            if not (x0 or x1 or x2 or x3):
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return QuatPoly(out)
+            for k, (y0, y1, y2, y3) in enumerate(other.coeffs, i):
+                o0[k] += x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3
+                o1[k] += x0 * y1 + x1 * y0 - x2 * y3 + x3 * y2
+                o2[k] += x0 * y2 + x2 * y0 + x1 * y3 - x3 * y1
+                o3[k] += x0 * y3 + x3 * y0 - x1 * y2 + x2 * y1
+        return _poly(tuple([_new(Quat, c) for c in zip(o0, o1, o2, o3)]))
 
     def conj_coeffs(self) -> "QuatPoly":
-        return QuatPoly(a.conj() for a in self.coeffs)
+        return _poly(tuple([a.conj() for a in self.coeffs]))
 
     def symmetrization(self) -> "QuatPoly":
         return self.star(self.conj_coeffs())
 
     def scale(self, s: float) -> "QuatPoly":
-        return QuatPoly(a * s for a in self.coeffs)
+        return _poly(tuple([a * s for a in self.coeffs]))
 
     def max_coeff(self) -> float:
         return max(a.modulus() for a in self.coeffs)
@@ -80,10 +93,20 @@ class QuatPoly:
     @classmethod
     def from_factors(cls, constants: Sequence[Quat]) -> "QuatPoly":
         """Expand (p - c1)*(p - c2)*... by convolution."""
-        poly = cls((Quat(1.0),))
+        poly = _poly((Q_ONE,))
         for c in constants:
-            poly = poly.star(cls((-c, Quat(1.0))))
+            poly = poly.star(_poly((-c, Q_ONE)))
         return poly
+
+
+_set_poly_coeffs = QuatPoly.coeffs.__set__
+
+
+def _poly(coeffs: tuple[Quat, ...]) -> QuatPoly:
+    """Library results: a nonempty tuple of Quat, wrapped without re-coercion."""
+    poly = object.__new__(QuatPoly)
+    _set_poly_coeffs(poly, coeffs)
+    return poly
 
 
 class BiSlicePoly:
@@ -101,7 +124,7 @@ class BiSlicePoly:
         ) or (ZERO,)
         p, q = zip(*map(split, tup))
         object.__setattr__(self, "coeffs", tup)
-        object.__setattr__(self, "_pair", (QuatPoly(p), QuatPoly(q)))
+        object.__setattr__(self, "_pair", (_poly(p), _poly(q)))
 
     @classmethod
     def from_pair(cls, p: QuatPoly, q: QuatPoly) -> "BiSlicePoly":

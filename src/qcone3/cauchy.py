@@ -184,6 +184,8 @@ def _node_table(poly: BiSlicePoly, ci: SliceContour, cj: SliceContour) -> tuple:
     last = _last_table
     if last and last[0] is poly and last[1] is ci and last[2] is cj:
         return last[3]
+    # Let go of the old table before building the new one: two are never alive.
+    _last_table = last = ()
     fp, fq = poly.split()
     side_i = _slice_table(fp, ci)
     same = ci[:2] == cj[:2] and ci.nodes == cj.nodes  # center, radius, nodes

@@ -119,41 +119,34 @@ def parse_element(text: str) -> CliffordElement:
     return _element_from_floats(tuple(_parse_terms(text)))
 
 
-def _format_number(value: float, sig: int | None) -> str:
-    out = repr(value) if sig is None else f"{value:.{sig}g}"
-    if "e" in out or "E" in out:
-        # Exponent notation is not part of the term grammar; fall back to
-        # fixed point: the exact expansion of the float, or of its rounding.
-        from decimal import Decimal
-
-        out = format(Decimal(value if sig is None else out), "f")
-    if out.endswith(".0"):
-        out = out[:-2]
-    return out
-
-
 def format_element(x: CliffordElement, sig: int | None = None) -> str:
     """Render in the term grammar.  Default mode reparses to the same floats;
     ``sig`` rounds each coefficient to that many significant digits."""
-    terms: list[tuple[float, str]] = [
-        (c, BASIS_NAMES[i]) for i, c in enumerate(x.coeffs) if c != 0.0
-    ]
-    if not terms:
-        return "0"
     pieces: list[str] = []
-    for k, (coeff, name) in enumerate(terms):
-        number = _format_number(abs(coeff), sig)
+    for coeff, name in zip(x.coeffs, BASIS_NAMES):
+        if coeff == 0.0:
+            continue
+        value = abs(coeff)
+        number = repr(value) if sig is None else f"{value:.{sig}g}"
+        if "e" in number:
+            # Exponent notation is not part of the term grammar; fall back to
+            # fixed point: the exact expansion of the float, or of its rounding.
+            from decimal import Decimal
+
+            number = format(Decimal(value if sig is None else number), "f")
+        if number.endswith(".0"):
+            number = number[:-2]
         if name == "1":
             body = number
         elif number == "1":
             body = name
         else:
             body = number + name
-        if k == 0:
-            pieces.append(("-" if coeff < 0 else "") + body)
-        else:
-            pieces.append(("- " if coeff < 0 else "+ ") + body)
-    return " ".join(pieces)
+        pieces.append(("- " if coeff < 0 else "+ ") + body)
+    if not pieces:
+        return "0"
+    out = " ".join(pieces)
+    return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
 def format_quat(q: Quat, sig: int | None = None) -> str:
@@ -172,23 +165,22 @@ def format_quat_pair(p: Quat, q: Quat, sig: int | None = None) -> str:
     return f"({format_quat(p, sig)} | {format_quat(q, sig)})"
 
 
-def _split_top_level(text: str, sep: str = ",") -> list[str]:
+def _split_top_level(text: str) -> list[str]:
+    """Split at the commas outside brackets.
+
+    The depth at a comma counts the openers before it less the closers, so
+    an unmatched closer makes it negative and keeps the commas after it.
+    """
     if not _BRACKET_RE.search(text):
-        return text.split(sep)
+        return text.split(",")
     parts: list[str] = []
     depth = 0
-    current = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
+    for piece in text.split(","):
+        if depth:
+            parts[-1] += "," + piece
         else:
-            current.append(ch)
-    parts.append("".join(current))
+            parts.append(piece)
+        depth += piece.count("(") + piece.count("[") - piece.count(")") - piece.count("]")
     return parts
 
 

@@ -24,6 +24,7 @@ from .clifford3 import (
     CliffordElement,
     Quat,
     QuatPair,
+    _new,
     join,
     split,
 )
@@ -88,6 +89,14 @@ class SphereDescriptor(NamedTuple):
         return Quat(self.center) + unit * self.radius
 
 
+def _slice_point(alpha: float, unit: Quat | None, beta: float) -> Quat:
+    """``Quat(alpha) + unit * beta`` on floats, in that order; real if no unit."""
+    if unit is None:
+        return Quat(alpha)
+    u0, u1, u2, u3 = unit
+    return _new(Quat, (alpha + u0 * beta, 0.0 + u1 * beta, 0.0 + u2 * beta, 0.0 + u3 * beta))
+
+
 class ConePoint:
     """A certified point of the quadratic cone with cached slice data.
 
@@ -135,15 +144,11 @@ class ConePoint:
 
     @property
     def p(self) -> Quat:
-        if self.is_real:
-            return Quat(self.alpha)
-        return Quat(self.alpha) + self.i1 * self.beta
+        return _slice_point(self.alpha, self.i1, self.beta)
 
     @property
     def q(self) -> Quat:
-        if self.is_real:
-            return Quat(self.alpha)
-        return Quat(self.alpha) + self.i2 * self.beta
+        return _slice_point(self.alpha, self.i2, self.beta)
 
     @property
     def pair(self) -> QuatPair:

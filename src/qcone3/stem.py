@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from typing import Callable, NamedTuple
 
-from .clifford3 import EPS, CliffordElement, Quat, join, split
+from .clifford3 import EPS, CliffordElement, Quat, _new, join, split
 from .errors import OutOfDomain, RealPoint
 from . import bislice
 from .qsplit import ConePoint
@@ -207,15 +207,19 @@ def stem_from_poly(
 
     def build(coeffs: tuple[Quat, ...], pick_imag: bool) -> ComponentMap:
         def component(alpha: float, beta: float) -> Quat:
+            # acc + c * w on floats, in the operator form's order.
             z = complex(alpha, beta)
-            acc = Quat()
+            a0 = a1 = a2 = a3 = 0.0
             zn = complex(1.0, 0.0)
-            for c in coeffs:
+            for c0, c1, c2, c3 in coeffs:
                 w = zn.imag if pick_imag else zn.real
                 if w != 0.0:
-                    acc = acc + c * w
+                    a0 += c0 * w
+                    a1 += c1 * w
+                    a2 += c2 * w
+                    a3 += c3 * w
                 zn *= z
-            return acc
+            return _new(Quat, (a0, a1, a2, a3))
 
         return component
 

@@ -8,6 +8,7 @@ import re
 from typing import Callable, Sequence
 
 from qcone3 import (
+    BASIS_NAMES,
     E0,
     ZERO,
     BiSlicePoly,
@@ -320,3 +321,78 @@ def split_top_level(text: str, sep: str = ",") -> list[str]:
             current.append(ch)
     parts.append("".join(current))
     return parts
+
+
+# -- oracle: the polynomial kernels in operator form ------------------------------
+#
+# The library runs Horner, the star convolution and the stem components on
+# float locals.  These are the loops they replaced, one Quat operation per step;
+# the kernels keep every operation and its order, so the tests require equal
+# reprs, signed zeros included.
+
+
+def quat_horner(coeffs: Sequence[Quat], p: Quat) -> Quat:
+    """a0 + p(a1 + p(a2 + ...)) with Quat operators."""
+    acc = Quat()
+    for a in reversed(coeffs):
+        acc = p * acc + a
+    return acc
+
+
+def quat_star(f: Sequence[Quat], g: Sequence[Quat]) -> list[Quat]:
+    """Convolution c_k = sum_{i+j=k} a_i b_j with Quat operators, skipping a_i = 0."""
+    out = [Quat() for _ in range(len(f) + len(g) - 1)]
+    for i, a in enumerate(f):
+        if a == Quat():
+            continue
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def stem_component(coeffs: Sequence[Quat], alpha: float, beta: float, pick_imag: bool) -> Quat:
+    """Real or imaginary part of sum z^n c_n, z = alpha + i beta, with Quat operators."""
+    z = complex(alpha, beta)
+    acc = Quat()
+    zn = complex(1.0, 0.0)
+    for c in coeffs:
+        w = zn.imag if pick_imag else zn.real
+        if w != 0.0:
+            acc = acc + c * w
+        zn *= z
+    return acc
+
+
+# -- oracle: the element formatter with one number formatter per term -------------
+
+
+def format_number(value: float, sig: int | None) -> str:
+    out = repr(value) if sig is None else f"{value:.{sig}g}"
+    if "e" in out or "E" in out:
+        from decimal import Decimal
+
+        out = format(Decimal(value if sig is None else out), "f")
+    if out.endswith(".0"):
+        out = out[:-2]
+    return out
+
+
+def format_element_per_term(x: CliffordElement, sig: int | None = None) -> str:
+    """``format_element`` as a list of terms, each number formatted on its own."""
+    terms = [(c, BASIS_NAMES[i]) for i, c in enumerate(x.coeffs) if c != 0.0]
+    if not terms:
+        return "0"
+    pieces: list[str] = []
+    for k, (coeff, name) in enumerate(terms):
+        number = format_number(abs(coeff), sig)
+        if name == "1":
+            body = number
+        elif number == "1":
+            body = name
+        else:
+            body = number + name
+        if k == 0:
+            pieces.append(("-" if coeff < 0 else "") + body)
+        else:
+            pieces.append(("- " if coeff < 0 else "+ ") + body)
+    return " ".join(pieces)

@@ -1,8 +1,11 @@
 """Polynomial star products, conjugates, representation formula, residuals."""
 
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcone3 import (
     E0,
@@ -35,17 +38,20 @@ from qcone3.bislice import central_differences, complex_on_slice, reassemble_spl
 from qcone3.cauchy import kernel_regularity_residual
 from qcone3.errors import NotInvertibleAtPoint, NotOrthogonal
 from qcone3.qsplit import Q12, Q13, Q23
-from qcone3.stem import builtin_stem, check_cauchy_riemann
+from qcone3.stem import builtin_stem, check_cauchy_riemann, stem_from_poly
 from helpers import (
     assert_coeffs_close,
     clifford_conjugate,
     clifford_from_factors,
     clifford_star,
+    quat_horner,
+    quat_star,
     rand_cone_point,
     rand_element,
     rand_poly,
     rand_quat,
     rand_unit_imaginary,
+    stem_component,
 )
 
 
@@ -351,3 +357,64 @@ def test_finite_difference_step_must_be_positive_and_finite(h):
     ):
         with pytest.raises(ValueError, match="step"):
             call()
+
+
+# -- the float kernels against the operator form, bit for bit -----------------------
+
+_NEG_ZERO = Quat(-0.0, -0.0, -0.0, -0.0)
+
+
+def _reals(scale: float):
+    # hypothesis draws 0.0 and -0.0 among the floats of a range across zero
+    return st.floats(min_value=-10.0, max_value=10.0).map(lambda v: v * scale)
+
+
+def _quats(scale: float):
+    part = _reals(scale)
+    return st.one_of(st.sampled_from((Quat(), _NEG_ZERO)), st.builds(Quat, part, part, part, part))
+
+
+# Degrees 0-8, all coefficients of one polynomial at one scale 1e-150..1e149.
+_poly_coeffs = st.integers(min_value=-150, max_value=149).flatmap(
+    lambda k: st.lists(_quats(10.0**k), min_size=1, max_size=9)
+)
+_point_scale = st.integers(min_value=-3, max_value=3).map(lambda k: 10.0**k)
+
+
+def _bits(quats) -> str:
+    # repr tells -0.0 from 0.0
+    return repr(tuple(quats))
+
+
+_scalar = _point_scale.flatmap(_reals)
+
+
+@given(_poly_coeffs, _poly_coeffs, _point_scale.flatmap(_quats), _scalar, _scalar)
+@example([Quat(1.0), _NEG_ZERO], [Quat(1.0)], Quat(-0.0, 0.0, -0.0, 0.0), -0.0, 0.0)
+@example([_NEG_ZERO, Quat(1.0)], [Quat(math.inf)], Quat(1.0), 1.0, 1.0)  # 0 * inf skipped
+@settings(max_examples=300, deadline=None)
+def test_kernels_are_the_operator_form_bit_for_bit(f, g, p, alpha, beta):
+    assert _bits([QuatPoly(f).eval(p)]) == _bits([quat_horner(f, p)])
+    assert _bits(QuatPoly(f).star(QuatPoly(g)).coeffs) == _bits(quat_star(f, g))
+    fq = [a.conj() for a in reversed(f)]
+    stem = stem_from_poly(BiSlicePoly.from_pair(QuatPoly(f), QuatPoly(fq)))
+    want = [
+        stem_component(side, alpha, beta, pick_imag)
+        for side in (f, fq)
+        for pick_imag in (False, True)
+    ]
+    assert _bits(stem.components(alpha, beta)) == _bits(want)
+
+
+def test_library_polynomials_hold_quat_tuples():
+    rng = random.Random(24)
+    f = QuatPoly([rand_quat(rng) for _ in range(3)])
+    for poly in (
+        f.star(f),
+        f.scale(2),
+        f.conj_coeffs(),
+        QuatPoly.from_factors([rand_quat(rng), rand_quat(rng)]),
+        *rand_poly(rng, 2).split(),
+    ):
+        assert type(poly.coeffs) is tuple
+        assert all(type(c) is Quat for c in poly.coeffs)

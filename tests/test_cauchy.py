@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -395,6 +396,24 @@ def test_memo_hit_keeps_contour_and_singular_checks():
             with pytest.raises(OnSingularSphere):
                 cauchy_reconstruct(poly, ci, cj, near, 1e-6)
             assert cauchy._last_table is entry
+
+
+def test_memo_holds_one_node_table_at_a_time():
+    rng = random.Random(25)
+    poly = rand_poly(rng, 3)
+    args = (poly, SliceContour(0.1, 1.5, Q23, 1024), SliceContour(-0.2, 1.8, Q13, 1024))
+    x = _memo_target(rng)
+    cauchy._last_table = ()
+    tracemalloc.start()
+    try:
+        cauchy_reconstruct(*_copies(*args), x)
+        one = tracemalloc.get_traced_memory()[1]
+        # fresh objects miss the memo, which held the first table until now
+        cauchy_reconstruct(*_copies(*args), x)
+        two = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert two <= 1.2 * one, (one, two)
 
 
 def test_contour_reach_keeps_kernel_squares_finite():

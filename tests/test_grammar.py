@@ -29,7 +29,13 @@ from qcone3 import (
 )
 from qcone3.errors import ParseError, UnfactoredInput
 from qcone3.grammar import _split_top_level
-from helpers import rand_element, scanner_element, scanner_factor, split_top_level
+from helpers import (
+    format_element_per_term,
+    rand_element,
+    scanner_element,
+    scanner_factor,
+    split_top_level,
+)
 
 
 def test_parse_basic_terms():
@@ -104,6 +110,22 @@ def test_pretty_format_has_no_exponent_notation():
     )
     # a magnitude that rounds to 1 prints as the bare basis name
     assert format_element(0.9999999999999 * E23 - 1.0000000000001 * E2, 12) == "-e2 + e23"
+
+
+_format_values = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e22, -1e22, 1e-20, -1e-20)),
+    st.integers(min_value=-(10**17), max_value=10**17).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(st.lists(_format_values, min_size=8, max_size=8), st.sampled_from((None, 12, 3, 1)))
+@example([0.0] * 8, None)
+@example([-0.0, 1.0, -1.0, 0.0, 5e-324, 1e22, -1e-20, 2.0], 12)
+@settings(max_examples=500)
+def test_format_matches_per_term_formatter(coeffs, sig):
+    x = CliffordElement(coeffs)
+    assert format_element(x, sig) == format_element_per_term(x, sig)
 
 
 def _magnitude_coeffs():
@@ -288,8 +310,25 @@ def test_poly_matches_scanner(items, factored):
     )
 
 
-@given(st.lists(st.sampled_from(("e1", ",", " ", "(", ")", "[", "]")), max_size=10).map("".join))
-@settings(max_examples=300)
+_split_tokens = st.lists(
+    st.sampled_from(("e1", "2e23", ",", ", ", " ", "(", ")", "[", "]", "[[", "]]")), max_size=16
+).map("".join)
+_cell = st.lists(st.sampled_from(("e1", " - 2e23", ",", "", "(", ")", "[", "]")), max_size=4).map(
+    "".join
+)
+# [[a, b], [c, d]], with brackets and commas inside the cells too
+_matrix_text = st.lists(_cell, min_size=4, max_size=4).map(
+    lambda c: f"[[{c[0]}, {c[1]}], [{c[2]},{c[3]}]]"
+)
+
+
+@given(st.one_of(_split_tokens, _matrix_text, _matrix_text.map(lambda t: t[1:-1])))
+@example("[[e1, (e2, e3)], [e12]], [e3]")  # nested
+@example("[e1, e2, e3")  # unbalanced: the opener holds the commas after it
+@example("e1], e2, [e3")  # an unmatched closer makes the depth negative
+@example(",, [,],")  # empty cells
+@example("[1 + e1, -2.5e23 + 0.25e123], [e12 - 3, 4e3]")  # a parse_matrix row text
+@settings(max_examples=500)
 def test_split_matches_depth_walk(text):
     # An unmatched closer makes the depth negative, so a ',' after it stays.
     assert _split_top_level(text) == split_top_level(text)

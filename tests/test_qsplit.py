@@ -243,6 +243,24 @@ def test_cone_point_examples():
         cone_point(0, 1, Q23 + Q13, Q23)
 
 
+def test_cone_point_pair_is_the_operator_form_bit_for_bit():
+    rng = random.Random(26)
+    # negative beta flips the units, so their zero components become -0.0
+    points = [
+        cone_point(a, b, u, v)
+        for a in (0.0, -0.0, 0.3)
+        for b in (0.5, -0.5)
+        for u, v in ((Q23, Q13), (-Q12, Q23))
+    ]
+    points += [rand_cone_point(rng) for _ in range(100)] + [cone_point(-0.0, 0.0, None, None)]
+    for x in points:
+        if x.is_real:
+            want = (Quat(x.alpha), Quat(x.alpha))
+        else:
+            want = (Quat(x.alpha) + x.i1 * x.beta, Quat(x.alpha) + x.i2 * x.beta)
+        assert repr(tuple(x.pair)) == repr((x.p, x.q)) == repr(want)
+
+
 def test_cone_point_from_element():
     pt = ConePoint.from_element(E1)
     assert pt.alpha == 0 and abs(pt.beta - 1) < 1e-14
