@@ -18,13 +18,15 @@ different sphere data), 2 sphere-point, 3 sphere-pair, 4 pair-pair,
 Predicate ties resolve toward the more degenerate shape, which stays a
 correct zero description under perturbation.
 
-Multiplicity counting works on fully factored input.  Per component and per
-base sphere (center x, radius y > 0) the engine first divides out the
-largest power of the central real quadratic (t - x)^2 + y^2, then strips
-left roots on the sphere one at a time.  With n, m the spherical exponents
-of the two sides and the point counts added per side, the four reported
-figures are 2n+2m (carried by the sphere pair), the point-pair total, 2n +
-q-side points, and p-side points + 2m.
+Multiplicity counting works on fully factored input and reads the counts
+off the factor list; the product is never expanded.  Per component and per
+base sphere S (center x, radius y > 0) the factors on S move to the front
+by swaps that keep the product, adjacent conjugate pairs there cancel as
+powers of the central real quadratic (t - x)^2 + y^2, and the factors left
+on S form a chain whose first constant is the isolated zero.  With n, m the
+spherical exponents of the two sides and the chain lengths added per side,
+the four reported figures are 2n+2m (carried by the sphere pair), the
+point-pair total, 2n + q-side points, and p-side points + 2m.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 from .bislice import BiSlicePoly, QuatPoly, nan_max
 from .clifford3 import EPS, CliffordElement, Quat, join, split
-from .errors import NonFiniteResult, UnfactoredInput
+from .errors import UnfactoredInput
 from .qsplit import ConePoint, SphereDescriptor
 
 
@@ -163,11 +165,15 @@ def classify_quadratic(
     return classify_split(a1, b1, a2, b2, tol)
 
 
-# -- multiplicity engine -----------------------------------------------------------
+# -- multiplicities on the factor list ----------------------------------------------
 
 
 def left_divide_linear(poly: QuatPoly, root: Quat) -> tuple[QuatPoly, Quat]:
-    """Write poly = (p - root) * quotient + remainder (remainder constant)."""
+    """Write poly = (p - root) * quotient + remainder (remainder constant).
+
+    The chain points of :func:`sphere_chain` are successive left roots of
+    the expanded side; this checks that from outside.
+    """
     d = poly.degree(0.0)
     if d < 1:
         return QuatPoly((Quat(),)), poly.coeffs[0] if poly.coeffs else Quat()
@@ -179,115 +185,64 @@ def left_divide_linear(poly: QuatPoly, root: Quat) -> tuple[QuatPoly, Quat]:
     return QuatPoly(q), remainder
 
 
-def divide_real_quadratic(
-    poly: QuatPoly, base: SphereDescriptor, tol: float = EPS
-) -> QuatPoly | None:
-    """Exact quotient by (t - center)^2 + radius^2, or None if not divisible.
+def _on_sphere(c: Quat, center: float, radius: float, tol: float) -> bool:
+    """c lies on {Re = center, |Im| = radius}, relative to the largest coordinate.
 
-    The divisor has real coefficients, so it is central and ordinary long
-    division applies.
+    ``Quat.modulus`` overflows to inf from about 1e154, and an infinite
+    scale would accept every factor, so the scale and |Im c| come from the
+    coordinates and ``math.hypot``.
     """
-    d = poly.degree(tol)
-    if d < 2:
-        return None
-    s1 = -2.0 * base.center
-    s0 = base.center * base.center + base.radius * base.radius
-    work = list(poly.coeffs[: d + 1])
-    q = [Quat()] * (d - 1)
-    for k in range(d, 1, -1):
-        qk = work[k]
-        q[k - 2] = qk
-        work[k - 1] = work[k - 1] - qk * s1
-        work[k - 2] = work[k - 2] - qk * s0
-    scale = 1.0 + poly.max_coeff()
-    if work[0].modulus() <= tol * scale and work[1].modulus() <= tol * scale:
-        return QuatPoly(q)
-    return None
+    w, i, j, k = c
+    slack = tol * (1.0 + max(abs(w), abs(i), abs(j), abs(k), abs(center), radius))
+    return abs(w - center) <= slack and abs(math.hypot(i, j, k) - radius) <= slack
 
 
-def root_on_sphere(
-    poly: QuatPoly, base: SphereDescriptor, tol: float = EPS
-) -> Quat | None:
-    """A zero of poly on the given sphere, found through the restriction.
-
-    On the sphere, powers of p = x + I y are C_k + I D_k with (C_k, D_k)
-    the real and imaginary parts of (x + iy)^k, so the value is C + I D
-    with C, D independent of I.  A zero exists iff -C D^{-1} is a unit
-    imaginary, and then equals x + (-C D^{-1}) y.
-    """
-    d = poly.degree(tol)
-    if d < 0:
-        return None
-    z = complex(base.center, base.radius)
-    c_sum = Quat()
-    d_sum = Quat()
-    zn = complex(1.0, 0.0)
-    for k in range(d + 1):
-        coeff = poly.coeffs[k]
-        if zn.real != 0.0:
-            c_sum = c_sum + coeff * zn.real
-        if zn.imag != 0.0:
-            d_sum = d_sum + coeff * zn.imag
-        zn *= z
-    # A product of floats overflows to inf where ``**`` would raise.
-    scale = 1.0 + poly.max_coeff() * math.prod([max(1.0, abs(z))] * max(d, 1))
-    if d_sum.modulus() <= tol * scale:
-        return None
-    unit = -(c_sum * d_sum.inverse(tol))
-    if not unit.is_unit_imaginary(100 * tol):
-        return None
-    root = Quat(base.center) + unit * base.radius
-    if poly.eval(root).modulus() > 100 * tol * scale:
-        return None
-    return root
+def _is_conjugate(s: Quat, t: Quat, tol: float) -> bool:
+    """t = conj(s) coordinatewise, relative to the largest coordinate of either."""
+    slack = tol * (1.0 + max(map(abs, (*s, *t))))
+    return all(abs(u - v) <= slack for u, v in zip(s.conj(), t))
 
 
-def _real_root_count(poly: QuatPoly, x: float, tol: float) -> tuple[int, QuatPoly]:
-    count = 0
-    current = poly
-    while current.degree(tol) >= 1:
-        # a product saturates to inf where ** raises OverflowError
-        degree = current.degree(tol)
-        scale = 1.0 + current.max_coeff() * math.prod([max(1.0, abs(x))] * degree)
-        if not math.isfinite(scale):
-            # an infinite bound would accept every root
-            raise NonFiniteResult(
-                f"real-root bound at {x:.6g} overflows for degree {degree}"
-            )
-        if current.eval(Quat(x)).modulus() > 100 * tol * scale:
-            break
-        current, _ = left_divide_linear(current, Quat(x))
-        count += 1
-    return count, current
-
-
-def sphere_zero_structure(
-    poly: QuatPoly, base: SphereDescriptor, tol: float = EPS
+def sphere_chain(
+    constants: Sequence[Quat], base: SphereDescriptor, tol: float = EPS
 ) -> tuple[int, tuple[Quat, ...]]:
-    """(spherical exponent, extracted point roots) of poly at one base.
+    """(spherical exponent, chain) of (p - c_1)*...*(p - c_N) on the base sphere S.
 
-    For a real base (radius 0) the spherical exponent is zero and plain
-    real-root extraction supplies the point count.
+    Each factor on S moves left past the factors off S before it, one
+    adjacent swap at a time: (p - a)*(p - b) = (p - b')*(p - a') with
+    h = b - conj(a), b' = h^-1 b h on b's sphere and a' = a + b - b'.  An
+    adjacent conjugate pair on S is the central real quadratic of S, so
+    the pairs cancel like brackets; each is one power of the spherical
+    exponent.  The factors left on S, the chain, have no adjacent
+    conjugates, so the first of them is the one isolated zero on S, with
+    multiplicity the chain length (Gentili-Stoppato 2008, Serodio-Siu
+    2001).  A real base has no spherical part; its chain is one real
+    point per factor there.
     """
+    center, radius = base
     if base.is_point(tol):
-        count, _ = _real_root_count(poly, base.center, tol)
-        return 0, tuple(Quat(base.center) for _ in range(count))
+        count = sum(_on_sphere(c, center, 0.0, tol) for c in constants)
+        return 0, (Quat(center),) * count
+    off: list[Quat] = []  # factors off S, in order, right of the chain
+    chain: list[Quat] = []
     power = 0
-    current = poly
-    while True:
-        reduced = divide_real_quadratic(current, base, tol)
-        if reduced is None:
-            break
-        current = reduced
-        power += 1
-    points: list[Quat] = []
-    while True:
-        root = root_on_sphere(current, base, tol)
-        if root is None:
-            break
-        current, _ = left_divide_linear(current, root)
-        points.append(root)
-    return power, tuple(points)
+    for b in constants:
+        if not _on_sphere(b, center, radius, tol):
+            off.append(b)
+            continue
+        for k in range(len(off) - 1, -1, -1):
+            a = off[k]
+            h = b - a.conj()
+            # conjugation by h ignores its scale; a unit-size h stays finite
+            moved = conjugate_by(b, h / max(map(abs, h)), tol)
+            off[k] = a + b - moved
+            b = moved
+        if chain and _is_conjugate(chain[-1], b, tol):
+            chain.pop()
+            power += 1
+        else:
+            chain.append(b)
+    return power, tuple(chain)
 
 
 class MultiplicityReport(NamedTuple):
@@ -319,16 +274,15 @@ def multiplicities(
     """Multiplicity figures of prod (x - factor_k) at the given base.
 
     With n, m the spherical exponents of the two component polynomials and
-    the per-side point-root counts on the base sphere, reports 2n+2m
-    (four-dimensional spherical), the point total (isolated), 2n + q-points
-    (first kind) and p-points + 2m (second kind).
+    the per-side chains on the base sphere (:func:`sphere_chain`), reports
+    2n+2m (four-dimensional spherical), the point total (isolated), 2n +
+    q-points (first kind) and p-points + 2m (second kind).
     """
     if not factors:
         raise UnfactoredInput("need at least one linear factor")
-    fp = QuatPoly.from_factors([split(c).p for c in factors])
-    fq = QuatPoly.from_factors([split(c).q for c in factors])
-    n_sph, p_points = sphere_zero_structure(fp, base, tol)
-    m_sph, q_points = sphere_zero_structure(fq, base, tol)
+    pairs = [split(c) for c in factors]
+    n_sph, p_points = sphere_chain([p for p, _ in pairs], base, tol)
+    m_sph, q_points = sphere_chain([q for _, q in pairs], base, tol)
     return MultiplicityReport(
         base=base,
         four_dimensional=2 * n_sph + 2 * m_sph,
@@ -346,7 +300,7 @@ def candidate_bases(constants: Sequence[Quat], tol: float = EPS) -> list[SphereD
     """Distinct sphere data of the factor constants (zeros live on these)."""
     bases: list[SphereDescriptor] = []
     for c in constants:
-        cand = SphereDescriptor(c.re(), c.im_modulus())
+        cand = SphereDescriptor(c.re(), math.hypot(*c[1:]))  # finite past 1e154
         if cand.radius <= tol:
             cand = SphereDescriptor(c.re(), 0.0)
         for known in bases:
@@ -364,11 +318,10 @@ def component_multiplicity_total(
     constants: Sequence[Quat], tol: float = EPS
 ) -> int:
     """Sum over candidate bases of 2*spherical + point counts for one side."""
-    poly = QuatPoly.from_factors(list(constants))
     total = 0
     for base in candidate_bases(constants, tol):
-        n_sph, points = sphere_zero_structure(poly, base, tol)
-        total += 2 * n_sph + len(points)
+        n_sph, chain = sphere_chain(constants, base, tol)
+        total += 2 * n_sph + len(chain)
     return total
 
 

@@ -15,12 +15,17 @@ from qcone3 import (
     CliffordElement,
     ConePoint,
     Quat,
+    QuatPoly,
     SliceContour,
+    SphereDescriptor,
     cone_point,
     parse_element,
     scalar,
+    split,
 )
-from qcone3.errors import ParseError, UnfactoredInput
+from qcone3.clifford3 import EPS
+from qcone3.errors import NonFiniteResult, ParseError, UnfactoredInput
+from qcone3.zeros import left_divide_linear
 
 
 def rand_quat(rng: random.Random, scale: float = 1.5) -> Quat:
@@ -396,3 +401,131 @@ def format_element_per_term(x: CliffordElement, sig: int | None = None) -> str:
         else:
             pieces.append(("- " if coeff < 0 else "+ ") + body)
     return " ".join(pieces)
+
+
+# -- oracle: the multiplicity engine on the expanded product -----------------------
+#
+# The library reads multiplicities off the factor list (``zeros.sphere_chain``).
+# This is the engine it replaced: expand the side, divide out the sphere's real
+# quadratic, then strip left roots on the sphere.  Its remainder tests run at
+# the scale of the expanded coefficients, which grow like binomials, so it is
+# an oracle for short products only.
+
+
+def divide_real_quadratic(
+    poly: QuatPoly, base: SphereDescriptor, tol: float = EPS
+) -> QuatPoly | None:
+    """Exact quotient by (t - center)^2 + radius^2, or None if not divisible.
+
+    The divisor has real coefficients, so it is central and ordinary long
+    division applies.
+    """
+    d = poly.degree(tol)
+    if d < 2:
+        return None
+    s1 = -2.0 * base.center
+    s0 = base.center * base.center + base.radius * base.radius
+    work = list(poly.coeffs[: d + 1])
+    q = [Quat()] * (d - 1)
+    for k in range(d, 1, -1):
+        qk = work[k]
+        q[k - 2] = qk
+        work[k - 1] = work[k - 1] - qk * s1
+        work[k - 2] = work[k - 2] - qk * s0
+    scale = 1.0 + poly.max_coeff()
+    if work[0].modulus() <= tol * scale and work[1].modulus() <= tol * scale:
+        return QuatPoly(q)
+    return None
+
+
+def root_on_sphere(
+    poly: QuatPoly, base: SphereDescriptor, tol: float = EPS
+) -> Quat | None:
+    """A zero of poly on the given sphere, found through the restriction.
+
+    On the sphere, powers of p = x + I y are C_k + I D_k with (C_k, D_k)
+    the real and imaginary parts of (x + iy)^k, so the value is C + I D
+    with C, D independent of I.  A zero exists iff -C D^{-1} is a unit
+    imaginary, and then equals x + (-C D^{-1}) y.
+    """
+    d = poly.degree(tol)
+    if d < 0:
+        return None
+    z = complex(base.center, base.radius)
+    c_sum = Quat()
+    d_sum = Quat()
+    zn = complex(1.0, 0.0)
+    for k in range(d + 1):
+        coeff = poly.coeffs[k]
+        if zn.real != 0.0:
+            c_sum = c_sum + coeff * zn.real
+        if zn.imag != 0.0:
+            d_sum = d_sum + coeff * zn.imag
+        zn *= z
+    scale = 1.0 + poly.max_coeff() * math.prod([max(1.0, abs(z))] * max(d, 1))
+    if d_sum.modulus() <= tol * scale:
+        return None
+    unit = -(c_sum * d_sum.inverse(tol))
+    if not unit.is_unit_imaginary(100 * tol):
+        return None
+    root = Quat(base.center) + unit * base.radius
+    if poly.eval(root).modulus() > 100 * tol * scale:
+        return None
+    return root
+
+
+def real_root_count(poly: QuatPoly, x: float, tol: float = EPS) -> int:
+    """How many times the real point x divides out of poly on the left."""
+    count = 0
+    current = poly
+    while current.degree(tol) >= 1:
+        degree = current.degree(tol)
+        scale = 1.0 + current.max_coeff() * math.prod([max(1.0, abs(x))] * degree)
+        if not math.isfinite(scale):
+            # an infinite bound would accept every root
+            raise NonFiniteResult(f"real-root bound at {x:.6g} overflows for degree {degree}")
+        if current.eval(Quat(x)).modulus() > 100 * tol * scale:
+            break
+        current, _ = left_divide_linear(current, Quat(x))
+        count += 1
+    return count
+
+
+def sphere_zero_structure(
+    poly: QuatPoly, base: SphereDescriptor, tol: float = EPS
+) -> tuple[int, tuple[Quat, ...]]:
+    """(spherical exponent, extracted point roots) of poly at one base.
+
+    For a real base (radius 0) the spherical exponent is zero and plain
+    real-root extraction supplies the point count.
+    """
+    if base.is_point(tol):
+        return 0, (Quat(base.center),) * real_root_count(poly, base.center, tol)
+    power = 0
+    current = poly
+    while True:
+        reduced = divide_real_quadratic(current, base, tol)
+        if reduced is None:
+            break
+        current = reduced
+        power += 1
+    points: list[Quat] = []
+    while True:
+        root = root_on_sphere(current, base, tol)
+        if root is None:
+            break
+        current, _ = left_divide_linear(current, root)
+        points.append(root)
+    return power, tuple(points)
+
+
+def expanded_multiplicities(
+    factors: Sequence[CliffordElement], base: SphereDescriptor, tol: float = EPS
+) -> tuple[int, int, int, int, int, int]:
+    """The six counts of ``zeros.multiplicities`` from the expanded sides:
+    (four_dimensional, isolated, first_kind, second_kind, n, m)."""
+    pairs = [split(c) for c in factors]
+    n, p_points = sphere_zero_structure(QuatPoly.from_factors([p for p, _ in pairs]), base, tol)
+    m, q_points = sphere_zero_structure(QuatPoly.from_factors([q for _, q in pairs]), base, tol)
+    i, j = len(p_points), len(q_points)
+    return 2 * n + 2 * m, i + j, 2 * n + j, i + 2 * m, n, m

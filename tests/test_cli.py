@@ -458,19 +458,43 @@ def test_mult_at_a_sphere_past_float_range_records(capsys):
 
 
 @pytest.mark.parametrize("mode", ["pretty", "records"])
-def test_mult_at_a_real_base_past_float_range_is_a_named_error(capsys, mode):
-    # the real-root bound |x|^2 at x = 1e200 overflows; at 1e100 it does not
+@pytest.mark.parametrize("center", ["1e200", "1e100"])
+def test_mult_at_a_real_base_past_float_range_counts_no_points(capsys, mode, center):
+    # neither factor lies at the real point, however far away it is
     argv = ("mult", "--factored", "(x - e1)*(x - e23)", "--output", mode)
-    code, out, err = invoke(capsys, *argv, "--sphere", "1e200,0")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: NonFiniteResult:")
-    code, out, _ = invoke(capsys, *argv, "--sphere", "1e100,0")
+    code, out, _ = invoke(capsys, *argv, "--sphere", f"{center},0")
     assert code == 0
     if mode == "pretty":
         assert "isolated: 0 at (0, 0)" in out.splitlines()
     else:
         assert records(out)[0]["isolated"] == 0
+
+
+H = "1" + "0" * 200  # 1e200: Quat.modulus() of a factor this size overflows to inf
+T = "0." + "0" * 160 + "1"  # 1e-161
+
+
+@pytest.mark.parametrize(
+    "factored, sphere, isolated",
+    [
+        (f"(x - {H}e23)", "0,1", "0 at (0, 0)"),
+        (f"(x - {H}e23)*(x - e1)", f"0,{H}", f"2 at ({H}e23, {H}e23)"),
+        # e1 = (-e23 | e23) moves left past the huge factor
+        (f"(x - {H}e23)*(x - e1)", "0,1", "2 at (-e23, e23)"),
+        (f"(x - {T}e23)*(x - e1)", "0,1", "2 at (-e23, e23)"),
+        ("(x - 1000000000000e23)", "0,1000000000000", "2 at (1000000000000e23, 1000000000000e23)"),
+    ],
+    ids=["huge-factor-off", "huge-factor-on", "swap-past-huge", "swap-past-tiny", "1e12"],
+)
+def test_mult_sphere_membership_is_safe_at_both_ends_of_the_scale(
+    capsys, factored, sphere, isolated
+):
+    code, out, _ = invoke(capsys, "mult", "--factored", factored, "--sphere", sphere)
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "four-dimensional spherical: 0 at (sphere, sphere)",
+        f"isolated: {isolated}",
+    ]
 
 
 # 1/0, 0/0, 0 and 1/1e-321 (which overflows to inf): none is a finite, nonzero scale.
