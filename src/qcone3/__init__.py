@@ -96,7 +96,6 @@ _EXPORTS = {
         "fta_witness",
         "multiplicities",
         "quat_quadratic_zeros",
-        "split_factors",
         "verify_zeros",
     ),
     "qdet": (

@@ -1,32 +1,35 @@
-"""Zero sets of quadratic polynomials over the algebra, and multiplicities.
+"""Zero sets of factored polynomials over the algebra, and multiplicities.
 
-A quadratic (x - alpha)*(x - beta) splits into the two quaternionic
-quadratics (p - a1)*(p - b1) and (q - a2)*(q - b2).  Each side has one of
-three zero shapes:
+One engine reads every zero off the factor list; the product is never
+expanded.  prod (x - c_k) vanishes at join(p, q) exactly when its two
+components prod (p - a_k) and prod (q - b_k) vanish at p and q, and on a
+sphere a component vanishes either everywhere or at one isolated point
+(Gentili-Struppa 2007, Gentili-Stoppato 2008).  Zeros lie only on the
+spheres of the factor constants (:func:`candidate_bases`), and
+:func:`sphere_chain` settles each: the factors on the sphere S (center x,
+radius y) move to the front by swaps that keep the product, adjacent
+conjugate pairs there cancel as powers of the central real quadratic
+(t - x)^2 + y^2, and the factors left form a chain whose first constant is
+the isolated zero.  One sphere-equality test decides both which spheres
+are distinct and which factors lie on one.
 
-* the whole 2-sphere through a, when b = conj(a) (collapsing to the single
-  real point a when a is real);
-* the single point a, when b lies on the sphere of a but is not conj(a);
-* the point pair {a, (b - conj(a))^{-1} b (b - conj(a))}, when a and b lie
-  on different spheres.
+For a quadratic (x - alpha)*(x - beta), a side's shape at each base is the
+whole sphere if the spherical exponent is positive, else the chain's first
+point: the sphere through a when b = conj(a) (radius 0 when a = b is
+real), the single point a when b is elsewhere on that sphere, or the pair
+{a, h^-1 b h} with h = b - conj(a) when b lies on another sphere.  The
+zero set is the product of the two side sets, reported per side and
+flattened into pairs.  Case tags follow the shape combination: 1.1/1.2
+sphere-sphere (same or different sphere), 2 sphere-point, 3 sphere-pair,
+4 pair-pair, 5 point-point, 6 point-pair, mirrored configurations sharing
+a tag.  Ties resolve toward the more degenerate shape, which stays a
+correct zero description under perturbation.  :func:`verify_zeros` checks
+each side on its own component.
 
-The zero set of the joined quadratic is the product of the two component
-sets, reported structurally (a shape per side) and flattened into pairs.
-Case tags follow the shape combination: 1.1/1.2 sphere-sphere (same or
-different sphere data), 2 sphere-point, 3 sphere-pair, 4 pair-pair,
-5 point-point, 6 point-pair, with mirrored configurations sharing a tag.
-Predicate ties resolve toward the more degenerate shape, which stays a
-correct zero description under perturbation.
-
-Multiplicity counting works on fully factored input and reads the counts
-off the factor list; the product is never expanded.  Per component and per
-base sphere S (center x, radius y > 0) the factors on S move to the front
-by swaps that keep the product, adjacent conjugate pairs there cancel as
-powers of the central real quadratic (t - x)^2 + y^2, and the factors left
-on S form a chain whose first constant is the isolated zero.  With n, m the
-spherical exponents of the two sides and the chain lengths added per side,
-the four reported figures are 2n+2m (carried by the sphere pair), the
-point-pair total, 2n + q-side points, and p-side points + 2m.
+With n, m the spherical exponents of the two sides and the chain lengths
+added per side, the four multiplicity figures at a base are 2n+2m (carried
+by the sphere pair), the point-pair total, 2n + q-side points, and p-side
+points + 2m.
 """
 
 from __future__ import annotations
@@ -35,22 +38,103 @@ import math
 from typing import NamedTuple, Sequence
 
 from .bislice import BiSlicePoly, QuatPoly, nan_max
-from .clifford3 import EPS, CliffordElement, Quat, join, split
+from .clifford3 import EPS, CliffordElement, Quat, _new, split
 from .errors import UnfactoredInput
 from .qsplit import ConePoint, SphereDescriptor
 
-
-def same_sphere(a: Quat, b: Quat, tol: float = EPS) -> bool:
-    scale = 1.0 + max(a.modulus(), b.modulus())
-    return (
-        abs(a.re() - b.re()) <= tol * scale
-        and abs(a.im_modulus() - b.im_modulus()) <= tol * scale
-    )
+# -- the engine: spheres and chains ---------------------------------------------------
 
 
-def is_conjugate_pair(a: Quat, b: Quat, tol: float = EPS) -> bool:
-    scale = 1.0 + max(a.modulus(), b.modulus())
-    return (b - a.conj()).modulus() <= tol * scale
+def _sphere_of(c: Quat) -> tuple[float, float]:
+    """(Re c, |Im c|); ``math.hypot`` stays finite past 1e154."""
+    return c[0], math.hypot(c[1], c[2], c[3])
+
+
+def _same_base(s: tuple[float, float], t: tuple[float, float], tol: float) -> bool:
+    """s and t are one sphere, relative to the largest of their four figures.
+
+    The one sphere-equality test: distinct candidate bases, a factor on a
+    base and the 1.1/1.2 tie all use it, so a factor lies on the base it
+    produced and on no other.
+    """
+    slack = tol * (1.0 + max(abs(s[0]), abs(t[0]), s[1], t[1]))
+    return abs(s[0] - t[0]) <= slack and abs(s[1] - t[1]) <= slack
+
+
+def _is_conjugate(s: Quat, t: Quat, tol: float) -> bool:
+    """t = conj(s) coordinatewise, relative to the largest coordinate of either."""
+    slack = tol * (1.0 + max(map(abs, (*s, *t))))
+    return all(abs(u - v) <= slack for u, v in zip(s.conj(), t))
+
+
+def _times_power_of_two(q: Quat, e: int) -> Quat:
+    """q * 2**e, exactly; 2**1024 is no float, but each half of e is one.
+
+    A result past the float maximum reads inf (``math.ldexp`` raises).
+    """
+    f, g = math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)
+    w, i, j, k = q
+    return _new(Quat, (w * f * g, i * f * g, j * f * g, k * f * g))
+
+
+def candidate_bases(constants: Sequence[Quat], tol: float = EPS) -> list[SphereDescriptor]:
+    """Distinct sphere data of the factor constants (zeros live on these)."""
+    bases: list[SphereDescriptor] = []
+    for c in constants:
+        center, radius = _sphere_of(c)
+        cand = SphereDescriptor(center, radius if radius > tol else 0.0)
+        if not any(_same_base(known, cand, tol) for known in bases):
+            bases.append(cand)
+    return bases
+
+
+def sphere_chain(
+    constants: Sequence[Quat], base: SphereDescriptor, tol: float = EPS
+) -> tuple[int, tuple[Quat, ...]]:
+    """(spherical exponent, chain) of (p - c_1)*...*(p - c_N) on the base sphere S.
+
+    Each factor on S moves left past the factors off S before it, one
+    adjacent swap at a time: (p - a)*(p - b) = (p - b')*(p - a') with
+    h = b - conj(a), b' = h^-1 b h on b's sphere and a' = a + b - b'.  The
+    swap runs on the pair scaled by a power of two that brings its largest
+    coordinate into [1/2, 1), so h and a' stay finite near the float
+    maximum and the result is the unscaled one bit for bit.  An adjacent
+    conjugate pair on S is the central real quadratic of S, so the pairs
+    cancel like brackets; each is one power of the spherical exponent.  The
+    factors left on S, the chain, have no adjacent conjugates, so the first
+    of them is the one isolated zero on S, with multiplicity the chain
+    length (Gentili-Stoppato 2008, Serodio-Siu 2001).  A real base has no
+    spherical part; its chain is one real point per factor there.
+    """
+    center = base.center
+    if base.is_point(tol):
+        count = sum(_same_base(_sphere_of(c), (center, 0.0), tol) for c in constants)
+        return 0, (Quat(center),) * count
+    off: list[Quat] = []  # factors off S, in order, right of the chain
+    chain: list[Quat] = []
+    power = 0
+    for b in constants:
+        if not _same_base(_sphere_of(b), base, tol):
+            off.append(b)
+            continue
+        for k in range(len(off) - 1, -1, -1):
+            e = math.frexp(max(map(abs, (*off[k], *b))))[1]
+            a, b = _times_power_of_two(off[k], -e), _times_power_of_two(b, -e)
+            h = b - a.conj()
+            # conjugation by h ignores its scale; a unit-size h stays finite
+            h = h / max(map(abs, h))
+            moved = h.inverse(tol) * b * h
+            off[k] = _times_power_of_two(a + b - moved, e)
+            b = _times_power_of_two(moved, e)
+        if chain and _is_conjugate(chain[-1], b, tol):
+            chain.pop()
+            power += 1
+        else:
+            chain.append(b)
+    return power, tuple(chain)
+
+
+# -- quadratics ------------------------------------------------------------------------
 
 
 class QuatQuadraticZeros(NamedTuple):
@@ -73,36 +157,22 @@ class QuatQuadraticZeros(NamedTuple):
         return list(self.points)
 
 
-def conjugate_by(value: Quat, by: Quat, tol: float = EPS) -> Quat:
-    return by.inverse(tol) * value * by
-
-
 def quat_quadratic_zeros(a: Quat, b: Quat, tol: float = EPS) -> QuatQuadraticZeros:
-    """Classify the zeros of (p - a)*(p - b).
+    """Classify the zeros of (p - a)*(p - b) from its chains.
 
-    The left constant a is always a zero.  The shape depends on whether b
-    is the conjugate of a (sphere), shares its sphere (double point), or
-    lies elsewhere (second point conjugate to b).
+    At each candidate base a positive spherical exponent gives the whole
+    sphere (b = conj(a)); otherwise the chain's first point is the zero
+    there.  Two factors on one real base are one real number, kept as a
+    sphere of radius 0.
     """
-    if is_conjugate_pair(a, b, tol):
-        sphere = SphereDescriptor(a.re(), a.im_modulus())
-        if sphere.is_point(tol):
-            sphere = SphereDescriptor(a.re(), 0.0)
-        return QuatQuadraticZeros("sphere", sphere, ())
-    if same_sphere(a, b, tol):
-        return QuatQuadraticZeros("point", None, (a,))
-    mover = b - a.conj()
-    second = conjugate_by(b, mover, tol)
-    return QuatQuadraticZeros("two_points", None, (a, second))
-
-
-def split_factors(
-    alpha: CliffordElement, beta: CliffordElement
-) -> tuple[tuple[Quat, Quat], tuple[Quat, Quat]]:
-    """Component constants ((a1, b1), (a2, b2)) of the two linear factors."""
-    a1, a2 = split(alpha)
-    b1, b2 = split(beta)
-    return (a1, b1), (a2, b2)
+    constants = (a, b)
+    points: list[Quat] = []
+    for base in candidate_bases(constants, tol):
+        power, chain = sphere_chain(constants, base, tol)
+        if power or (len(chain) == 2 and not base.radius):
+            return QuatQuadraticZeros("sphere", base, ())
+        points.extend(chain[:1])
+    return QuatQuadraticZeros("point" if len(points) == 1 else "two_points", None, tuple(points))
 
 
 class ZeroSetQuadratic(NamedTuple):
@@ -113,24 +183,11 @@ class ZeroSetQuadratic(NamedTuple):
     side_q: QuatQuadraticZeros
     pairs: tuple[tuple[object, object], ...]
 
-    def sample_elements(self, units: Sequence[Quat]) -> list[CliffordElement]:
-        """Joined representatives of every reported zero, spheres sampled."""
-        out = []
-        for ps in self.side_p.sample(units):
-            for qs in self.side_q.sample(units):
-                out.append(join(ps, qs))
-        return out
-
 
 def _case_tag(side_p: QuatQuadraticZeros, side_q: QuatQuadraticZeros, tol: float) -> str:
     kinds = {side_p.kind, side_q.kind}
     if kinds == {"sphere"}:
-        sp, sq = side_p.sphere, side_q.sphere
-        same = (
-            abs(sp.center - sq.center) <= tol * (1 + abs(sp.center) + abs(sq.center))
-            and abs(sp.radius - sq.radius) <= tol * (1 + sp.radius + sq.radius)
-        )
-        return "1.1" if same else "1.2"
+        return "1.1" if _same_base(side_p.sphere, side_q.sphere, tol) else "1.2"
     if kinds == {"sphere", "point"}:
         return "2"
     if kinds == {"sphere", "two_points"}:
@@ -161,8 +218,41 @@ def classify_quadratic(
     reported in the two-component picture and need not be cone points
     either (a sphere pair with different radii, for instance).
     """
-    (a1, b1), (a2, b2) = split_factors(alpha, beta)
+    a1, a2 = split(alpha)
+    b1, b2 = split(beta)
     return classify_split(a1, b1, a2, b2, tol)
+
+
+def _side_residual(side: QuatPoly, shape: QuatQuadraticZeros, units: Sequence[Quat]) -> float:
+    """Largest |side| over the shape's samples, nan if a coordinate is
+    (``math.hypot`` stays finite past 1e154 but reads inf beside an inf)."""
+    worst = 0.0
+    for z in shape.sample(units):
+        value = side.eval(z)
+        if any(map(math.isnan, value)):
+            return math.nan
+        worst = max(worst, math.hypot(*value))
+    return worst
+
+
+def verify_zeros(
+    poly: BiSlicePoly,
+    zero_set: ZeroSetQuadratic,
+    units: Sequence[Quat],
+    tol: float = 1e-9,
+) -> float:
+    """Largest |poly| over sampled representatives of the zero set; nan if any is nan.
+
+    poly(join(p, q)) = join(f_p(p), f_q(q)) and |join(u, v)|^2 =
+    (|u|^2 + |v|^2)/2, so the worst over all pairs comes from each side
+    checked on its own: N + M evaluations instead of N * M.
+    """
+    f_p, f_q = poly.split()
+    worst_p = _side_residual(f_p, zero_set.side_p, units)
+    worst_q = _side_residual(f_q, zero_set.side_q, units)
+    if math.isnan(nan_max(worst_p, worst_q)):
+        return math.nan
+    return math.hypot(worst_p, worst_q) / math.sqrt(2.0)
 
 
 # -- multiplicities on the factor list ----------------------------------------------
@@ -183,66 +273,6 @@ def left_divide_linear(poly: QuatPoly, root: Quat) -> tuple[QuatPoly, Quat]:
         q[k - 1] = poly.coeffs[k] + root * q[k]
     remainder = poly.coeffs[0] + root * q[0]
     return QuatPoly(q), remainder
-
-
-def _on_sphere(c: Quat, center: float, radius: float, tol: float) -> bool:
-    """c lies on {Re = center, |Im| = radius}, relative to the largest coordinate.
-
-    ``Quat.modulus`` overflows to inf from about 1e154, and an infinite
-    scale would accept every factor, so the scale and |Im c| come from the
-    coordinates and ``math.hypot``.
-    """
-    w, i, j, k = c
-    slack = tol * (1.0 + max(abs(w), abs(i), abs(j), abs(k), abs(center), radius))
-    return abs(w - center) <= slack and abs(math.hypot(i, j, k) - radius) <= slack
-
-
-def _is_conjugate(s: Quat, t: Quat, tol: float) -> bool:
-    """t = conj(s) coordinatewise, relative to the largest coordinate of either."""
-    slack = tol * (1.0 + max(map(abs, (*s, *t))))
-    return all(abs(u - v) <= slack for u, v in zip(s.conj(), t))
-
-
-def sphere_chain(
-    constants: Sequence[Quat], base: SphereDescriptor, tol: float = EPS
-) -> tuple[int, tuple[Quat, ...]]:
-    """(spherical exponent, chain) of (p - c_1)*...*(p - c_N) on the base sphere S.
-
-    Each factor on S moves left past the factors off S before it, one
-    adjacent swap at a time: (p - a)*(p - b) = (p - b')*(p - a') with
-    h = b - conj(a), b' = h^-1 b h on b's sphere and a' = a + b - b'.  An
-    adjacent conjugate pair on S is the central real quadratic of S, so
-    the pairs cancel like brackets; each is one power of the spherical
-    exponent.  The factors left on S, the chain, have no adjacent
-    conjugates, so the first of them is the one isolated zero on S, with
-    multiplicity the chain length (Gentili-Stoppato 2008, Serodio-Siu
-    2001).  A real base has no spherical part; its chain is one real
-    point per factor there.
-    """
-    center, radius = base
-    if base.is_point(tol):
-        count = sum(_on_sphere(c, center, 0.0, tol) for c in constants)
-        return 0, (Quat(center),) * count
-    off: list[Quat] = []  # factors off S, in order, right of the chain
-    chain: list[Quat] = []
-    power = 0
-    for b in constants:
-        if not _on_sphere(b, center, radius, tol):
-            off.append(b)
-            continue
-        for k in range(len(off) - 1, -1, -1):
-            a = off[k]
-            h = b - a.conj()
-            # conjugation by h ignores its scale; a unit-size h stays finite
-            moved = conjugate_by(b, h / max(map(abs, h)), tol)
-            off[k] = a + b - moved
-            b = moved
-        if chain and _is_conjugate(chain[-1], b, tol):
-            chain.pop()
-            power += 1
-        else:
-            chain.append(b)
-    return power, tuple(chain)
 
 
 class MultiplicityReport(NamedTuple):
@@ -296,48 +326,8 @@ def multiplicities(
     )
 
 
-def candidate_bases(constants: Sequence[Quat], tol: float = EPS) -> list[SphereDescriptor]:
-    """Distinct sphere data of the factor constants (zeros live on these)."""
-    bases: list[SphereDescriptor] = []
-    for c in constants:
-        cand = SphereDescriptor(c.re(), math.hypot(*c[1:]))  # finite past 1e154
-        if cand.radius <= tol:
-            cand = SphereDescriptor(c.re(), 0.0)
-        for known in bases:
-            if (
-                abs(known.center - cand.center) <= tol * (1 + abs(cand.center))
-                and abs(known.radius - cand.radius) <= tol * (1 + cand.radius)
-            ):
-                break
-        else:
-            bases.append(cand)
-    return bases
-
-
-def component_multiplicity_total(
-    constants: Sequence[Quat], tol: float = EPS
-) -> int:
-    """Sum over candidate bases of 2*spherical + point counts for one side."""
-    total = 0
-    for base in candidate_bases(constants, tol):
-        n_sph, chain = sphere_chain(constants, base, tol)
-        total += 2 * n_sph + len(chain)
-    return total
-
-
 def fta_witness(factors: Sequence[CliffordElement], tol: float = EPS) -> ConePoint:
     """A root of prod (x - factor_k): the leading constant is a left root."""
     if not factors:
         raise UnfactoredInput("need at least one linear factor")
     return ConePoint.from_element(factors[0], tol)
-
-
-def verify_zeros(
-    poly: BiSlicePoly,
-    zero_set: ZeroSetQuadratic,
-    units: Sequence[Quat],
-    tol: float = 1e-9,
-) -> float:
-    """Largest |poly| over sampled representatives of the zero set; nan if any is nan."""
-    residuals = [poly.eval(x).magnitude() for x in zero_set.sample_elements(units)]
-    return nan_max(0.0, *residuals)

@@ -25,7 +25,7 @@ from qcone3 import (
 )
 from qcone3.clifford3 import EPS
 from qcone3.errors import NonFiniteResult, ParseError, UnfactoredInput
-from qcone3.zeros import left_divide_linear
+from qcone3.zeros import candidate_bases, left_divide_linear, sphere_chain
 
 
 def rand_quat(rng: random.Random, scale: float = 1.5) -> Quat:
@@ -529,3 +529,13 @@ def expanded_multiplicities(
     m, q_points = sphere_zero_structure(QuatPoly.from_factors([q for _, q in pairs]), base, tol)
     i, j = len(p_points), len(q_points)
     return 2 * n + 2 * m, i + j, 2 * n + j, i + 2 * m, n, m
+
+
+def multiplicity_total(constants: Sequence[Quat], tol: float = EPS) -> int:
+    """Sum over the candidate bases of 2 * spherical exponent + chain length
+    for one side; the degree law says it equals the number of factors."""
+    total = 0
+    for base in candidate_bases(constants, tol):
+        power, chain = sphere_chain(constants, base, tol)
+        total += 2 * power + len(chain)
+    return total

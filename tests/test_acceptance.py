@@ -53,10 +53,10 @@ from qcone3 import (
 from qcone3.cauchy import cauchy_kernel_quat
 from qcone3.errors import NotInvertibleAtPoint
 from qcone3.qsplit import Q12, Q13, Q23, cone_residuals
-from qcone3.zeros import component_multiplicity_total
 from helpers import (
     contour_phase,
     contour_point,
+    multiplicity_total,
     rand_cone_element,
     rand_cone_point,
     rand_element,
@@ -225,8 +225,8 @@ def test_acceptance_4_multiplicities():
                 factors.append(rand_cone_element(rng))
         p_constants = [split(c).p for c in factors]
         q_constants = [split(c).q for c in factors]
-        assert component_multiplicity_total(p_constants) == degree
-        assert component_multiplicity_total(q_constants) == degree
+        assert multiplicity_total(p_constants) == degree
+        assert multiplicity_total(q_constants) == degree
     _report(4, f"three multiplicity reports {figures}, sum law on 200 random inputs")
 
 

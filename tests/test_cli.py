@@ -531,3 +531,44 @@ def test_roots_nan_residual_is_a_named_error(capsys, mode):
     assert code == 1
     assert out == ""
     assert err.startswith("error: NonFiniteResult: roots-summary: max_residual")
+
+
+ROOTS_1E160 = ("roots", "--factored", f"(x - 1{'0' * 160}e23)*(x - e1)")
+
+
+def test_roots_past_the_modulus_range_pretty(capsys):
+    # |1e160 e23|^2 overflows; both zeros on each side are finite
+    code, out, _ = invoke(capsys, *ROOTS_1E160)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "case: 4"
+    assert sum(line.startswith("zero pair: ") for line in lines) == 4
+    assert "inf" not in out and "nan" not in out
+    # about 1e160 absolute: rounding, relative to |x|^2 ~ 1e320
+    assert float(lines[-1].rpartition(": ")[2]) < 1e170
+
+
+def test_roots_past_the_modulus_range_records(capsys):
+    code, out, _ = invoke(capsys, *ROOTS_1E160, "--output", "records")
+    assert code == 0
+    recs = records(out)
+    assert [r["case"] for r in recs] == ["4"] * 5
+    assert [r["p"]["kind"] for r in recs[:4]] == [r["q"]["kind"] for r in recs[:4]] == ["point"] * 4
+    values = [x for r in recs[:4] for x in r["p"]["value"] + r["q"]["value"]]
+    assert all(map(math.isfinite, values + [recs[4]["max_residual"]]))
+    assert max(values) == 1e160
+
+
+@pytest.mark.parametrize("mode", ["pretty", "records"])
+def test_mult_near_the_float_maximum(capsys, mode):
+    # the two factors commute; the swap past the first must not overflow
+    factored = f"(x - 1{'0' * 308}e23)*(x - 15{'0' * 307}e23)"
+    argv = ("mult", "--factored", factored, "--sphere", f"0,15{'0' * 307}", "--output", mode)
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    if mode == "pretty":
+        assert out.splitlines()[1].startswith("isolated: 2 at ")
+    else:
+        (rec,) = records(out)
+        assert rec["isolated"] == 2
+        assert rec["p_points"] == rec["q_points"] == [[0.0, 1.5e308, 0.0, 0.0]]

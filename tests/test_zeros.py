@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcone3 import (
@@ -26,22 +26,18 @@ from qcone3 import (
     join,
     multiplicities,
     quat_quadratic_zeros,
-    split_factors,
+    split,
     verify_zeros,
 )
 from qcone3.bislice import nan_max
 from qcone3.errors import UnfactoredInput
 from qcone3.qsplit import Q12, Q13, Q23
 from qcone3.grammar import parse_factored
-from qcone3.zeros import (
-    candidate_bases,
-    component_multiplicity_total,
-    left_divide_linear,
-    sphere_chain,
-)
+from qcone3.zeros import candidate_bases, left_divide_linear, sphere_chain
 from helpers import (
     divide_real_quadratic,
     expanded_multiplicities,
+    multiplicity_total,
     rand_cone_point,
     rand_quat,
     rand_unit_imaginary,
@@ -84,12 +80,13 @@ def test_quadratic_zero_values_satisfy_polynomial():
 
 
 def test_split_factors_examples():
-    (a1, b1), (a2, b2) = split_factors(E12, E23)
+    # the component constants (a1, a2) and (b1, b2) of the two linear factors
+    (a1, a2), (b1, b2) = split(E12), split(E23)
     assert a1.isclose(Q12) and b1.isclose(Q23) and a2.isclose(Q12) and b2.isclose(Q23)
-    (a1, b1), (a2, b2) = split_factors(E1, E1)
+    (a1, a2), (b1, b2) = split(E1), split(E1)
     assert a1.isclose(-Q23) and b1.isclose(-Q23)
     assert a2.isclose(Q23) and b2.isclose(Q23)
-    (a1, b1), (a2, b2) = split_factors(E1, E23)
+    (a1, a2), (b1, b2) = split(E1), split(E23)
     assert a1.isclose(-Q23) and b1.isclose(Q23)
     assert a2.isclose(Q23) and b2.isclose(Q23)
 
@@ -141,7 +138,7 @@ def test_case_sphere_and_two_points():
 def test_case_four_points():
     alpha = 2 * E23 - E1
     beta = 4 * E13 + 2 * E2
-    (a1, b1), (a2, b2) = split_factors(alpha, beta)
+    (a1, a2), (b1, b2) = split(alpha), split(beta)
     assert a1.isclose(3 * Q23) and b1.isclose(6 * Q13)
     assert a2.isclose(Q23) and b2.isclose(2 * Q13)
     zs = classify_quadratic(alpha, beta)
@@ -168,7 +165,7 @@ def test_case_single_point():
 def test_case_point_and_two_points():
     alpha = E12 + E13 - E3 - E2
     beta = E12 + 2 * E13 - E3 - 2 * E2
-    (a1, b1), (a2, b2) = split_factors(alpha, beta)
+    (a1, a2), (b1, b2) = split(alpha), split(beta)
     assert a1.isclose(2 * Q12) and b1.isclose(2 * Q12)
     assert a2.isclose(2 * Q13) and b2.isclose(4 * Q13)
     zs = classify_quadratic(alpha, beta)
@@ -192,7 +189,7 @@ def test_exactly_one_case_fires_and_is_stable():
         eps = 1e-12
         wiggle = BiSlicePoly([E0]).coeffs[0] * 0  # zero element
         perturbed = classify_quadratic(alpha + wiggle, beta + (eps / 10) * E0)
-        (a1, b1), (a2, b2) = split_factors(alpha, beta)
+        (a1, a2), (b1, b2) = split(alpha), split(beta)
         boundary = min(
             abs(a1.im_modulus() - b1.im_modulus()),
             abs(a2.im_modulus() - b2.im_modulus()),
@@ -218,10 +215,39 @@ def test_verify_zeros_keeps_a_nan_residual():
     alpha, beta = E23 + E1, E23 - E1
     zs = classify_quadratic(alpha, beta)
     poly = BiSlicePoly.from_factors([alpha, beta])
-    assert len(zs.sample_elements(UNITS)) > 1
+    p_samples, q_samples = zs.side_p.sample(UNITS), zs.side_q.sample(UNITS)
+    assert len(p_samples) * len(q_samples) > 1
     assert verify_zeros(poly, zs, UNITS) < 1e-12
     nan_poly = BiSlicePoly.from_factors([alpha, beta], float("inf"))
+    f_p, f_q = nan_poly.split()
+    assert all(any(map(math.isnan, f_p.eval(z))) for z in p_samples)
+    assert all(any(map(math.isnan, f_q.eval(z))) for z in q_samples)
     assert math.isnan(verify_zeros(nan_poly, zs, UNITS))
+    # math.hypot reads inf where a nan sits beside an inf, in one value or
+    # across the two sides; the residual stays nan
+    for p_value, q_value in ((Quat(math.inf, math.nan), Quat(1.0)), (Quat(math.nan), Quat(math.inf))):
+        mixed = BiSlicePoly.from_pair(QuatPoly([p_value]), QuatPoly([q_value]))
+        assert math.isnan(verify_zeros(mixed, zs, UNITS))
+
+
+def test_verify_zeros_matches_the_worst_sampled_pair():
+    # each side is checked on its own; the worst joined pair is the same
+    # number, since |join(u, v)|^2 = (|u|^2 + |v|^2) / 2.  A polynomial with
+    # a moved factor keeps the residuals well above rounding.
+    rng = random.Random(11)
+    for _ in range(100):
+        alpha = rand_cone_point(rng).element
+        beta = rng.choice((alpha.conj(), rand_cone_point(rng).element))
+        moved = beta + rand_cone_point(rng).element
+        poly = BiSlicePoly.from_factors([alpha, moved], rng.uniform(0.5, 2.0))
+        zs = classify_quadratic(alpha, beta)
+        worst = max(
+            poly.eval(join(p, q)).magnitude()
+            for p in zs.side_p.sample(UNITS)
+            for q in zs.side_q.sample(UNITS)
+        )
+        assert worst > 1e-3
+        assert abs(verify_zeros(poly, zs, UNITS) - worst) <= 1e-12 * worst
 
 
 def test_nan_max():
@@ -434,8 +460,6 @@ def test_multiplicities_requires_factors():
 
 def test_component_sum_law_random():
     rng = random.Random(6)
-    from qcone3 import split
-
     for _ in range(200):
         degree = rng.randint(1, 4)
         factors = []
@@ -449,14 +473,14 @@ def test_component_sum_law_random():
                 factors.append(rand_cone_point(rng).element)
         p_constants = [split(c).p for c in factors]
         q_constants = [split(c).q for c in factors]
-        assert component_multiplicity_total(p_constants) == degree
-        assert component_multiplicity_total(q_constants) == degree
+        assert multiplicity_total(p_constants) == degree
+        assert multiplicity_total(q_constants) == degree
 
 
 def test_extracted_quadratic_divides_symmetrization():
     # on each side, the spherical factor divides the symmetrized polynomial
     rng = random.Random(7)
-    from qcone3 import split, symmetrization
+    from qcone3 import symmetrization
 
     for _ in range(50):
         c = rand_cone_point(rng).element
@@ -477,8 +501,70 @@ def test_component_sum_law_past_the_modulus_range():
     # |1e200 e23|^2 overflows; a base of radius inf would take in every factor
     huge = 1e200 * Q23
     assert candidate_bases([huge, Q23]) == [SphereDescriptor(0.0, 1e200), SphereDescriptor(0.0, 1.0)]
-    assert component_multiplicity_total([huge, Q23]) == 2
-    assert component_multiplicity_total([Q23, huge, -Q23, huge]) == 4
+    assert multiplicity_total([huge, Q23]) == 2
+    assert multiplicity_total([Q23, huge, -Q23, huge]) == 4
+
+
+def test_sphere_chain_swaps_near_the_float_maximum():
+    # h = b - conj(a) and a' = a + b - b' overflow here unless the pair is
+    # scaled first; the two factors commute, so the chain is the second one
+    _, constants = parse_factored(f"(x - 1{'0' * 308}e23)*(x - 15{'0' * 307}e23)")
+    report = multiplicities(constants, SphereDescriptor(0.0, 1.5e308))
+    assert (report.four_dimensional, report.isolated) == (0, 2)
+    assert report.p_points == report.q_points == (1.5e308 * Q23,)
+    p_constants = [split(c).p for c in constants]
+    assert sphere_chain(p_constants, SphereDescriptor(0.0, 1e308)) == (0, (1e308 * Q23,))
+
+
+_DYADIC = st.integers(-12, 12).map(lambda n: n / 8.0)
+_DYADIC_IMAG = st.tuples(_DYADIC, _DYADIC, _DYADIC).filter(any)
+_SHAPES = ("sphere", "point", "two_points")
+
+
+@st.composite
+def _dyadic_side(draw, shape: str) -> tuple[Quat, Quat]:
+    """Factor constants (a, b) of one side with the given zero shape: b is
+    conj(a), a sign-permutation of a's imaginary part, or off a's sphere."""
+    re, v = draw(_DYADIC), draw(_DYADIC_IMAG)
+    a = Quat(re, *v)
+    if shape == "sphere":
+        return a, a.conj()
+    if shape == "point":
+        signs = draw(st.tuples(*[st.sampled_from((-1.0, 1.0))] * 3))
+        w = tuple(s * x for s, x in zip(signs, v[1:] + v[:1]))
+        assume(w != tuple(-x for x in v))
+        return a, Quat(re, *w)
+    b = Quat(draw(_DYADIC), *draw(_DYADIC_IMAG))
+    assume(b.re() != re or abs(math.dist(b[1:], (0, 0, 0)) - math.dist(v, (0, 0, 0))) >= 1e-3)
+    return a, b
+
+
+def _times_two_to(q: Quat, k: int) -> Quat:
+    return Quat(*(math.ldexp(x, k) for x in q))
+
+
+@st.composite
+def _scaled_quadratic(draw):
+    p_side = draw(_dyadic_side(draw(st.sampled_from(_SHAPES))))
+    q_side = draw(_dyadic_side(draw(st.sampled_from(_SHAPES))))
+    return (*p_side, *q_side), draw(st.integers(0, 1000))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scaled_quadratic())
+@example(((Q23, -Q13, 2 * Q23, -2 * Q23), 1000))
+@example(((Quat(0.5, 0.25), Quat(0.5, -0.25), Quat(1.0), Quat(1.0)), 700))
+def test_classification_is_scale_invariant(case):
+    # |2^k a|^2 overflows from k = 512; case tags and points must not notice
+    constants, k = case
+    want = classify_split(*constants)
+    got = classify_split(*(_times_two_to(c, k) for c in constants))
+    assert got.case == want.case
+    for mine, theirs in ((got.side_p, want.side_p), (got.side_q, want.side_q)):
+        assert mine.kind == theirs.kind
+        assert [_times_two_to(p, -k) for p in mine.points] == list(theirs.points)
+        if mine.sphere is not None:
+            assert (math.ldexp(mine.sphere.center, -k), math.ldexp(mine.sphere.radius, -k)) == theirs.sphere
 
 
 def _complex_roots(coeffs: list[float]) -> list[complex]:
