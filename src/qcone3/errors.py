@@ -56,10 +56,6 @@ class InputTooLarge(ConeAlgebraError, ValueError):
     coefficients or factors, or a quadrature with too many nodes x coefficients."""
 
 
-class NegativeRadicand(ConeAlgebraError):
-    """Determinant radicand fell below zero beyond tolerance."""
-
-
 class UnfactoredInput(ConeAlgebraError):
     """Multiplicity engine received something other than linear factors."""
 

@@ -2,19 +2,34 @@
 
 A matrix with entries in the algebra decomposes entrywise as
 ``A = w+ A' + w- A''`` into two quaternionic matrices, and matrix products
-respect the decomposition.  The determinant of one quaternionic side is
+respect the decomposition.  The determinant of one quaternionic side
+``((a, b), (c, d))`` is its Dieudonne determinant, computed as a pivoted
+Schur complement:
+
+    det = |p| |t - r p^{-1} q|
+
+Here ``p`` is the entry holding the side's largest absolute coordinate m,
+brought to the corner by a row swap, a column swap or both, so
+``((p, q), (r, t))`` is ``((a, b), (c, d))``, ``((b, a), (d, c))``,
+``((c, d), (a, b))`` or ``((d, c), (b, a))``; swaps keep the modulus of the
+Dieudonne determinant.  The pivot column is divided by m, so dividing by
+``p`` is safe; no quantity is squared, so det is finite whenever it is
+representable, and it is exactly homogeneous of degree 2 under scaling by
+powers of two.  An all-zero side has determinant 0.  The form has no
+cancellation: it is backward stable, where the paper's formula
 
     det = sqrt( n(a) n(d) + n(c) n(b) - 2 Re(d conj(b) a conj(c)) )
 
-with n the squared modulus; the radicand is nonnegative because
-``Re(q) <= |q|``, and it equals n(a (d - c a^{-1} b)) whenever the needed
-inverses exist.  For cone entries the two sides give the same value, which
-is taken as the determinant of A; the determinant is multiplicative over
-matrix products.
+(n the squared modulus) is the same value in exact arithmetic but loses
+relative accuracy on nearly singular sides and overflows when ``n(a)n(d)``
+does.  The test suite keeps that formula as its oracle.
 
-The implementation evaluates the formula on both sides so the cone-entry
-agreement is checkable, and defines the value through the first side for
-arbitrary entries (needed when products of cone matrices leave the cone).
+The determinant of A is taken through the first side; for the paper's
+examples both sides agree, but the agreement is not an identity, so
+:func:`det_both_sides` gives both.  The determinant is multiplicative over
+matrix products on each side.  A side is invertible when
+``det > tol * m**2``, the degree-2 threshold read off the same numbers, and
+A is right invertible when both sides are.
 """
 
 from __future__ import annotations
@@ -22,7 +37,6 @@ from __future__ import annotations
 import math
 
 from .clifford3 import E0, EPS, ZERO, CliffordElement, Quat, join, split
-from .errors import NegativeRadicand
 
 QuatMatrix = tuple[tuple[Quat, Quat], tuple[Quat, Quat]]
 
@@ -82,72 +96,51 @@ def split_matrix(m: Matrix2) -> tuple[QuatMatrix, QuatMatrix]:
     return m.tilde, m.tilde2
 
 
-def det_radicand(side: QuatMatrix) -> float:
-    (a, b), (c, d) = side
-    cross = d * b.conj() * a * c.conj()
-    return (
-        a.modulus_sq() * d.modulus_sq()
-        + c.modulus_sq() * b.modulus_sq()
-        - 2.0 * cross.re()
-    )
+def _schur(side: QuatMatrix) -> tuple[float, float]:
+    """``(det, det / m**2)`` of one quaternionic side, ``|p| |t - r p^-1 q|``,
+    with m the side's largest absolute coordinate.
 
-
-def det_quat_side(side: QuatMatrix, tol: float = EPS) -> float:
-    """Determinant of one quaternionic 2x2 matrix."""
-    radicand = det_radicand(side)
-    largest = max(e.modulus_sq() for row in side for e in row)
-    scale = 1.0 + largest * largest
-    if radicand < -tol * scale:
-        raise NegativeRadicand(f"determinant radicand {radicand:.3e} is negative")
-    return math.sqrt(max(radicand, 0.0))
+    ``entries[i ^ k]`` is the side with entry k swapped to the corner.  The
+    pivot column ``p, r`` is divided by m, so ``1 <= |p| <= 2`` and
+    ``|r p^-1| <= 2``; ``q`` and ``t`` enter divided by 16, so no coordinate
+    of the complement overflows, and nothing is squared.
+    """
+    entries = (*side[0], *side[1])
+    peaks = [max(map(abs, e)) for e in entries]
+    m = max(peaks)
+    if m == 0.0:
+        return 0.0, 0.0
+    k = peaks.index(m)
+    s = 1.0 / m
+    p, q, r, t = (entries[i ^ k] for i in range(4))
+    p, r = p * s, r * s
+    pivot = p.modulus()
+    complement = 16.0 * math.hypot(*(t * 0.0625 - r * p.inverse() * (q * 0.0625)))
+    return pivot * complement * m, pivot * (complement / m)
 
 
 def det(m: Matrix2, tol: float = EPS) -> float:
     """Determinant through the first split side.
 
-    For cone entries both sides agree (see :func:`det_both_sides`); the
-    first-side value extends the definition to arbitrary entries, which is
-    what makes the product rule testable.
+    Both sides agree on the paper's examples (see :func:`det_both_sides`);
+    the first-side value extends the definition to arbitrary entries, which
+    is what makes the product rule testable.  ``tol`` is not read: the
+    pivoted form needs no threshold.
     """
-    return det_quat_side(m.tilde, tol)
+    return _schur(m.tilde)[0]
 
 
 def det_both_sides(m: Matrix2, tol: float = EPS) -> tuple[float, float]:
-    return det_quat_side(m.tilde, tol), det_quat_side(m.tilde2, tol)
-
-
-def _quat_side_invertible(side: QuatMatrix, tol: float) -> bool:
-    """Invertibility of one quaternionic side via the skip chain.
-
-    Evaluates b(c - d b^{-1} a), a(d - c a^{-1} b), c(b - a c^{-1} d),
-    d(a - b d^{-1} c) in order, skipping any whose inner inverse does not
-    exist; invertible iff some computed expression is nonzero.
-    """
-    (a, b), (c, d) = side
-    scale = 1.0 + max(e.modulus() for row in side for e in row)
-    checks = (
-        (b, lambda: b * (c - d * b.inverse(tol) * a)),
-        (a, lambda: a * (d - c * a.inverse(tol) * b)),
-        (c, lambda: c * (b - a * c.inverse(tol) * d)),
-        (d, lambda: d * (a - b * d.inverse(tol) * c)),
-    )
-    for pivot, expr in checks:
-        if pivot.modulus() <= tol * scale:
-            continue
-        if expr().modulus() > tol * scale:
-            return True
-    return False
+    return _schur(m.tilde)[0], _schur(m.tilde2)[0]
 
 
 def is_right_invertible(m: Matrix2, tol: float = EPS) -> bool:
-    """Right invertibility, checked per split side.
+    """Right invertibility: ``det > tol * m**2`` on both split sides.
 
-    The algebra has zero divisors, so both quaternionic sides must pass;
-    for cone entries this coincides with det > tolerance.
+    The algebra has zero divisors, so both quaternionic sides must pass.
+    ``det / m**2`` comes from the computation that gives det, without m**2.
     """
-    return _quat_side_invertible(m.tilde, tol) and _quat_side_invertible(
-        m.tilde2, tol
-    )
+    return _schur(m.tilde)[1] > tol and _schur(m.tilde2)[1] > tol
 
 
 def matmul(m1: Matrix2, m2: Matrix2) -> Matrix2:

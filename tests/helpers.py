@@ -539,3 +539,19 @@ def multiplicity_total(constants: Sequence[Quat], tol: float = EPS) -> int:
         power, chain = sphere_chain(constants, base, tol)
         total += 2 * power + len(chain)
     return total
+
+
+# -- oracle: the paper's determinant formula ------------------------------------
+
+
+def det_radicand(side) -> float:
+    """``n(a)n(d) + n(c)n(b) - 2 Re(d conj(b) a conj(c))`` for one quaternionic
+    side ``((a, b), (c, d))``: the square of its determinant, in the paper's
+    form, which the library's pivoted Schur complement must reproduce."""
+    (a, b), (c, d) = side
+    cross = d * b.conj() * a * c.conj()
+    return (
+        a.modulus_sq() * d.modulus_sq()
+        + c.modulus_sq() * b.modulus_sq()
+        - 2.0 * cross.re()
+    )

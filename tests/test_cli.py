@@ -413,13 +413,20 @@ def test_cauchy_verify_defaults_to_512_nodes(capsys):
     assert records(out)[0]["nodes"] == cauchy.DEFAULT_NODES == 512
 
 
-BIG = "1" + "0" * 80  # 1e80 in the term grammar, which has no exponent part
+# 1e80, 1e200 and 1e-41 in the term grammar, which has no exponent part
+BIG = "1" + "0" * 80
+HUGE = "1" + "0" * 200
+TINY = "0." + "0" * 40 + "1"
+
+
+def _diagonal(entry: str) -> tuple[str, ...]:
+    return ("det", "--matrix", f"[[{entry}, 0], [0, {entry}]]")
 
 
 @pytest.mark.parametrize(
     "argv, error",
     [
-        (("det", "--matrix", f"[[{BIG}, 0], [0, {BIG}]]"), "NonFiniteResult"),
+        (_diagonal(HUGE), "NonFiniteResult"),
         (
             ("cauchy-verify", "--poly", "coeffs: [1, e1]", "--radius", "1e200", "--at", "e1"),
             "InvalidContour",
@@ -432,6 +439,25 @@ def test_squares_past_float_range_are_named_errors(capsys, argv, error, mode):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {error}:")
+
+
+@pytest.mark.parametrize("entry, want", [(BIG, 1e160), (TINY, 1e-82)])
+def test_det_squares_past_float_range_of_the_radicand_pretty(capsys, entry, want):
+    # the paper's radicand n(a)n(d) is 1e320 and 1e-164: the pivoted form
+    # needs neither
+    code, out, _ = invoke(capsys, *_diagonal(entry))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == lines[-1].removeprefix("formula on second side: ") == f"{want:.12g}"
+
+
+@pytest.mark.parametrize("entry, want", [(BIG, 1e160), (TINY, 1e-82)])
+def test_det_squares_past_float_range_of_the_radicand_records(capsys, entry, want):
+    code, out, _ = invoke(capsys, *_diagonal(entry), "--output", "records")
+    assert code == 0
+    (rec,) = records(out)
+    assert rec["det"] == rec["det_second"] == want
+    assert rec["right_invertible"] is True
 
 
 MULT_FAR = ("mult", "--factored", "(x - e1)*(x - e23)", "--sphere", "0,1e200")

@@ -2,6 +2,10 @@
 
 import math
 import random
+import sys
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcone3 import (
     E0,
@@ -21,9 +25,10 @@ from qcone3 import (
     split,
     split_matrix,
 )
-from qcone3.qdet import det_radicand, quat_matmul
+from qcone3.clifford3 import EPS
+from qcone3.qdet import quat_matmul
 from qcone3.qsplit import Q13, Q23
-from helpers import rand_cone_element, table_mul
+from helpers import det_radicand, rand_cone_element, table_mul
 
 SQRT3_MATRIX = Matrix2(E1, E2 + E23, -E0, E2)
 
@@ -223,3 +228,63 @@ def test_radicand_nonnegative_on_random_input():
         m = rand_cone_matrix(rng)
         assert det_radicand(m.tilde) >= -1e-12
         assert det_radicand(m.tilde2) >= -1e-12
+
+
+def test_det_is_the_papers_formula():
+    rng = random.Random(9)
+    matrices = [rand_cone_matrix(rng) for _ in range(300)]
+    for m in (SQRT3_MATRIX, *matrices):
+        for side, value in zip(split_matrix(m), det_both_sides(m)):
+            scale = max(abs(x) for row in side for e in row for x in e) ** 2
+            assert abs(value - math.sqrt(det_radicand(side))) <= 1e-12 * scale
+
+
+def _times_two_to(m: Matrix2, k: int) -> Matrix2:
+    def scaled(side):
+        return tuple(
+            tuple(Quat(*(math.ldexp(x, k) for x in e)) for e in row) for row in side
+        )
+
+    return Matrix2.from_quat_sides(*map(scaled, split_matrix(m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-450, 450))
+@example(0, 450)
+@example(0, -450)
+def test_det_and_invertibility_are_homogeneous_under_powers_of_two(seed, k):
+    # 4^k * det stays in range for |k| <= 450, so the equality is exact
+    m = rand_cone_matrix(random.Random(seed))
+    big = _times_two_to(m, k)
+    assert det_both_sides(big) == tuple(math.ldexp(d, 2 * k) for d in det_both_sides(m))
+    assert is_right_invertible(big) == is_right_invertible(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=1e-300, max_value=0.5))
+@example(EPS)
+def test_invertibility_threshold_is_det_over_tol_times_scale_squared(tol):
+    def diag(eps):
+        return Matrix2(E0, ZERO, ZERO, eps * E0)
+
+    assert is_right_invertible(diag(math.nextafter(tol, 1.0)), tol)
+    assert not is_right_invertible(diag(tol), tol)
+    assert not is_right_invertible(diag(math.nextafter(tol, 0.0)), tol)
+
+
+def test_det_across_the_float_range():
+    # no square is formed, so det is finite wherever it is representable
+    for big, small in ((1e200, 1e-200), (1.7e308, 1e-300)):
+        m = Matrix2(big * E0, ZERO, ZERO, small * E0)
+        d1, d2 = det_both_sides(m)
+        assert d1 == d2 and math.isclose(d1, big * small, rel_tol=1e-15)
+        assert not is_right_invertible(m)  # det / m^2 = small / big
+    # det over- or underflows, and the inverse diag(1/x, 1/x) is still a float
+    for x in (1e200, 1e-200):
+        assert is_right_invertible(Matrix2(x * E0, ZERO, ZERO, x * E0))
+    # singular at the float maximum; r p^-1 q has partial sums past it
+    p, q, r, t = Quat(1, 1, 0, -0.5), Quat(0, 0.5, -1, 1), Quat(1, -1, 1, 0), Quat(1, 0, -1, -1)
+    assert r * p.inverse() * q == t
+    top = sys.float_info.max
+    side = ((p * top, q * top), (r * top, t * top))
+    assert det_both_sides(Matrix2.from_quat_sides(side, side)) == (0.0, 0.0)
