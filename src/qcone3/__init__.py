@@ -34,7 +34,6 @@ _EXPORTS = {
         "Quat",
         "QuatPair",
         "conj",
-        "element",
         "join",
         "mul",
         "norm_n",

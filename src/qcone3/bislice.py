@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .clifford3 import EPS, Q_ONE, CliffordElement, Quat, QuatPair, ZERO, _new, join, scalar, split
+from .clifford3 import E0, EPS, Q_ONE, CliffordElement, Quat, QuatPair, ZERO, _new, join, scalar, split
 from .errors import NotImaginaryUnit, NotInvertibleAtPoint, NotOrthogonal, RealPoint
 from .qsplit import ConePoint
 
@@ -174,9 +174,11 @@ class BiSlicePoly:
         )
 
     @classmethod
-    def monomial(cls, n: int, coeff: CliffordElement | float = 1.0) -> "BiSlicePoly":
-        c = coeff if isinstance(coeff, CliffordElement) else scalar(float(coeff))
-        return cls([ZERO] * n + [c])
+    def monomial(cls, n: int) -> "BiSlicePoly":
+        """x^n."""
+        if n < 0:
+            raise ValueError("monomial exponent must be nonnegative")
+        return cls([ZERO] * n + [E0])
 
 
 def _point_pair(x: "CliffordElement | ConePoint") -> QuatPair:
@@ -252,10 +254,10 @@ class SliceSamples(NamedTuple):
 
 
 def sample_slice_values(
-    poly: BiSlicePoly, x: ConePoint, w1: Quat, w2: Quat, tol: float = EPS
+    poly: BiSlicePoly, x: ConePoint, w1: Quat, w2: Quat
 ) -> SliceSamples:
     """Evaluate the split components of ``poly`` on the slices of w1, w2."""
-    if not (w1.is_unit_imaginary(tol) and w2.is_unit_imaginary(tol)):
+    if not (w1.is_unit_imaginary() and w2.is_unit_imaginary()):
         raise NotImaginaryUnit("sampling units must square to -1")
     fp, fq = poly.split()
     a, b = x.alpha, x.beta
@@ -269,9 +271,7 @@ def sample_slice_values(
     )
 
 
-def representation_formula(
-    samples: SliceSamples, x: ConePoint, tol: float = EPS
-) -> CliffordElement:
+def representation_formula(samples: SliceSamples, x: ConePoint) -> CliffordElement:
     """Rebuild the value at ``x`` from two-point samples on arbitrary slices.
 
     Componentwise this is the slice-function reconstruction
@@ -280,7 +280,7 @@ def representation_formula(
     target unit I.  At real points the odd parts vanish and the even parts
     pass through unchanged.
     """
-    if not (samples.w1.is_unit_imaginary(tol) and samples.w2.is_unit_imaginary(tol)):
+    if not (samples.w1.is_unit_imaginary() and samples.w2.is_unit_imaginary()):
         raise NotImaginaryUnit("sampling units must square to -1")
     even_p = (samples.f_plus + samples.f_minus) * 0.5
     even_q = (samples.g_plus + samples.g_minus) * 0.5
@@ -298,7 +298,7 @@ def _inner(u: Quat, v: Quat) -> float:
 
 
 def splitting_projection(
-    poly: QuatPoly, i: Quat, k: Quat, tol: float = EPS
+    poly: QuatPoly, i: Quat, k: Quat
 ) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """Decompose the restriction to the plane of ``i`` as A + B*k.
 
@@ -307,9 +307,9 @@ def splitting_projection(
     sequences A, B are holomorphic data on that plane and reassemble the
     restriction exactly.
     """
-    if not (i.is_unit_imaginary(tol) and k.is_unit_imaginary(tol)):
+    if not (i.is_unit_imaginary() and k.is_unit_imaginary()):
         raise NotImaginaryUnit("plane units must square to -1")
-    if abs(_inner(i, k)) > tol:
+    if abs(_inner(i, k)) > EPS:
         raise NotOrthogonal("plane units must be perpendicular")
     ik = i * k
     a = tuple(complex(_inner(c, Quat(1.0)), _inner(c, i)) for c in poly.coeffs)

@@ -294,7 +294,7 @@ def _unit_or_fallback(primary: Quat | None, *fallbacks: Quat | None) -> Quat:
 
 
 def kernel_regularity_residual(
-    s: ConePoint, x: ConePoint, h: float = 1e-4, tol: float = EPS
+    s: ConePoint, x: ConePoint, h: float = 1e-4
 ) -> tuple[float, float]:
     """Finite-difference regularity residuals of the kernel.
 
@@ -310,7 +310,7 @@ def kernel_regularity_residual(
 
     def left_side(sq: Quat, base: float, beta: float, unit: Quat) -> Quat:
         du, dv = central_differences(
-            lambda u, v: cauchy_kernel_quat(sq, Quat(u) + unit * v, tol), base, beta, h
+            lambda u, v: cauchy_kernel_quat(sq, Quat(u) + unit * v), base, beta, h
         )
         return (du + unit * dv) * 0.5
 
@@ -320,7 +320,7 @@ def kernel_regularity_residual(
 
     def right_side(target: Quat, base: float, beta: float, unit: Quat) -> Quat:
         du, dv = central_differences(
-            lambda u, v: cauchy_kernel_quat(Quat(u) + unit * v, target, tol),
+            lambda u, v: cauchy_kernel_quat(Quat(u) + unit * v, target),
             base,
             beta,
             h,

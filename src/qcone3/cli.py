@@ -95,7 +95,8 @@ def _zero_part_fields(part) -> dict:
 def _zero_part_pretty(part) -> str:
     if isinstance(part, Quat):
         return grammar.format_quat(part, PRETTY_DIGITS)
-    if part.is_point():
+    # candidate_bases already folded a radius <= tol to exactly 0.
+    if part.radius == 0.0:
         return f"point {_fmt(part.center)}"
     return f"sphere(center {_fmt(part.center)}, radius {_fmt(part.radius)})"
 
@@ -229,7 +230,7 @@ def _cmd_det(args, out: _Output) -> None:
     from . import qdet
 
     matrix = grammar.parse_matrix(args.matrix)
-    d1, d2 = qdet.det_both_sides(matrix, args.tol)
+    d1, d2 = qdet.det_both_sides(matrix)
     tilde, tilde2 = qdet.split_matrix(matrix)
     out.pretty(_fmt(d1))
     for name, side in (("first side", tilde), ("second side", tilde2)):

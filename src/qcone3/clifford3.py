@@ -173,20 +173,6 @@ def _coerce(value: "CliffordElement | float") -> CliffordElement:
     raise TypeError(f"cannot interpret {type(value).__name__} as a Clifford element")
 
 
-def element(
-    c0: float = 0.0,
-    c1: float = 0.0,
-    c2: float = 0.0,
-    c3: float = 0.0,
-    c12: float = 0.0,
-    c13: float = 0.0,
-    c23: float = 0.0,
-    c123: float = 0.0,
-) -> CliffordElement:
-    """Keyword constructor in the fixed coefficient order."""
-    return CliffordElement((c0, c1, c2, c3, c12, c13, c23, c123))
-
-
 def scalar(value: float) -> CliffordElement:
     return CliffordElement((float(value), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
@@ -324,9 +310,9 @@ class Quat(tuple):
             raise SingularElement("quaternion modulus below tolerance")
         return self.conj() / n
 
-    def power(self, n: int, tol: float = EPS) -> "Quat":
+    def power(self, n: int) -> "Quat":
         if n < 0:
-            return self.inverse(tol).power(-n)
+            return self.inverse().power(-n)
         result = Q_ONE
         base = self
         k = n

@@ -119,18 +119,17 @@ def _schur(side: QuatMatrix) -> tuple[float, float]:
     return pivot * complement * m, pivot * (complement / m)
 
 
-def det(m: Matrix2, tol: float = EPS) -> float:
+def det(m: Matrix2) -> float:
     """Determinant through the first split side.
 
     Both sides agree on the paper's examples (see :func:`det_both_sides`);
     the first-side value extends the definition to arbitrary entries, which
-    is what makes the product rule testable.  ``tol`` is not read: the
-    pivoted form needs no threshold.
+    is what makes the product rule testable.
     """
     return _schur(m.tilde)[0]
 
 
-def det_both_sides(m: Matrix2, tol: float = EPS) -> tuple[float, float]:
+def det_both_sides(m: Matrix2) -> tuple[float, float]:
     return _schur(m.tilde)[0], _schur(m.tilde2)[0]
 
 

@@ -51,26 +51,26 @@ def in_cone(x: CliffordElement, tol: float = EPS) -> bool:
     return abs(r1) <= tol * (1.0 + x.max_abs()) and abs(r2) <= tol * s_im * s_im
 
 
-def is_sqrt_minus_one(x: CliffordElement, tol: float = EPS) -> bool:
-    """True when both split components square to -1 within tol."""
+def is_sqrt_minus_one(x: CliffordElement) -> bool:
+    """True when both split components square to -1 within EPS."""
     p, q = split(x)
-    return (p * p).isclose(-1.0, tol) and (q * q).isclose(-1.0, tol)
+    return (p * p).isclose(-1.0) and (q * q).isclose(-1.0)
 
 
-def inverse(x: CliffordElement, tol: float = EPS) -> CliffordElement:
+def inverse(x: CliffordElement) -> CliffordElement:
     """Componentwise quaternionic inverse.
 
     The algebra has zero divisors (each idempotent annihilates the other),
-    so inversion fails exactly when a split component has modulus <= tol.
+    so inversion fails exactly when a split component has modulus <= EPS.
     """
     p, q = split(x)
-    return join(p.inverse(tol), q.inverse(tol))
+    return join(p.inverse(), q.inverse())
 
 
-def power(x: CliffordElement, n: int, tol: float = EPS) -> CliffordElement:
+def power(x: CliffordElement, n: int) -> CliffordElement:
     """Integer power via the split; agrees with repeated multiplication."""
     p, q = split(x)
-    return join(p.power(n, tol), q.power(n, tol))
+    return join(p.power(n), q.power(n))
 
 
 class SphereDescriptor(NamedTuple):
@@ -187,13 +187,9 @@ class ConePoint:
         return f"ConePoint({self.alpha!r}, {self.beta!r}, {self.i1!r}, {self.i2!r})"
 
 
-def cone_point(x: float, y: float, i1: Quat, i2: Quat, tol: float = EPS) -> ConePoint:
+def cone_point(x: float, y: float, i1: Quat | None, i2: Quat | None) -> ConePoint:
     """The cone point with split (x + i1*y, x + i2*y)."""
-    if y == 0.0:
-        return ConePoint(x, 0.0, None, None, tol)
-    if not (i1.is_unit_imaginary(tol) and i2.is_unit_imaginary(tol)):
-        raise NotImaginaryUnit("slice units must square to -1")
-    return ConePoint(x, y, i1, i2, tol)
+    return ConePoint(x, y, i1, i2)
 
 
 def in_ball(point: ConePoint, radius: float) -> bool:

@@ -239,7 +239,6 @@ def verify_zeros(
     poly: BiSlicePoly,
     zero_set: ZeroSetQuadratic,
     units: Sequence[Quat],
-    tol: float = 1e-9,
 ) -> float:
     """Largest |poly| over sampled representatives of the zero set; nan if any is nan.
 
@@ -326,8 +325,8 @@ def multiplicities(
     )
 
 
-def fta_witness(factors: Sequence[CliffordElement], tol: float = EPS) -> ConePoint:
+def fta_witness(factors: Sequence[CliffordElement]) -> ConePoint:
     """A root of prod (x - factor_k): the leading constant is a left root."""
     if not factors:
         raise UnfactoredInput("need at least one linear factor")
-    return ConePoint.from_element(factors[0], tol)
+    return ConePoint.from_element(factors[0])

@@ -271,6 +271,13 @@ def test_representation_formula_random():
         assert (got - want).magnitude() <= 1e-10 * (1 + want.magnitude())
 
 
+def test_monomial():
+    assert BiSlicePoly.monomial(0).coeffs == (E0,)
+    assert BiSlicePoly.monomial(2).coeffs == (ZERO, ZERO, E0)
+    with pytest.raises(ValueError, match="monomial exponent must be nonnegative"):
+        BiSlicePoly.monomial(-2)
+
+
 def test_splitting_projection():
     rng = random.Random(11)
     for _ in range(50):

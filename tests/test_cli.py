@@ -86,6 +86,22 @@ def test_det_records_schema(capsys):
     assert rec["right_invertible"] is True
 
 
+def test_det_tol_decides_right_invertibility_and_nothing_else(capsys):
+    # det(diag(0.001, 1)) / m^2 = 0.001 lies between the two tolerances
+    argv = ("det", "--matrix", "[[0.001, 0], [0, 1]]")
+    outputs = {}
+    for tol in ((), ("--tol", "0.01")):
+        for mode in ("pretty", "records"):
+            code, out, _ = invoke(capsys, *argv, *tol, "--output", mode)
+            assert code == 0
+            outputs[tol, mode] = out
+    loose, strict = (records(outputs[tol, "records"])[0] for tol in ((), ("--tol", "0.01")))
+    assert loose["det"] == strict["det"] == 0.001
+    assert (loose.pop("right_invertible"), strict.pop("right_invertible")) == (True, False)
+    assert loose == strict
+    assert outputs[(), "pretty"] == outputs[("--tol", "0.01"), "pretty"]
+
+
 def test_parse_error_exit_code_and_caret(capsys):
     code, out, err = invoke(capsys, "split", "2e23 + z")
     assert code == 2
@@ -557,6 +573,29 @@ def test_roots_nan_residual_is_a_named_error(capsys, mode):
     assert code == 1
     assert out == ""
     assert err.startswith("error: NonFiniteResult: roots-summary: max_residual")
+
+
+ROOTS_SMALL_SPHERE = ("roots", "--factored", "(x - 0.00000000001e1)*(x + 0.00000000001e1)")
+
+
+@pytest.mark.parametrize("tol, radius", [(("--tol", "0"), 1e-11), ((), 0.0)])
+def test_roots_pretty_shape_is_the_records_shape(capsys, tol, radius):
+    # x^2 + 1e-22 vanishes on the sphere of radius 1e-11, which the default
+    # tolerance folds to the real point 0 and --tol 0 keeps
+    code, out, _ = invoke(capsys, *ROOTS_SMALL_SPHERE, *tol, "--output", "records")
+    assert code == 0
+    pair, _ = records(out)
+    for side in (pair["p"], pair["q"]):
+        assert side == {"kind": "sphere", "center": 0.0, "radius": radius}
+    code, out, _ = invoke(capsys, *ROOTS_SMALL_SPHERE, *tol)
+    assert code == 0
+    shape = "sphere(center 0, radius 1e-11)" if radius else "point 0"
+    assert out.splitlines()[:4] == [
+        "case: 1.1",
+        f"p-side: {shape}",
+        f"q-side: {shape}",
+        f"zero pair: ({shape} | {shape})",
+    ]
 
 
 ROOTS_1E160 = ("roots", "--factored", f"(x - 1{'0' * 160}e23)*(x - e1)")

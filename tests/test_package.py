@@ -1,5 +1,7 @@
 """The package's export list and import footprint."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -23,6 +25,36 @@ def test_star_import_exports_exactly_all():
     exec("from qcone3 import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(qcone3.__all__)
+
+
+def _defaulted_parameters(fn: ast.FunctionDef) -> list[str]:
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    names = [a.arg for a in positional[len(positional) - len(args.defaults) :]]
+    return names + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def test_every_defaulted_parameter_is_read():
+    # An option the body never reads looks like a decision but changes nothing.
+    unread = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(qcone3.__file__), "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = {
+                n.id
+                for stmt in fn.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                f"{os.path.basename(path)}:{fn.lineno} {fn.name}({name})"
+                for name in _defaulted_parameters(fn)
+                if name not in read
+            ]
+    assert unread == []
 
 
 def test_import_loads_no_dataclasses_machinery():

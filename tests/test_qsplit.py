@@ -16,6 +16,7 @@ from qcone3 import (
     E12,
     E23,
     E123,
+    EPS,
     CliffordElement,
     ConePoint,
     Quat,
@@ -241,6 +242,15 @@ def test_cone_point_examples():
     assert cone_point(3, 0, Q23, Q13).element.isclose(3 * E0)
     with pytest.raises(NotImaginaryUnit):
         cone_point(0, 1, Q23 + Q13, Q23)
+
+
+def test_cone_point_without_units():
+    assert cone_point(1.0, 0.0, None, None).is_real
+    for i1, i2 in ((None, None), (Q23, None), (None, Q13)):
+        with pytest.raises(NotImaginaryUnit):
+            cone_point(1.0, 2.0, i1, i2)
+    # |y| <= EPS is the real point, whatever the units
+    assert cone_point(1.0, -EPS, Q23 + Q13, None).is_real
 
 
 def test_cone_point_pair_is_the_operator_form_bit_for_bit():
