@@ -155,6 +155,11 @@ def assert_coeffs_close(
 # the same trapezoid nodes with one quaternion product per factor.
 
 
+def thetas(contour: SliceContour) -> list[float]:
+    """The contour's trapezoid nodes ``2 pi k / N``, k = 0 ... N - 1."""
+    return [2.0 * math.pi * k / contour.nodes for k in range(contour.nodes)]
+
+
 def contour_point(contour: SliceContour, theta: float) -> Quat:
     """The node x0 + r e^{I theta} of the contour."""
     return Quat(contour.center + contour.radius * math.cos(theta)) + contour.unit * (
@@ -177,11 +182,77 @@ def contour_integral(contour: SliceContour, fn: Callable[[Quat], Quat]) -> Quat:
     """
     step = 2.0 * math.pi / contour.nodes
     acc = Quat()
-    for theta in contour.thetas():
+    for theta in thetas(contour):
         acc = acc + contour.unit * contour_phase(contour, theta) * fn(
             contour_point(contour, theta)
         )
     return acc * step
+
+
+# -- oracle: the exact trapezoid value, in mpmath ------------------------------
+
+
+def _mp_quat_product():
+    """Quaternion product on 4-lists of mpf, with the basis signs read off Quat."""
+    basis = [Quat(*(float(i == k) for i in range(4))) for k in range(4)]
+    terms = []
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            c = a * b
+            k = max(range(4), key=lambda n: abs(c[n]))
+            terms.append((i, j, k, int(c[k])))
+
+    def mul(x, y):
+        out = [0, 0, 0, 0]
+        for i, j, k, sign in terms:
+            out[k] += sign * x[i] * y[j]
+        return out
+
+    return mul
+
+
+def exact_trapezoid_component(
+    poly: QuatPoly, contour: SliceContour, target: Quat
+) -> tuple[list[float], float]:
+    """``T_N``: the N-node trapezoid value of the Cauchy reconstruction of one
+    split component, ``(1/N) sum_k S(s_k, q) r e^{I t_k} F(s_k)``, evaluated in
+    40-digit quaternion arithmetic from the float inputs, with exact
+    nodes ``t_k = 2 pi k / N`` and the contour unit normalised exactly.
+
+    Returns the value rounded to floats and the largest term modulus.
+    """
+    import mpmath
+
+    mul = _mp_quat_product()
+    with mpmath.workdps(40):
+        mpf = mpmath.mpf
+        im = [mpf(u) for u in contour.unit[1:]]
+        norm = mpmath.sqrt(sum(u * u for u in im))
+        unit = [mpf(0)] + [u / norm for u in im]
+        q = [mpf(v) for v in target]
+        coeffs = [[mpf(v) for v in c] for c in poly.coeffs]
+        x0, r, n = mpf(contour.center), mpf(contour.radius), contour.nodes
+        q_sq = mul(q, q)
+        acc = [mpf(0)] * 4
+        largest = mpf(0)
+        for k in range(n):
+            t = 2 * mpmath.pi * k / n
+            phase = [u * r * mpmath.sin(t) for u in unit]
+            phase[0] = r * mpmath.cos(t)
+            s = [x0 + phase[0]] + phase[1:]
+            f = [mpf(0)] * 4
+            for c in reversed(coeffs):
+                f = [a + b for a, b in zip(mul(s, f), c)]
+            s_sq = sum(v * v for v in s)
+            den = [a - 2 * s[0] * b for a, b in zip(q_sq, q)]
+            den[0] += s_sq
+            den_sq = sum(v * v for v in den)
+            inv = [den[0] / den_sq] + [-v / den_sq for v in den[1:]]
+            kernel = mul(inv, [s[0] - q[0]] + [-a - b for a, b in zip(s[1:], q[1:])])
+            term = mul(mul(kernel, phase), f)
+            largest = max(largest, mpmath.sqrt(sum(v * v for v in term)))
+            acc = [a + b for a, b in zip(acc, term)]
+        return [float(a / n) for a in acc], float(largest)
 
 
 # -- oracle: the character-by-character scanner -------------------------------

@@ -62,6 +62,7 @@ from helpers import (
     rand_element,
     rand_poly,
     rand_unit_imaginary,
+    thetas,
 )
 
 UNITS = [Q23, -Q23, Q13, Q12]
@@ -344,7 +345,7 @@ def _monomial_errors(point: ConePoint, nodes: int) -> list[float]:
     ]
     for side, target, unit in ((0, point.p, point.i1), (1, point.q, point.i2)):
         contour = SliceContour(0.0, RADIUS, unit, nodes)
-        for theta in contour.thetas():
+        for theta in thetas(contour):
             s = contour_point(contour, theta)
             lead = cauchy_kernel_quat(s, target) * contour_phase(contour, theta)
             s_power = Quat(1.0)
@@ -399,8 +400,8 @@ def test_acceptance_7_cauchy_reconstruction():
         mi, mj = contour_integral_vanishes(poly, ci, cj)
         fp, fq = poly.split()
         bound_scale = 1.0 + max(
-            max(fp.eval(contour_point(ci, t)).modulus() for t in ci.thetas()[:16]),
-            max(fq.eval(contour_point(cj, t)).modulus() for t in cj.thetas()[:16]),
+            max(fp.eval(contour_point(ci, t)).modulus() for t in thetas(ci)[:16]),
+            max(fq.eval(contour_point(cj, t)).modulus() for t in thetas(cj)[:16]),
         )
         worst_vanish = max(worst_vanish, max(mi, mj) / bound_scale)
     assert worst_vanish < 1e-8

@@ -43,10 +43,12 @@ from helpers import (
     contour_integral,
     contour_phase,
     contour_point,
+    exact_trapezoid_component,
     rand_cone_point,
     rand_poly,
     rand_quat,
     rand_unit_imaginary,
+    thetas,
 )
 
 
@@ -263,55 +265,69 @@ def test_kernel_regularity_residuals():
 def _reference_component(poly: QuatPoly, contour: SliceContour, target: Quat) -> Quat:
     # The node loop in quaternion arithmetic, one kernel value per node.
     acc = Quat()
-    for theta in contour.thetas():
+    for theta in thetas(contour):
         s = contour_point(contour, theta)
         phase = contour_phase(contour, theta)
         acc = acc + cauchy_kernel_quat(s, target) * phase * poly.eval(s)
     return acc / contour.nodes
 
 
+def _check_against_quaternion_loop(rng, nodes: int, degree: int) -> None:
+    poly = rand_poly(rng, degree)
+    fp, fq = poly.split()
+    center = rng.uniform(-0.5, 0.5)
+    radius = rng.uniform(1.0, 2.0)
+    ci = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
+    cj = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
+    dist = rng.uniform(0.2, 0.7) * radius
+    angle = rng.uniform(0.15, math.pi - 0.15)
+    targets = (
+        cone_point(
+            center + dist * math.cos(angle),
+            dist * math.sin(angle),
+            rand_unit_imaginary(rng),
+            rand_unit_imaginary(rng),
+        ),
+        # real point: i1 is None and the target plane's unit is a fallback
+        ConePoint(center + dist * math.cos(angle), 0.0, None, None),
+    )
+    for x in targets:
+        got = cauchy_reconstruct(poly, ci, cj, x)
+        want = join(
+            _reference_component(fp, ci, x.p),
+            _reference_component(fq, cj, x.q),
+        )
+        assert (got - want).magnitude() <= 1e-13 * (1 + want.magnitude())
+    _check_closed_integrals(poly, ci, cj)
+
+
 def test_slice_plane_quadrature_matches_quaternion_loop():
     rng = random.Random(12)
     for nodes in (16, 64, 512):
         for degree in range(6):
-            poly = rand_poly(rng, degree)
-            fp, fq = poly.split()
-            center = rng.uniform(-0.5, 0.5)
-            radius = rng.uniform(1.0, 2.0)
-            ci = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
-            cj = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
-            dist = rng.uniform(0.2, 0.7) * radius
-            angle = rng.uniform(0.15, math.pi - 0.15)
-            targets = (
-                cone_point(
-                    center + dist * math.cos(angle),
-                    dist * math.sin(angle),
-                    rand_unit_imaginary(rng),
-                    rand_unit_imaginary(rng),
-                ),
-                # real point: i1 is None and the target plane's unit is a fallback
-                ConePoint(center + dist * math.cos(angle), 0.0, None, None),
-            )
-            for x in targets:
-                got = cauchy_reconstruct(poly, ci, cj, x)
-                want = join(
-                    _reference_component(fp, ci, x.p),
-                    _reference_component(fq, cj, x.q),
-                )
-                assert (got - want).magnitude() <= 1e-13 * (1 + want.magnitude())
-            _check_closed_integrals(poly, ci, cj)
-    # degree 15 at 16 nodes aliases onto the constant mode, so the closed
+            _check_against_quaternion_loop(rng, nodes, degree)
+    # degree N - 1 at N nodes aliases onto the constant mode, so the closed
     # integrals stay large and the comparison sees more than rounding
-    ci = SliceContour(0.3, 1.0, rand_unit_imaginary(rng), 16)
-    cj = SliceContour(0.3, 1.0, rand_unit_imaginary(rng), 16)
-    assert min(_check_closed_integrals(rand_poly(rng, 15), ci, cj)) > 1.0
+    for nodes in (16, 17):
+        ci = SliceContour(0.3, 1.0, rand_unit_imaginary(rng), nodes)
+        cj = SliceContour(0.3, 1.0, rand_unit_imaginary(rng), nodes)
+        assert min(_check_closed_integrals(rand_poly(rng, nodes - 1), ci, cj)) > 1.0
+
+
+@pytest.mark.parametrize("nodes", [17, 33, 65, 255])
+def test_odd_node_counts_match_quaternion_loop(nodes):
+    # An odd N has no node at t = pi: every node but t = 0 has a distinct
+    # conjugate, so the last table node carries weight 2.
+    rng = random.Random(nodes)
+    for degree in range(6):
+        _check_against_quaternion_loop(rng, nodes, degree)
 
 
 def _check_closed_integrals(poly, ci, cj) -> tuple[float, float]:
     got = contour_integral_vanishes(poly, ci, cj)
     for value, f, c in zip(got, poly.split(), (ci, cj)):
         want = contour_integral(c, f.eval)
-        scale = 1 + max(f.eval(contour_point(c, t)).modulus() for t in c.thetas())
+        scale = 1 + max(f.eval(contour_point(c, t)).modulus() for t in thetas(c))
         assert (_closed_integral(_slice_table(f, c), c) - want).modulus() <= 1e-13 * scale
         assert abs(value - want.modulus()) <= 1e-13 * scale
     return got
@@ -322,6 +338,62 @@ def test_slice_plane_quadrature_keeps_singular_test():
     contour = SliceContour(0.0, 1.0, Q23, 16)
     with pytest.raises(OnSingularSphere):
         _reconstruct_component(_slice_table(QuatPoly([1.0]), contour), contour, Q12, 1e-12)
+
+
+def _inside(rng, center: float, radius: float, rho: float) -> ConePoint:
+    angle = rng.uniform(0.15, math.pi - 0.15)
+    return cone_point(
+        center + rho * radius * math.cos(angle),
+        rho * radius * math.sin(angle),
+        rand_unit_imaginary(rng),
+        rand_unit_imaginary(rng),
+    )
+
+
+def test_reconstruction_does_not_depend_on_contour_units():
+    # The Cauchy formula holds on any slice, so the contours' units drop out
+    # of the value; the half-table sums are real, so they drop out of the
+    # floats too.  One in five targets is real, where J falls back to I.
+    rng = random.Random(31)
+    for k in range(200):
+        nodes = rng.choice((16, 17, 33, 64, 65, 128))
+        poly = rand_poly(rng, rng.randint(0, 5))
+        center, radius = rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.0)
+        x = _inside(rng, center, radius, rng.uniform(0.0, 0.7))
+        if k % 5 == 0:
+            x = ConePoint(x.alpha, 0.0, None, None)
+        values = [
+            cauchy_reconstruct(
+                poly,
+                SliceContour(center, radius, rand_unit_imaginary(rng), nodes),
+                SliceContour(center, radius, rand_unit_imaginary(rng), nodes),
+                x,
+            ).coeffs
+            for _ in range(2)
+        ]
+        assert values[0] == values[1], (k, nodes)
+
+
+def test_reconstruction_is_close_to_the_exact_trapezoid_value():
+    # T_N is the N-node trapezoid sum in 40-digit quaternion arithmetic over
+    # all N nodes, from the same float inputs.  Each component must agree
+    # with it within 2e-15 times the largest term; a corpus of 96 inputs at
+    # N = 16 ... 512 (odd N included) read at most 4e-16.
+    pytest.importorskip("mpmath")
+    rng = random.Random(32)
+    for k, nodes in enumerate((16, 17, 32, 33, 64, 65, 96, 97, 128, 16, 17, 33)):
+        poly = rand_poly(rng, k % 6)
+        center, radius = rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.0)
+        x = _inside(rng, center, radius, rng.uniform(0.2, 0.7))
+        if k >= 9:
+            x = ConePoint(x.alpha, 0.0, None, None)
+        for f, target in zip(poly.split(), (x.p, x.q)):
+            contour = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
+            side = _slice_table(f, contour)
+            got = _reconstruct_component(side, contour, target, 1e-12)
+            want, largest = exact_trapezoid_component(f, contour, target)
+            error = max(abs(a - b) for a, b in zip(got, want))
+            assert error <= 2e-15 * largest, (k, nodes, error / largest)
 
 
 # The node table of the last (polynomial, contour_i, contour_j) call is kept and

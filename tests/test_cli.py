@@ -226,6 +226,22 @@ def test_cauchy_verify_records(capsys):
     assert rec["nodes"] == 256
 
 
+def test_cauchy_verify_odd_node_count(capsys):
+    # 17 nodes: no node at t = pi, so the last table node stands for two.
+    # What is left is the trapezoid's own error, about (|x| / r)^17 = 0.25^17.
+    argv = ("cauchy-verify", "--poly", "coeffs: [1, -e1, e12 + e23]", "--radius", "2")
+    argv += ("--nodes", "17", "--at", "0.3 + 0.4e1")
+    code, out, _ = invoke(capsys, *argv, "--output", "records")
+    assert code == 0
+    (rec,) = records(out)
+    assert rec["nodes"] == 17
+    assert 1e-11 < rec["error"] < 1e-9
+    assert max(abs(a - b) for a, b in zip(rec["value"], rec["expected"])) < 1e-9
+    code, out, _ = invoke(capsys, *argv, "--output", "pretty")
+    assert code == 0
+    assert out.splitlines()[-1] == f"error: {rec['error']:.3e} at 17 nodes"
+
+
 def test_dbar_check(capsys):
     code, out, _ = invoke(
         capsys,
