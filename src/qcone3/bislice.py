@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .clifford3 import E0, EPS, Q_ONE, CliffordElement, Quat, QuatPair, ZERO, _new, join, scalar, split
+from .clifford3 import E0, EPS, Q_ONE, CliffordElement, Quat, QuatPair, ZERO, _new, join, negligible, scalar, split
 from .errors import NotImaginaryUnit, NotInvertibleAtPoint, NotOrthogonal, RealPoint
 from .qsplit import ConePoint
 
@@ -40,8 +40,11 @@ class QuatPoly:
         raise AttributeError("QuatPoly is immutable")
 
     def degree(self, tol: float = EPS) -> int:
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[k].is_zero(tol):
+        """Largest k whose coefficient is not negligible beside the largest."""
+        sizes = [math.hypot(*c) for c in self.coeffs]  # finite past 1e154
+        top = max(sizes)
+        for k in range(len(sizes) - 1, -1, -1):
+            if not negligible(sizes[k], top, tol=tol):
                 return k
         return -1
 
@@ -140,7 +143,8 @@ class BiSlicePoly:
         raise AttributeError("BiSlicePoly is immutable")
 
     def degree(self, tol: float = EPS) -> int:
-        """Largest k whose coefficient has a split component above tol."""
+        """Largest k whose coefficient has a split component not negligible
+        beside that component's largest coefficient."""
         return max(side.degree(tol) for side in self._pair)
 
     def split(self) -> tuple[QuatPoly, QuatPoly]:
@@ -214,17 +218,18 @@ def star_mul_pointwise(
     gp, gq = g.split()
     a = fp.eval(p)
     b = fq.eval(q)
-    a_zero = a.modulus() <= tol
-    b_zero = b.modulus() <= tol
+    # Degrees mix in f(x), terms of degree 0 ... d in x, so no one scale makes
+    # this test homogeneous: it is the one zero test that stays absolute,
+    # against the unit floor.
+    a_zero = negligible(a.modulus(), 1.0, tol=tol)
+    b_zero = negligible(b.modulus(), 1.0, tol=tol)
     if a_zero and b_zero:
         return ZERO
     if a_zero or b_zero:
         raise NotInvertibleAtPoint(
             "left factor has exactly one vanishing split component"
         )
-    ainv = a.inverse(tol)
-    binv = b.inverse(tol)
-    return join(a * gp.eval(ainv * p * a), b * gq.eval(binv * q * b))
+    return join(a * gp.eval(a.inverse() * p * a), b * gq.eval(b.inverse() * q * b))
 
 
 def regular_conjugate(poly: BiSlicePoly) -> BiSlicePoly:

@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .clifford3 import EPS, Q23, CliffordElement, Quat, join
+from .clifford3 import EPS, Q23, CliffordElement, Quat, join, negligible
 from .bislice import BiSlicePoly, QuatPoly, central_differences
 from .errors import (
     InputTooLarge,
@@ -122,12 +122,12 @@ class SliceContour(_ContourFields):
 
 
 def cauchy_kernel_quat(s: Quat, q: Quat, tol: float = EPS) -> Quat:
-    """Kernel value; fails on the sphere of s where the modulus vanishes."""
+    """Kernel value; fails on the sphere of s, where the denominator, of
+    degree 2 in (s, q), is negligible beside ``|(s, q)|**2``."""
     denom = q * q - q * (2.0 * s.re()) + Quat(s.modulus_sq())
-    scale = 1.0 + q.modulus_sq() + s.modulus_sq()
-    if denom.modulus() <= tol * scale:
+    if negligible(denom.modulus(), math.hypot(*s, *q), 2, tol):
         raise _singular(s.re(), s.im_modulus())
-    return denom.inverse(tol) * (s.conj() - q)
+    return denom.inverse() * (s.conj() - q)
 
 
 def _singular(re: float, im_modulus: float) -> OnSingularSphere:
@@ -242,11 +242,12 @@ def _reconstruct_component(
     unit_j = target.im() / q_im if q_im > 0.0 else contour.unit
     q_c = complex(q_re, q_im)
     q_c_sq = q_c * q_c
-    q_scale = 1.0 + target.modulus_sq()
+    q_sq = target.modulus_sq()
     g0 = g1 = g2 = g3 = h0 = h1 = h2 = h3 = 0j
     for phi, s_re, s_sq, m, w0, w1, w2, w3 in zip(*side):
         d = q_c_sq - 2.0 * s_re * q_c + s_sq
-        if abs(d) <= tol * (q_scale + s_sq):
+        # negligible(|d|, |(s, q)|, 2), inline: one call per node would cost ~10%
+        if abs(d) <= tol * (q_sq + s_sq):
             raise _singular(s_re, abs(phi.imag))
         inv = 1.0 / d
         a, b = inv.real, inv.imag

@@ -95,7 +95,7 @@ def _zero_part_fields(part) -> dict:
 def _zero_part_pretty(part) -> str:
     if isinstance(part, Quat):
         return grammar.format_quat(part, PRETTY_DIGITS)
-    # candidate_bases already folded a radius <= tol to exactly 0.
+    # candidate_bases already folded a negligible radius to exactly 0.
     if part.radius == 0.0:
         return f"point {_fmt(part.center)}"
     return f"sphere(center {_fmt(part.center)}, radius {_fmt(part.radius)})"
@@ -230,8 +230,9 @@ def _cmd_det(args, out: _Output) -> None:
     from . import qdet
 
     matrix = grammar.parse_matrix(args.matrix)
-    d1, d2 = qdet.det_both_sides(matrix)
     tilde, tilde2 = qdet.split_matrix(matrix)
+    # one Schur form per side gives det and, as in is_right_invertible, det / m**2
+    (d1, r1), (d2, r2) = qdet._schur(tilde), qdet._schur(tilde2)
     out.pretty(_fmt(d1))
     for name, side in (("first side", tilde), ("second side", tilde2)):
         row_text = "; ".join(
@@ -246,7 +247,7 @@ def _cmd_det(args, out: _Output) -> None:
         det_second=d2,
         tilde=[[_quat_list(e) for e in row] for row in tilde],
         tilde2=[[_quat_list(e) for e in row] for row in tilde2],
-        right_invertible=qdet.is_right_invertible(matrix, args.tol),
+        right_invertible=r1 > args.tol and r2 > args.tol,
     )
 
 

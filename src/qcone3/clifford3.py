@@ -20,6 +20,7 @@ threads.
 from __future__ import annotations
 
 import math
+import sys
 from operator import add, itemgetter, mul as _fmul, neg, sub
 from typing import Iterable, NamedTuple
 
@@ -28,8 +29,23 @@ from .errors import SingularElement
 #: Fixed coefficient order used everywhere, including serialized forms.
 BASIS_NAMES = ("1", "e1", "e2", "e3", "e12", "e13", "e23", "e123")
 
-#: Default absolute tolerance for floating-point comparisons.
+#: Default tolerance: relative in :func:`negligible`, absolute in the
+#: comparisons of unit-size values (``isclose``, ``is_unit_imaginary``).
 EPS = 1e-10
+
+
+def negligible(value: float, scale: float, degree: int = 1, tol: float = EPS) -> bool:
+    """``|value| <= tol * scale**degree`` for a value of that degree in inputs
+    of size ``scale``: the one zero test, so no answer depends on the inputs'
+    scale (Higham 2002, ch. 1-2).  The bound saturates and never raises; a
+    zero scale accepts only an exact zero, an infinite or nan value nothing.
+    """
+    size = abs(value)
+    bound = tol
+    for _ in range(degree):
+        bound *= scale
+    return size <= bound and size != math.inf
+
 
 # The conjugation is the anti-involution fixing 1 and e123 and negating the
 # grade-1 and grade-2 part.
@@ -304,11 +320,19 @@ class Quat(tuple):
     def modulus(self) -> float:
         return math.sqrt(self.modulus_sq())
 
-    def inverse(self, tol: float = EPS) -> "Quat":
+    def inverse(self) -> "Quat":
+        """``conj(q) / |q|^2``; only the zero quaternion has none.  Where
+        ``|q|^2`` or its reciprocal leaves the normal range, q is scaled
+        exactly by the power of two that brings its largest coordinate into
+        [1/2, 1), and back."""
         n = self.modulus_sq()
-        if math.sqrt(n) <= tol:
-            raise SingularElement("quaternion modulus below tolerance")
-        return self.conj() / n
+        if sys.float_info.min <= n <= 1.0 / sys.float_info.min:
+            return self.conj() / n
+        if not any(self):
+            raise SingularElement("the zero quaternion has no inverse")
+        e = math.frexp(max(map(abs, self)))[1]
+        s = _times_power_of_two(self, -e)
+        return _times_power_of_two(s.conj() / s.modulus_sq(), -e)
 
     def power(self, n: int) -> "Quat":
         if n < 0:
@@ -351,6 +375,16 @@ class Quat(tuple):
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return tuple(self)
+
+
+def _times_power_of_two(q: Quat, e: int) -> Quat:
+    """q * 2**e, exactly; 2**1024 is no float, but each half of e is one.
+
+    A result past the float maximum reads inf (``math.ldexp`` raises).
+    """
+    f, g = math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)
+    w, i, j, k = q
+    return _new(Quat, (w * f * g, i * f * g, j * f * g, k * f * g))
 
 
 def _as_quat(value: "Quat | float") -> Quat:

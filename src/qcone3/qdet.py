@@ -27,9 +27,9 @@ does.  The test suite keeps that formula as its oracle.
 The determinant of A is taken through the first side; for the paper's
 examples both sides agree, but the agreement is not an identity, so
 :func:`det_both_sides` gives both.  The determinant is multiplicative over
-matrix products on each side.  A side is invertible when
-``det > tol * m**2``, the degree-2 threshold read off the same numbers, and
-A is right invertible when both sides are.
+matrix products on each side.  A side is invertible when det, of degree
+2, is not negligible: ``det / m**2 > tol``, the ratio read off the same
+numbers.  A is right invertible when both sides are.
 """
 
 from __future__ import annotations
@@ -102,8 +102,9 @@ def _schur(side: QuatMatrix) -> tuple[float, float]:
 
     ``entries[i ^ k]`` is the side with entry k swapped to the corner.  The
     pivot column ``p, r`` is divided by m, so ``1 <= |p| <= 2`` and
-    ``|r p^-1| <= 2``; ``q`` and ``t`` enter divided by 16, so no coordinate
-    of the complement overflows, and nothing is squared.
+    ``|r p^-1| <= 2``; for m > 1, ``q`` and ``t`` enter divided by 16, so no
+    coordinate of the complement overflows (nor, for m <= 1, underflows),
+    and nothing is squared.
     """
     entries = (*side[0], *side[1])
     peaks = [max(map(abs, e)) for e in entries]
@@ -115,7 +116,8 @@ def _schur(side: QuatMatrix) -> tuple[float, float]:
     p, q, r, t = (entries[i ^ k] for i in range(4))
     p, r = p * s, r * s
     pivot = p.modulus()
-    complement = 16.0 * math.hypot(*(t * 0.0625 - r * p.inverse() * (q * 0.0625)))
+    c = 0.0625 if m > 1.0 else 1.0
+    complement = math.hypot(*(t * c - r * p.inverse() * (q * c))) / c
     return pivot * complement * m, pivot * (complement / m)
 
 

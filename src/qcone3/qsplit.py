@@ -12,6 +12,7 @@ couples (p, q) sharing real part and imaginary modulus.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .clifford3 import (
@@ -26,6 +27,7 @@ from .clifford3 import (
     QuatPair,
     _new,
     join,
+    negligible,
     split,
 )
 from .errors import NotImaginaryUnit, NotInCone
@@ -40,15 +42,18 @@ def cone_residuals(x: CliffordElement) -> tuple[float, float]:
 def in_cone(x: CliffordElement, tol: float = EPS) -> bool:
     """Cone membership relative to the coefficients each residual involves.
 
-    The residual x123 is linear in x and is held to ``tol * (1 + max|x_i|)``.
-    The quadratic residual is built from the six imaginary coefficients
-    x1 ... x23 alone, so it is held to ``tol * (1 + max|x_im|)**2``: a large
-    real part does not widen it.
+    The residual x123 is linear in x and is held to ``tol * max|x_i|``.  The
+    quadratic residual is built from the six imaginary coefficients alone, so
+    it is held to ``tol * max|x_im|**2``, on those six scaled exactly into
+    [1/2, 1) so it cannot underflow: a large real part does not widen it.
     """
     c = x.coeffs
-    r1, r2 = cone_residuals(x)
-    s_im = 1.0 + max(map(abs, c[1:7]))
-    return abs(r1) <= tol * (1.0 + x.max_abs()) and abs(r2) <= tol * s_im * s_im
+    m = max(map(abs, c[1:7]))
+    e = -math.frexp(m)[1]
+    c1, c2, c3, c12, c13, c23 = (math.ldexp(v, e) for v in c[1:7])
+    return negligible(c[7], x.max_abs(), tol=tol) and negligible(
+        c2 * c13 - c1 * c23 - c3 * c12, math.ldexp(m, e), 2, tol
+    )
 
 
 def is_sqrt_minus_one(x: CliffordElement) -> bool:
@@ -61,7 +66,7 @@ def inverse(x: CliffordElement) -> CliffordElement:
     """Componentwise quaternionic inverse.
 
     The algebra has zero divisors (each idempotent annihilates the other),
-    so inversion fails exactly when a split component has modulus <= EPS.
+    so inversion fails exactly when a split component is zero.
     """
     p, q = split(x)
     return join(p.inverse(), q.inverse())
@@ -83,7 +88,7 @@ class SphereDescriptor(NamedTuple):
     radius: float
 
     def is_point(self, tol: float = EPS) -> bool:
-        return abs(self.radius) <= tol
+        return negligible(self.radius, max(abs(self.center), abs(self.radius)), tol=tol)
 
     def sample(self, unit: Quat) -> Quat:
         return Quat(self.center) + unit * self.radius
@@ -102,7 +107,8 @@ class ConePoint:
 
     Stored as (alpha, beta, i1, i2) with beta >= 0, representing the couple
     (alpha + i1*beta, alpha + i2*beta).  Real points carry ``i1 = i2 =
-    None``.  Negative beta on construction is normalized by flipping both
+    None``; a beta negligible beside ``max(|alpha|, beta)`` makes the point
+    real.  Negative beta on construction is normalized by flipping both
     units, which names the same point.
     """
 
@@ -122,7 +128,7 @@ class ConePoint:
             beta = -beta
             i1 = -i1 if i1 is not None else None
             i2 = -i2 if i2 is not None else None
-        if beta <= tol:
+        if negligible(beta, max(abs(alpha), beta), tol=tol):
             beta = 0.0
             i1 = i2 = None
         else:
@@ -168,18 +174,20 @@ class ConePoint:
 
     @classmethod
     def from_element(cls, x: CliffordElement, tol: float = EPS) -> "ConePoint":
+        """The cone point of an element :func:`in_cone` accepts.  Each unit is
+        its side's imaginary part over that side's own modulus, so it squares
+        to -1 wherever the moduli differ within the tolerance."""
         if not in_cone(x, tol):
             r1, r2 = cone_residuals(x)
             raise NotInCone(
                 f"cone residuals ({r1:.3e}, {r2:.3e}) exceed tolerance"
             )
-        scale = 1.0 + x.max_abs()
         p, q = split(x)
         alpha = 0.5 * (p.re() + q.re())
-        beta = 0.5 * (p.im_modulus() + q.im_modulus())
-        if beta <= tol * scale:
+        a, b = math.hypot(*p[1:]), math.hypot(*q[1:])  # finite past 1e154
+        if not (a and b):  # in the cone, one side is real only if both are
             return cls(alpha, 0.0, None, None, tol)
-        return cls(alpha, beta, p.im() / beta, q.im() / beta, tol)
+        return cls(alpha, 0.5 * a + 0.5 * b, p.im() / a, q.im() / b, tol)
 
     def __repr__(self) -> str:
         if self.is_real:

@@ -38,7 +38,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .bislice import BiSlicePoly, QuatPoly, nan_max
-from .clifford3 import EPS, CliffordElement, Quat, _new, split
+from .clifford3 import EPS, CliffordElement, Quat, _times_power_of_two, negligible, split
 from .errors import UnfactoredInput
 from .qsplit import ConePoint, SphereDescriptor
 
@@ -57,32 +57,23 @@ def _same_base(s: tuple[float, float], t: tuple[float, float], tol: float) -> bo
     base and the 1.1/1.2 tie all use it, so a factor lies on the base it
     produced and on no other.
     """
-    slack = tol * (1.0 + max(abs(s[0]), abs(t[0]), s[1], t[1]))
-    return abs(s[0] - t[0]) <= slack and abs(s[1] - t[1]) <= slack
+    m = max(abs(s[0]), abs(t[0]), s[1], t[1])
+    return negligible(s[0] - t[0], m, tol=tol) and negligible(s[1] - t[1], m, tol=tol)
 
 
 def _is_conjugate(s: Quat, t: Quat, tol: float) -> bool:
     """t = conj(s) coordinatewise, relative to the largest coordinate of either."""
-    slack = tol * (1.0 + max(map(abs, (*s, *t))))
-    return all(abs(u - v) <= slack for u, v in zip(s.conj(), t))
-
-
-def _times_power_of_two(q: Quat, e: int) -> Quat:
-    """q * 2**e, exactly; 2**1024 is no float, but each half of e is one.
-
-    A result past the float maximum reads inf (``math.ldexp`` raises).
-    """
-    f, g = math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)
-    w, i, j, k = q
-    return _new(Quat, (w * f * g, i * f * g, j * f * g, k * f * g))
+    m = max(map(abs, (*s, *t)))
+    return all(negligible(u - v, m, tol=tol) for u, v in zip(s.conj(), t))
 
 
 def candidate_bases(constants: Sequence[Quat], tol: float = EPS) -> list[SphereDescriptor]:
     """Distinct sphere data of the factor constants (zeros live on these)."""
     bases: list[SphereDescriptor] = []
     for c in constants:
-        center, radius = _sphere_of(c)
-        cand = SphereDescriptor(center, radius if radius > tol else 0.0)
+        cand = SphereDescriptor(*_sphere_of(c))
+        if cand.is_point(tol):
+            cand = SphereDescriptor(cand.center, 0.0)
         if not any(_same_base(known, cand, tol) for known in bases):
             bases.append(cand)
     return bases
@@ -121,9 +112,7 @@ def sphere_chain(
             e = math.frexp(max(map(abs, (*off[k], *b))))[1]
             a, b = _times_power_of_two(off[k], -e), _times_power_of_two(b, -e)
             h = b - a.conj()
-            # conjugation by h ignores its scale; a unit-size h stays finite
-            h = h / max(map(abs, h))
-            moved = h.inverse(tol) * b * h
+            moved = h.inverse() * b * h
             off[k] = _times_power_of_two(a + b - moved, e)
             b = _times_power_of_two(moved, e)
         if chain and _is_conjugate(chain[-1], b, tol):

@@ -536,7 +536,7 @@ def root_on_sphere(
     scale = 1.0 + poly.max_coeff() * math.prod([max(1.0, abs(z))] * max(d, 1))
     if d_sum.modulus() <= tol * scale:
         return None
-    unit = -(c_sum * d_sum.inverse(tol))
+    unit = -(c_sum * d_sum.inverse())
     if not unit.is_unit_imaginary(100 * tol):
         return None
     root = Quat(base.center) + unit * base.radius

@@ -102,6 +102,18 @@ def test_det_tol_decides_right_invertibility_and_nothing_else(capsys):
     assert outputs[(), "pretty"] == outputs[("--tol", "0.01"), "pretty"]
 
 
+@pytest.mark.parametrize("mode", ["pretty", "records"])
+def test_det_runs_one_schur_form_per_side(capsys, monkeypatch, mode):
+    from qcone3 import qdet
+
+    sides = []
+    schur = qdet._schur
+    monkeypatch.setattr(qdet, "_schur", lambda side: sides.append(side) or schur(side))
+    code, out, _ = invoke(capsys, "det", "--matrix", "[[e1, e2+e23],[-1, e2]]", "--output", mode)
+    assert code == 0
+    assert len(sides) == 2
+
+
 def test_parse_error_exit_code_and_caret(capsys):
     code, out, err = invoke(capsys, "split", "2e23 + z")
     assert code == 2
@@ -592,20 +604,31 @@ def test_roots_nan_residual_is_a_named_error(capsys, mode):
 
 
 ROOTS_SMALL_SPHERE = ("roots", "--factored", "(x - 0.00000000001e1)*(x + 0.00000000001e1)")
+ROOTS_NEAR_REAL = ("roots", "--factored", "(x - 1 - 0.00000000001e1)*(x - 1 + 0.00000000001e1)")
 
 
-@pytest.mark.parametrize("tol, radius", [(("--tol", "0"), 1e-11), ((), 0.0)])
-def test_roots_pretty_shape_is_the_records_shape(capsys, tol, radius):
-    # x^2 + 1e-22 vanishes on the sphere of radius 1e-11, which the default
-    # tolerance folds to the real point 0 and --tol 0 keeps
-    code, out, _ = invoke(capsys, *ROOTS_SMALL_SPHERE, *tol, "--output", "records")
+@pytest.mark.parametrize(
+    "argv, center, radius",
+    [
+        ((*ROOTS_SMALL_SPHERE, "--tol", "0"), 0, 1e-11),
+        (ROOTS_SMALL_SPHERE, 0, 1e-11),
+        ((*ROOTS_NEAR_REAL, "--tol", "0"), 1, 1e-11),
+        (ROOTS_NEAR_REAL, 1, 0.0),
+    ],
+)
+def test_roots_pretty_shape_is_the_records_shape(capsys, argv, center, radius):
+    # x^2 + 1e-22 vanishes on the sphere of radius 1e-11, which no tolerance
+    # folds to a point: beside its center 0 the radius is never negligible.
+    # Around center 1 the default tolerance folds it to the real point 1, and
+    # --tol 0 keeps it.
+    code, out, _ = invoke(capsys, *argv, "--output", "records")
     assert code == 0
     pair, _ = records(out)
     for side in (pair["p"], pair["q"]):
-        assert side == {"kind": "sphere", "center": 0.0, "radius": radius}
-    code, out, _ = invoke(capsys, *ROOTS_SMALL_SPHERE, *tol)
+        assert side == {"kind": "sphere", "center": center, "radius": radius}
+    code, out, _ = invoke(capsys, *argv)
     assert code == 0
-    shape = "sphere(center 0, radius 1e-11)" if radius else "point 0"
+    shape = f"sphere(center {center}, radius 1e-11)" if radius else f"point {center}"
     assert out.splitlines()[:4] == [
         "case: 1.1",
         f"p-side: {shape}",

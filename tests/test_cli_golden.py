@@ -9,9 +9,12 @@ keep their exit status, stderr, record keys and text shape, and every number
 agrees within ``1e-14 * (1 + largest magnitude in that line or record)``;
 pretty elements are compared after re-parsing.
 
-Re-record (only when an output change is intended)::
+Re-record (only when an output change is intended) every case, or only the
+cases whose argv starts with one of the given prefixes, each written as
+shell words; the other entries stay byte for byte::
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
+    PYTHONPATH=src python tests/test_cli_golden.py --record "split e1" "roots --factored"
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import io
 import json
 import os
 import re
+import shlex
 import sys
 
 import pytest
@@ -181,9 +185,25 @@ def stderr_key(err: str) -> str:
     return "usage error" if err.startswith("usage:") else err
 
 
-def _load() -> dict:
-    with open(CORPUS) as fh:
+def _load(path: str = CORPUS) -> dict:
+    with open(path) as fh:
         return {tuple(case["argv"]): case for case in json.load(fh)}
+
+
+def record(filters: list[str], path: str = CORPUS) -> None:
+    """Rewrite the corpus, invoking the cases that match a filter (all cases
+    when there is none) and any case the corpus lacks; every other entry is
+    written back as it was loaded."""
+    prefixes = [shlex.split(f) for f in filters]
+    kept = _load(path) if prefixes else {}
+
+    def fresh(argv) -> bool:
+        return argv not in kept or any(list(argv[: len(p)]) == p for p in prefixes)
+
+    cases = [invoke(argv) if fresh(argv) else kept[argv] for argv in CASES]
+    with open(path, "w") as fh:
+        json.dump(cases, fh, indent=1)
+        fh.write("\n")
 
 
 def test_corpus_covers_every_case():
@@ -215,7 +235,21 @@ def test_pretty_fields_reparse_elements():
     assert not lines_close('{"a": [1.0]}', '{"b": [1.0]}', True)
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    with open(CORPUS, "w") as fh:
-        json.dump([invoke(argv) for argv in CASES], fh, indent=1)
-        fh.write("\n")
+def test_record_rewrites_only_the_filtered_cases(tmp_path):
+    with open(CORPUS) as fh:
+        original = fh.read()
+    path = tmp_path / "corpus.json"
+    path.write_text(original)
+    record(["no-such-command"], str(path))
+    assert path.read_text() == original
+    stale = json.loads(original)
+    for case in stale:
+        case["stdout"] = "stale"
+    path.write_text(json.dumps(stale, indent=1) + "\n")
+    record(["split e1"], str(path))
+    want = [invoke(c["argv"]) if c["argv"][:2] == ["split", "e1"] else c for c in stale]
+    assert path.read_text() == json.dumps(want, indent=1) + "\n"
+
+
+if __name__ == "__main__" and sys.argv[1:2] == ["--record"]:
+    record(sys.argv[2:])

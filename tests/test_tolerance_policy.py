@@ -1,0 +1,197 @@
+"""The one zero test, ``negligible``, and the decisions that go through it, at
+every scale.
+
+Each decision is checked at its threshold and just either side of it.  The
+thresholds are exact with a power-of-two tolerance and dyadic inputs, so
+scaling by 2^k (k = -1000 ... 1000) must not move any answer by a single
+case.  Scaling by 10^e (e = -40 ... 40) rounds the inputs, so there the
+inputs sit a relative 1e-6 inside or outside the threshold.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qcone3 import (
+    E0,
+    ZERO,
+    CliffordElement,
+    ConePoint,
+    Matrix2,
+    Quat,
+    SphereDescriptor,
+    in_cone,
+    is_right_invertible,
+)
+from qcone3.clifford3 import E1, E23, E123, negligible
+from qcone3.errors import SingularElement
+from qcone3.zeros import sphere_chain
+from helpers import rand_cone_element
+
+#: A tolerance whose thresholds are exact in binary.
+TOL = 2.0**-20
+POWERS = st.integers(-1000, 1000)
+TENS = st.floats(-40.0, 40.0).map(lambda e: 10.0**e)
+#: (offset from the threshold, accepted): at it, one ulp past, one ulp inside.
+EDGES = ((0, True), (1, False), (-1, True))
+
+
+def _ulps(x: float, n: int) -> float:
+    return x if n == 0 else math.nextafter(x, math.inf if n > 0 else 0.0)
+
+
+@given(st.integers(-500, 500), st.sampled_from((1, 2)))
+@example(500, 2)
+@example(-500, 2)
+def test_negligible_is_exact_at_its_threshold(k, degree):
+    scale = math.ldexp(1.0, k)
+    bound = math.ldexp(TOL, k * degree)
+    for n, accepted in EDGES:
+        assert negligible(_ulps(bound, n), scale, degree, TOL) == accepted
+        assert negligible(-_ulps(bound, n), scale, degree, TOL) == accepted
+
+
+def test_negligible_edges():
+    # a zero scale accepts only an exact zero
+    assert negligible(0.0, 0.0) and negligible(-0.0, 0.0, 2)
+    assert not negligible(5e-324, 0.0)
+    # the bound saturates instead of raising; inf and nan are never negligible
+    assert negligible(1e300, 1e300, 2)
+    assert not negligible(math.inf, math.inf)
+    assert not negligible(math.nan, 1.0) and not negligible(0.0, math.nan)
+    assert not negligible(1e-300, 1e-200, 2)
+
+
+_DYADIC_QUATS = st.tuples(*[st.integers(-12, 12)] * 4).filter(any).map(
+    lambda t: Quat(*(n / 8.0 for n in t))
+)
+
+
+@settings(deadline=None)
+@given(_DYADIC_QUATS, POWERS, TENS)
+@example(Quat(1.0), 1000, 1e40)
+@example(Quat(0.125, 1.5), -1000, 1e-40)
+def test_quat_inverse_works_at_every_nonzero_scale(q, k, t):
+    # q * 2^k and its inverse stay normal floats, so the inverse scales exactly
+    big = Quat(*(math.ldexp(x, k) for x in q))
+    assert big.inverse() == Quat(*(math.ldexp(x, -k) for x in q.inverse()))
+    assert ((q * t).inverse() * (q * t)).isclose(1.0, 1e-14)
+
+
+def test_quat_inverse_fails_only_at_zero():
+    assert math.isclose(Quat(1e-11).inverse().w, 1e11, rel_tol=1e-15)
+    assert Quat(5e-324).inverse().w == math.inf  # 2^1074 is past the float max
+    with pytest.raises(SingularElement):
+        Quat(0.0, -0.0).inverse()
+
+
+def _element(coeffs: dict, k: int, t: float = 1.0) -> CliffordElement:
+    c = [0.0] * 8
+    for i, v in coeffs.items():
+        c[i] = math.ldexp(v, k) * t
+    return CliffordElement(c)
+
+
+@settings(deadline=None)
+@given(POWERS)
+@example(1000)
+@example(-1000)
+def test_cone_membership_at_its_threshold_under_powers_of_two(k):
+    for n, accepted in EDGES:
+        d = _ulps(TOL, n)
+        # e1 + d e123: the residual x123 = d against max|x_i| = 1;
+        # e1 + d e23: the quadratic residual -d against max|x_im|^2 = 1
+        for coeffs in ({1: 1.0, 7: d}, {1: 1.0, 6: d}):
+            x = _element(coeffs, k)
+            assert in_cone(x, TOL) == accepted
+            if accepted:  # what in_cone accepts builds a ConePoint
+                point = ConePoint.from_element(x, TOL)
+                assert math.isclose(point.beta, math.ldexp(1.0, k), rel_tol=1e-15)
+
+
+@given(TENS, st.sampled_from((1.0 - 1e-6, 1.0 + 1e-6)))
+@example(1e40, 1.0 - 1e-6)
+@example(1e-40, 1.0 + 1e-6)
+def test_cone_membership_beside_its_threshold_under_powers_of_ten(t, factor):
+    for coeffs in ({1: 1.0, 7: TOL * factor}, {1: 1.0, 6: TOL * factor}):
+        x = _element(coeffs, 0, t)
+        assert in_cone(x, TOL) == (factor < 1.0)
+        if factor < 1.0:
+            ConePoint.from_element(x, TOL)
+
+
+def _chain_counts(base: SphereDescriptor, constants, k: int, t: float = 1.0):
+    def scaled(v: float) -> float:
+        return math.ldexp(v, k) * t
+
+    power, chain = sphere_chain(
+        [Quat(*map(scaled, c)) for c in constants],
+        SphereDescriptor(scaled(base.center), scaled(base.radius)),
+        TOL,
+    )
+    return power, len(chain)
+
+
+@settings(deadline=None)
+@given(POWERS)
+@example(1000)
+@example(-1000)
+def test_sphere_chain_counts_at_their_threshold_under_powers_of_two(k):
+    conj_pair = (Quat(0.0, 1.0), Quat(0.0, -1.0))
+    for n, accepted in EDGES:
+        d = _ulps(TOL, n)
+        # the conjugate pair on the sphere (0, 1) is on the base (d, 1) exactly
+        # when d is negligible beside the radius 1
+        assert _chain_counts(SphereDescriptor(d, 1.0), conj_pair, k) == (
+            (1, 0) if accepted else (0, 0)
+        )
+        # a radius negligible beside the center 1 makes the base the real point 1
+        assert _chain_counts(SphereDescriptor(1.0, d), (Quat(1.0),), k) == (
+            (0, 1) if accepted else (0, 0)
+        )
+
+
+@given(TENS, st.sampled_from((1.0 - 1e-6, 1.0 + 1e-6)))
+@example(1e40, 1.0 + 1e-6)
+@example(1e-40, 1.0 - 1e-6)
+def test_sphere_chain_counts_beside_their_threshold_under_powers_of_ten(t, factor):
+    d, inside = TOL * factor, factor < 1.0
+    conj_pair = (Quat(0.0, 1.0), Quat(0.0, -1.0))
+    assert _chain_counts(SphereDescriptor(d, 1.0), conj_pair, 0, t) == (
+        (1, 0) if inside else (0, 0)
+    )
+    assert _chain_counts(SphereDescriptor(1.0, d), (Quat(1.0),), 0, t) == (
+        (0, 1) if inside else (0, 0)
+    )
+
+
+def _diag(a: float, d: float) -> Matrix2:
+    return Matrix2(a * E0, ZERO, ZERO, d * E0)
+
+
+@settings(deadline=None)
+@given(POWERS, st.integers(0, 2**32 - 1))
+@example(1000, 0)
+@example(-1000, 0)
+def test_right_invertibility_under_powers_of_two(k, seed):
+    # diag(1, eps): det / m^2 = eps, strictly above tol to be invertible
+    for n, accepted in EDGES:
+        eps = _ulps(TOL, n)
+        m = _diag(math.ldexp(1.0, k), math.ldexp(eps, k))
+        assert is_right_invertible(m, TOL) == (not accepted)
+    m = Matrix2(*(rand_cone_element(random.Random(seed)) for _ in range(4)))
+    big = Matrix2(*(_element(dict(enumerate(e.coeffs)), k) for e in m.entries()))
+    assert is_right_invertible(big) == is_right_invertible(m)
+
+
+@given(TENS, st.sampled_from((1.0 - 1e-6, 1.0 + 1e-6)))
+@example(1e40, 1.0 + 1e-6)
+@example(1e-40, 1.0 - 1e-6)
+def test_right_invertibility_beside_its_threshold_under_powers_of_ten(t, factor):
+    assert is_right_invertible(_diag(t, t * TOL * factor), TOL) == (factor > 1.0)
+    assert is_right_invertible(Matrix2(t * E1, t * E23, t * E123, t * E1)) == (
+        is_right_invertible(Matrix2(E1, E23, E123, E1))
+    )

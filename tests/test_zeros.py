@@ -547,15 +547,18 @@ def _times_two_to(q: Quat, k: int) -> Quat:
 def _scaled_quadratic(draw):
     p_side = draw(_dyadic_side(draw(st.sampled_from(_SHAPES))))
     q_side = draw(_dyadic_side(draw(st.sampled_from(_SHAPES))))
-    return (*p_side, *q_side), draw(st.integers(0, 1000))
+    return (*p_side, *q_side), draw(st.integers(-1000, 1000))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_scaled_quadratic())
 @example(((Q23, -Q13, 2 * Q23, -2 * Q23), 1000))
 @example(((Quat(0.5, 0.25), Quat(0.5, -0.25), Quat(1.0), Quat(1.0)), 700))
+@example(((Q23, -Q13, 2 * Q23, -2 * Q23), -1000))
+@example(((Quat(0.5, 0.25), Quat(0.5, -0.25), Quat(1.0), Quat(1.0)), -700))
 def test_classification_is_scale_invariant(case):
-    # |2^k a|^2 overflows from k = 512; case tags and points must not notice
+    # |2^k a|^2 overflows from k = 512 and underflows below k = -512; case
+    # tags and points must not notice
     constants, k = case
     want = classify_split(*constants)
     got = classify_split(*(_times_two_to(c, k) for c in constants))
