@@ -201,6 +201,14 @@ def star_mul(f: BiSlicePoly, g: BiSlicePoly) -> BiSlicePoly:
     return BiSlicePoly.from_pair(fp.star(gp), fq.star(gq))
 
 
+def _horner_bound(poly: QuatPoly, size: float) -> float:
+    """``sum |a_k| size^k``, which bounds ``|poly(x)|`` for ``|x| = size``."""
+    bound = 0.0
+    for c in reversed(poly.coeffs):
+        bound = bound * size + math.hypot(*c)
+    return bound
+
+
 def star_mul_pointwise(
     f: BiSlicePoly,
     g: BiSlicePoly,
@@ -211,18 +219,16 @@ def star_mul_pointwise(
 
     Requires f(x) to be invertible componentwise.  When both components of
     f(x) vanish the product vanishes too and 0 is returned; when exactly one
-    vanishes the conjugation is undefined and the call fails.
+    vanishes the conjugation is undefined and the call fails.  A component
+    vanishes when negligible beside the size of its terms, ``sum |a_k| |x|^k``.
     """
     p, q = _point_pair(x)
     fp, fq = f.split()
     gp, gq = g.split()
     a = fp.eval(p)
     b = fq.eval(q)
-    # Degrees mix in f(x), terms of degree 0 ... d in x, so no one scale makes
-    # this test homogeneous: it is the one zero test that stays absolute,
-    # against the unit floor.
-    a_zero = negligible(a.modulus(), 1.0, tol=tol)
-    b_zero = negligible(b.modulus(), 1.0, tol=tol)
+    a_zero = negligible(math.hypot(*a), _horner_bound(fp, math.hypot(*p)), tol=tol)
+    b_zero = negligible(math.hypot(*b), _horner_bound(fq, math.hypot(*q)), tol=tol)
     if a_zero and b_zero:
         return ZERO
     if a_zero or b_zero:

@@ -26,13 +26,13 @@ is then complex multiplication, ``(a + I b) R(v) = R((a + i b) v)``.
 * ``F(s) = R(w)``, where ``w`` is four complex Horner evaluations at ``z``,
   one per real coefficient column.
 * The kernel denominator ``q^2 - 2 Re(s) q + |s|^2`` has real coefficients
-  in q, so it is ``d = q_c^2 - 2 Re(z) q_c + |z|^2`` read in the plane C_J of
-  the target, with ``q_c = Re q + i |Im q|``; its inverse is ``a + J b`` for
-  ``1/d = a + i b``.  When q is real any unit serves as J, since b = 0.
+  in q, so for a target ``q = alpha + J beta`` (beta >= 0, J = Im q / |Im q|)
+  it is ``d = q_c^2 - 2 Re(z) q_c + |z|^2`` read in the plane C_J, with
+  ``q_c = alpha + i beta``; its inverse is ``a + J b`` for ``1/d = a + i b``.
+  When q is real any unit serves as J, since b = 0.
 * With ``conj(s) phi`` read as ``m = r^2 + x0 phi`` and ``(a + J b) q`` kept
   in C_J, each node contributes ``R(g w) + J R(h w)``, where
-  ``g = a m - (a Re q - b |Im q|) phi`` and
-  ``h = b m - (a |Im q| + b Re q) phi``.
+  ``g = a m - (a alpha - b beta) phi`` and ``h = b m - (a beta + b alpha) phi``.
 * The nodes ``t_k = 2 pi k / N`` pair as ``phi_{N-k} = conj(phi_k)``: ``d``
   is equal and ``w`` (real columns), ``g``, ``h`` conjugate, so every N-node
   sum is real, ``sum' c_k Re(.)`` over ``k = 0 ... N//2`` with ``c_k`` 1 at
@@ -40,14 +40,21 @@ is then complex multiplication, ``(a + I b) R(v) = R((a + i b) v)``.
   is ``(Re sum g w + J Re sum h w) / N``, free of I as the formula says, and
   the closed integral is ``I Re(sum phi w) * 2 pi / N``.
 
+The weights ``g, h`` depend on the target only through ``(alpha, beta)``,
+which a cone point's split components ``alpha + beta I1`` and ``alpha + beta
+I2`` share.  One weight pass per circle, with the singular test inline (``d``
+is equal at k and N - k, so it covers all N), serves both components when
+their contours share center, radius and node count, as in every
+``cauchy-verify`` call; each component then sums against its own ``c_k w``.
+
 Both quadratures read a node table over k = 0 ... N//2: ``phi``, ``Re z``,
 ``|z|^2`` and ``m`` once per circle, and ``c_k w`` per split component, 235
 bytes per contour node (tracemalloc) when the two contours share center,
 radius and node count (308 otherwise), so at most 15 MB (20 MB) at
-:data:`MAX_NODES`.  ``d`` is equal at k and N - k, so the singular test on
-each table node covers all N.  The module keeps the table of its last
-(polynomial, contour_i, contour_j) call, matched by identity, and replaces it
-in one assignment, so concurrent callers see a whole entry or none.
+:data:`MAX_NODES`, and a reconstruction's weights 40 (2.7 MB) while it runs.
+The module keeps the table of its last (polynomial, contour_i, contour_j)
+call, matched by identity, and replaces it in one assignment, so concurrent
+callers see a whole entry or none.
 
 Contours accept at most :data:`MAX_NODES` nodes, and one quadrature at most
 :data:`MAX_NODE_TERMS` nodes times coefficients, so no request does
@@ -59,7 +66,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .clifford3 import EPS, Q23, CliffordElement, Quat, join, negligible
+from .clifford3 import EPS, Q23, CliffordElement, Quat, _times_power_of_two, join, negligible
 from .bislice import BiSlicePoly, QuatPoly, central_differences
 from .errors import (
     InputTooLarge,
@@ -123,11 +130,18 @@ class SliceContour(_ContourFields):
 
 def cauchy_kernel_quat(s: Quat, q: Quat, tol: float = EPS) -> Quat:
     """Kernel value; fails on the sphere of s, where the denominator, of
-    degree 2 in (s, q), is negligible beside ``|(s, q)|**2``."""
-    denom = q * q - q * (2.0 * s.re()) + Quat(s.modulus_sq())
-    if negligible(denom.modulus(), math.hypot(*s, *q), 2, tol):
-        raise _singular(s.re(), s.im_modulus())
-    return denom.inverse() * (s.conj() - q)
+    degree 2 in (s, q), is negligible beside ``|(s, q)|**2``.
+
+    s and q are scaled exactly by the power of two that brings their largest
+    coordinate into [1/2, 1), and the value, of degree -1, back: no bit moves
+    where the unscaled steps stay normal floats, and past 1e+-154, where
+    ``|s|^2`` leaves the range, the value is still the kernel's."""
+    e = math.frexp(max(map(abs, (*s, *q))))[1]
+    sc, qc = _times_power_of_two(s, -e), _times_power_of_two(q, -e)
+    denom = qc * qc - qc * (2.0 * sc.re()) + Quat(sc.modulus_sq())
+    if negligible(denom.modulus(), math.hypot(*sc, *qc), 2, tol):
+        raise _singular(s.re(), math.hypot(*s[1:]))
+    return _times_power_of_two(denom.inverse() * (sc.conj() - qc), -e)
 
 
 def _singular(re: float, im_modulus: float) -> OnSingularSphere:
@@ -159,12 +173,14 @@ def _slice_table(poly: QuatPoly, contour: SliceContour, circle: tuple = ()) -> t
         s_res = [x0 + phi.real for phi in phis]
         s_sqs = [s * s + phi.imag * phi.imag for s, phi in zip(s_res, phis)]
         circle = phis, s_res, s_sqs, [r * r + x0 * phi for phi in phis]
-    rows = [c.as_tuple() for c in reversed(poly.coeffs)]
+    # Horner from the leading coefficient: the same bits as from 0j * z + c.
+    lead, *rows = [c.as_tuple() for c in reversed(poly.coeffs)]
+    lead = tuple(map(complex, lead))
     ws = [], [], [], []
     put0, put1, put2, put3 = (w.append for w in ws)
     for k, phi in enumerate(circle[0]):
         z = x0 + phi
-        w0 = w1 = w2 = w3 = 0j
+        w0, w1, w2, w3 = lead
         for c0, c1, c2, c3 in rows:
             w0 = w0 * z + c0
             w1 = w1 * z + c1
@@ -235,24 +251,29 @@ def contour_integral_vanishes(
     )
 
 
-def _reconstruct_component(
-    side: tuple, contour: SliceContour, target: Quat, tol: float
-) -> Quat:
-    q_re, q_im = target.re(), target.im_modulus()
-    unit_j = target.im() / q_im if q_im > 0.0 else contour.unit
-    q_c = complex(q_re, q_im)
-    q_c_sq = q_c * q_c
-    q_sq = target.modulus_sq()
-    g0 = g1 = g2 = g3 = h0 = h1 = h2 = h3 = 0j
-    for phi, s_re, s_sq, m, w0, w1, w2, w3 in zip(*side):
-        d = q_c_sq - 2.0 * s_re * q_c + s_sq
+def _kernel_weights(circle: tuple, alpha: float, beta: float, tol: float) -> tuple:
+    """Columns ``(g, h)`` over a circle's nodes for targets at ``alpha + J beta``."""
+    q_c = complex(alpha, beta)
+    q_c_sq, two_q_c = q_c * q_c, 2.0 * q_c  # s_re * (2 q_c) is 2 s_re * q_c, exactly
+    q_sq = alpha * alpha + beta * beta
+    gs, hs = [], []
+    put_g, put_h = gs.append, hs.append
+    for phi, s_re, s_sq, m in zip(*circle):
+        d = q_c_sq - s_re * two_q_c + s_sq
         # negligible(|d|, |(s, q)|, 2), inline: one call per node would cost ~10%
         if abs(d) <= tol * (q_sq + s_sq):
             raise _singular(s_re, abs(phi.imag))
         inv = 1.0 / d
         a, b = inv.real, inv.imag
-        g = a * m - (a * q_re - b * q_im) * phi
-        h = b * m - (a * q_im + b * q_re) * phi
+        put_g(a * m - (a * alpha - b * beta) * phi)
+        put_h(b * m - (a * beta + b * alpha) * phi)
+    return gs, hs
+
+
+def _accumulate(weights: tuple, side: tuple, unit_j: Quat, nodes: int) -> Quat:
+    """``(Re sum g w + J Re sum h w) / N`` for one split component."""
+    g0 = g1 = g2 = g3 = h0 = h1 = h2 = h3 = 0j
+    for g, h, w0, w1, w2, w3 in zip(*weights, *side[4:]):
         g0 += g * w0
         g1 += g * w1
         g2 += g * w2
@@ -262,7 +283,13 @@ def _reconstruct_component(
         h2 += h * w2
         h3 += h * w3
     acc = Quat(g0.real, g1.real, g2.real, g3.real)
-    return (acc + unit_j * Quat(h0.real, h1.real, h2.real, h3.real)) / contour.nodes
+    return (acc + unit_j * Quat(h0.real, h1.real, h2.real, h3.real)) / nodes
+
+
+def _slice_unit(target: Quat, contour: SliceContour) -> Quat:
+    """The target's own unit ``Im / |Im|``; any unit serves a real target."""
+    q_im = target.im_modulus()
+    return target.im() / q_im if q_im > 0.0 else contour.unit
 
 
 def cauchy_reconstruct(
@@ -280,8 +307,12 @@ def cauchy_reconstruct(
     if not contour_j.contains(point.q):
         raise PointOutsideContour("second component outside its contour disc")
     side_i, side_j = _node_table(poly, contour_i, contour_j)
-    vp = _reconstruct_component(side_i, contour_i, point.p, tol)
-    vq = _reconstruct_component(side_j, contour_j, point.q, tol)
+    weights = _kernel_weights(side_i[:4], point.alpha, point.beta, tol)
+    vp = _accumulate(weights, side_i, _slice_unit(point.p, contour_i), contour_i.nodes)
+    if side_j[0] is not side_i[0]:  # another circle: its own weight pass
+        del weights  # one pass's columns alive at a time
+        weights = _kernel_weights(side_j[:4], point.alpha, point.beta, tol)
+    vq = _accumulate(weights, side_j, _slice_unit(point.q, contour_j), contour_j.nodes)
     return join(vp, vq)
 
 

@@ -35,8 +35,9 @@ numbers.  A is right invertible when both sides are.
 from __future__ import annotations
 
 import math
+import sys
 
-from .clifford3 import E0, EPS, ZERO, CliffordElement, Quat, join, split
+from .clifford3 import E0, EPS, ZERO, CliffordElement, Quat, _times_power_of_two, join, split
 
 QuatMatrix = tuple[tuple[Quat, Quat], tuple[Quat, Quat]]
 
@@ -104,13 +105,18 @@ def _schur(side: QuatMatrix) -> tuple[float, float]:
     pivot column ``p, r`` is divided by m, so ``1 <= |p| <= 2`` and
     ``|r p^-1| <= 2``; for m > 1, ``q`` and ``t`` enter divided by 16, so no
     coordinate of the complement overflows (nor, for m <= 1, underflows),
-    and nothing is squared.
+    and nothing is squared.  A subnormal m, whose reciprocal overflows, is
+    first scaled exactly into [1/2, 1) with the whole side.
     """
     entries = (*side[0], *side[1])
     peaks = [max(map(abs, e)) for e in entries]
     m = max(peaks)
     if m == 0.0:
         return 0.0, 0.0
+    if m < sys.float_info.min:  # 1 / m would overflow: scale exactly first
+        e = math.frexp(m)[1]
+        det, ratio = _schur(tuple(tuple(_times_power_of_two(x, -e) for x in r) for r in side))
+        return math.ldexp(det, 2 * e), ratio
     k = peaks.index(m)
     s = 1.0 / m
     p, q, r, t = (entries[i ^ k] for i in range(4))

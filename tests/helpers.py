@@ -189,6 +189,43 @@ def contour_integral(contour: SliceContour, fn: Callable[[Quat], Quat]) -> Quat:
     return acc * step
 
 
+# -- oracle: the slice-plane node loop with the kernel's (g, h) weights --------
+
+
+def slice_plane_component(
+    poly: QuatPoly, contour: SliceContour, alpha: float, beta: float, unit_j: Quat
+) -> Quat:
+    """One split component of the Cauchy reconstruction at ``alpha + J beta``
+    (beta >= 0, J = ``unit_j``), one node at a time in the quadrature's terms:
+    ``1/d = a + i b`` with ``d = q_c^2 - 2 Re(z) q_c + |z|^2``, weights
+    ``g = a m - (a alpha - b beta) phi`` and ``h = b m - (a beta + b alpha) phi``
+    with ``m = r^2 + x0 phi``, over the nodes k <= N//2 of weight 1 or 2.
+    Returns ``(Re sum g w + J Re sum h w) / N``."""
+    x0, r, n = contour.center, contour.radius, contour.nodes
+    q_c = complex(alpha, beta)
+    g_acc, h_acc = [0j] * 4, [0j] * 4
+    for k in range(n // 2 + 1):
+        t = 2.0 * math.pi * k / n
+        phi = complex(r * math.cos(t), r * math.sin(t))
+        z = x0 + phi
+        s_re = z.real
+        d = q_c * q_c - 2.0 * s_re * q_c + (s_re * s_re + phi.imag * phi.imag)
+        inv = 1.0 / d
+        a, b = inv.real, inv.imag
+        m = r * r + x0 * phi
+        g = a * m - (a * alpha - b * beta) * phi
+        h = b * m - (a * beta + b * alpha) * phi
+        weight = 2.0 if 0 < k < n - k else 1.0
+        for i in range(4):
+            w = 0j
+            for c in reversed(poly.coeffs):
+                w = w * z + c[i]
+            g_acc[i] += g * (weight * w)
+            h_acc[i] += h * (weight * w)
+    value = Quat(*(v.real for v in g_acc)) + unit_j * Quat(*(v.real for v in h_acc))
+    return value / n
+
+
 # -- oracle: the exact trapezoid value, in mpmath ------------------------------
 
 

@@ -27,9 +27,11 @@ from qcone3 import (
 from qcone3.cauchy import (
     MAX_NODE_TERMS,
     MAX_NODES,
+    _accumulate,
     _closed_integral,
-    _reconstruct_component,
+    _kernel_weights,
     _slice_table,
+    _slice_unit,
 )
 from qcone3.errors import (
     InputTooLarge,
@@ -48,6 +50,7 @@ from helpers import (
     rand_poly,
     rand_quat,
     rand_unit_imaginary,
+    slice_plane_component,
     thetas,
 )
 
@@ -60,6 +63,17 @@ def test_kernel_real_pole_examples():
         q = rand_quat(rng)
         s = Quat(rng.uniform(2.5, 4.0))
         assert cauchy_kernel_quat(s, q).isclose((s - q).inverse(), 1e-12)
+
+
+@pytest.mark.parametrize("t", [1e200, 1e-200])
+def test_kernel_at_1e200_and_1e_minus_200(t):
+    # |s|^2 and q^2 leave the float range; the kernel, of degree -1, does not
+    rng = random.Random(9)
+    for _ in range(50):
+        s, q = rand_quat(rng), rand_quat(rng)
+        want = cauchy_kernel_quat(s, q)
+        got = cauchy_kernel_quat(s * t, q * t)
+        assert (got * t - want).modulus() <= 1e-14 * want.modulus()
 
 
 def test_kernel_common_slice_reduces_to_difference_inverse():
@@ -337,7 +351,7 @@ def test_slice_plane_quadrature_keeps_singular_test():
     # the node at t = pi/2 is I, whose sphere holds every unit imaginary
     contour = SliceContour(0.0, 1.0, Q23, 16)
     with pytest.raises(OnSingularSphere):
-        _reconstruct_component(_slice_table(QuatPoly([1.0]), contour), contour, Q12, 1e-12)
+        _kernel_weights(_slice_table(QuatPoly([1.0]), contour)[:4], 0.0, 1.0, 1e-12)
 
 
 def _inside(rng, center: float, radius: float, rho: float) -> ConePoint:
@@ -390,10 +404,81 @@ def test_reconstruction_is_close_to_the_exact_trapezoid_value():
         for f, target in zip(poly.split(), (x.p, x.q)):
             contour = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
             side = _slice_table(f, contour)
-            got = _reconstruct_component(side, contour, target, 1e-12)
+            weights = _kernel_weights(side[:4], x.alpha, x.beta, 1e-12)
+            got = _accumulate(weights, side, _slice_unit(target, contour), nodes)
             want, largest = exact_trapezoid_component(f, contour, target)
             error = max(abs(a - b) for a, b in zip(got, want))
             assert error <= 2e-15 * largest, (k, nodes, error / largest)
+
+
+def _target_unit(target: Quat, contour: SliceContour) -> Quat:
+    m = target.im_modulus()
+    return target.im() / m if m > 0.0 else contour.unit
+
+
+def test_reconstruction_matches_the_slice_plane_loop():
+    # The (g, h) node loop at the cone point's (alpha, beta) and each side's
+    # own unit, on circles the two components share, on two circles, and at
+    # real points.  These 500 inputs agree with it bit for bit; the bound
+    # leaves room for a reordered sum.
+    rng = random.Random(33)
+    for k in range(500):
+        nodes = rng.choice((16, 17, 33, 64, 65, 128))
+        poly = rand_poly(rng, rng.randint(0, 5))
+        center, radius = rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.0)
+        ci = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
+        shift = 0.0 if k % 2 else rng.uniform(-0.3, 0.3)
+        # a shifted circle of radius radius + |shift| holds ci's whole disc
+        cj = SliceContour(
+            center + shift, radius + abs(shift), rand_unit_imaginary(rng), nodes
+        )
+        x = _inside(rng, center, radius, rng.uniform(0.0, 0.7))
+        if k % 5 == 0:
+            x = ConePoint(x.alpha, 0.0, None, None)
+        got = cauchy_reconstruct(poly, ci, cj, x)
+        want = join(
+            *(
+                slice_plane_component(f, c, x.alpha, x.beta, _target_unit(t, c))
+                for f, c, t in zip(poly.split(), (ci, cj), (x.p, x.q))
+            )
+        )
+        assert (got - want).magnitude() <= 1e-13 * (1 + want.magnitude()), k
+
+
+def test_one_weight_pass_per_circle(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _kernel_weights(*args)
+
+    monkeypatch.setattr(cauchy, "_kernel_weights", counted)
+    rng = random.Random(34)
+    poly = rand_poly(rng, 3)
+    ci = SliceContour(0.1, 1.5, Q23, 64)
+    x = _inside(rng, 0.1, 1.5, 0.5)
+    for cj, passes in (
+        (SliceContour(0.1, 1.5, Q13, 64), 1),  # ci's circle in another slice
+        (SliceContour(0.1, 1.6, Q23, 64), 2),
+        (SliceContour(0.1, 1.5, Q23, 65), 2),
+    ):
+        calls.clear()
+        cauchy_reconstruct(poly, ci, cj, x)
+        assert len(calls) == passes
+
+
+@pytest.mark.parametrize("nodes", [16, 17, 64])
+def test_closed_integral_keeps_the_contour_unit(nodes):
+    # On a centred circle the N trapezoid nodes alias s^{N-1} ds onto
+    # I r^N e^{I N t} dt, whose node values are all I r^N: the sum is
+    # 2 pi r^N I, pointing along the contour's own unit.
+    rng = random.Random(nodes)
+    f = QuatPoly([0.0] * (nodes - 1) + [1.0])
+    for radius in (0.9, 1.0, 1.3):
+        contour = SliceContour(0.0, radius, rand_unit_imaginary(rng), nodes)
+        got = _closed_integral(_slice_table(f, contour), contour)
+        size = 2.0 * math.pi * radius**nodes
+        assert (got - contour.unit * size).modulus() <= 1e-13 * size
 
 
 # The node table of the last (polynomial, contour_i, contour_j) call is kept and

@@ -457,10 +457,11 @@ def test_cauchy_verify_defaults_to_512_nodes(capsys):
     assert records(out)[0]["nodes"] == cauchy.DEFAULT_NODES == 512
 
 
-# 1e80, 1e200 and 1e-41 in the term grammar, which has no exponent part
+# 1e80, 1e200, 1e-41 and 1e-310 in the term grammar, which has no exponent part
 BIG = "1" + "0" * 80
 HUGE = "1" + "0" * 200
 TINY = "0." + "0" * 40 + "1"
+SUBNORMAL = "0." + "0" * 309 + "1"
 
 
 def _diagonal(entry: str) -> tuple[str, ...]:
@@ -485,7 +486,11 @@ def test_squares_past_float_range_are_named_errors(capsys, argv, error, mode):
     assert err.startswith(f"error: {error}:")
 
 
-@pytest.mark.parametrize("entry, want", [(BIG, 1e160), (TINY, 1e-82)])
+# det 1e-620 underflows to 0, but det / m^2 = 1 still reads invertible
+DIAGONALS = [(BIG, 1e160), (TINY, 1e-82), (SUBNORMAL, 0.0)]
+
+
+@pytest.mark.parametrize("entry, want", DIAGONALS)
 def test_det_squares_past_float_range_of_the_radicand_pretty(capsys, entry, want):
     # the paper's radicand n(a)n(d) is 1e320 and 1e-164: the pivoted form
     # needs neither
@@ -495,13 +500,27 @@ def test_det_squares_past_float_range_of_the_radicand_pretty(capsys, entry, want
     assert lines[0] == lines[-1].removeprefix("formula on second side: ") == f"{want:.12g}"
 
 
-@pytest.mark.parametrize("entry, want", [(BIG, 1e160), (TINY, 1e-82)])
+@pytest.mark.parametrize("entry, want", DIAGONALS)
 def test_det_squares_past_float_range_of_the_radicand_records(capsys, entry, want):
     code, out, _ = invoke(capsys, *_diagonal(entry), "--output", "records")
     assert code == 0
     (rec,) = records(out)
     assert rec["det"] == rec["det_second"] == want
     assert rec["right_invertible"] is True
+
+
+@pytest.mark.parametrize(
+    "s, x, want",
+    [(f"{HUGE}e23", "e23", -1e-200), ("e23", f"{HUGE}e13", 1e-200)],
+)
+def test_kernel_past_the_modulus_range(capsys, s, x, want):
+    # |s|^2 or x^2 is 1e400 in size; the kernel, of degree -1, is about
+    # (conj(s) - x) / |s|^2 or -(conj(s) - x) / |x|^2
+    code, out, _ = invoke(capsys, "kernel", "--s", s, "--x", x, "--output", "records")
+    assert code == 0
+    (rec,) = records(out)
+    value = [v for v in rec["value"] if v]
+    assert len(value) == 1 and math.isclose(value[0], want, rel_tol=1e-15)
 
 
 MULT_FAR = ("mult", "--factored", "(x - e1)*(x - e23)", "--sphere", "0,1e200")

@@ -288,3 +288,19 @@ def test_det_across_the_float_range():
     top = sys.float_info.max
     side = ((p * top, q * top), (r * top, t * top))
     assert det_both_sides(Matrix2.from_quat_sides(side, side)) == (0.0, 0.0)
+
+
+def test_det_of_subnormal_sides():
+    # 1 / m overflows below about 5.6e-309; the side is scaled exactly first
+    m = Matrix2(1e-310 * E0, ZERO, ZERO, 1e-310 * E0)
+    assert det_both_sides(m) == (0.0, 0.0)  # 1e-620 underflows; not nan
+    assert is_right_invertible(m)
+    assert is_right_invertible(Matrix2(1e-310 * E0, ZERO, ZERO, 1e-315 * E0))
+    assert not is_right_invertible(Matrix2(1e-310 * E0, ZERO, ZERO, 1e-322 * E0))
+    # a side whose det / m^2 is exact at every scale keeps its decision
+    rng = random.Random(41)
+    for _ in range(20):
+        m = rand_cone_matrix(rng)
+        tiny = _times_two_to(m, -1060)
+        assert all(math.isfinite(d) for d in det_both_sides(tiny))
+        assert is_right_invertible(tiny) == is_right_invertible(m)

@@ -18,16 +18,19 @@ from hypothesis import strategies as st
 from qcone3 import (
     E0,
     ZERO,
+    BiSlicePoly,
     CliffordElement,
     ConePoint,
     Matrix2,
     Quat,
     SphereDescriptor,
+    cauchy_kernel_quat,
     in_cone,
     is_right_invertible,
+    star_mul_pointwise,
 )
-from qcone3.clifford3 import E1, E23, E123, negligible
-from qcone3.errors import SingularElement
+from qcone3.clifford3 import E1, E2, E3, E23, E123, negligible
+from qcone3.errors import OnSingularSphere, SingularElement
 from qcone3.zeros import sphere_chain
 from helpers import rand_cone_element
 
@@ -195,3 +198,53 @@ def test_right_invertibility_beside_its_threshold_under_powers_of_ten(t, factor)
     assert is_right_invertible(Matrix2(t * E1, t * E23, t * E123, t * E1)) == (
         is_right_invertible(Matrix2(E1, E23, E123, E1))
     )
+
+
+def _times(q: Quat, k: int) -> Quat:
+    return Quat(*(math.ldexp(x, k) for x in q))
+
+
+@settings(deadline=None)
+@given(_DYADIC_QUATS, _DYADIC_QUATS, POWERS)
+@example(Quat(0.0, 1.0), Quat(0.0, 0.0, 2.0), 665)  # <1e200>e23-sized inputs
+@example(Quat(0.0, 1.0), Quat(0.0, 0.0, 2.0), -665)
+def test_cauchy_kernel_scales_exactly_at_every_scale(s, q, k):
+    # degree -1: S(2^k s, 2^k q) = 2^-k S(s, q), bit for bit, and the sphere
+    # test gives the same answer, whether or not |s|^2 leaves the float range
+    try:
+        want = cauchy_kernel_quat(s, q)
+    except OnSingularSphere:
+        with pytest.raises(OnSingularSphere):
+            cauchy_kernel_quat(_times(s, k), _times(q, k))
+        return
+    assert cauchy_kernel_quat(_times(s, k), _times(q, k)) == _times(want, -k)
+
+
+def _linear(a: CliffordElement, k: int) -> BiSlicePoly:
+    # x + a scaled to 2^k x + 2^k a: the value at 2^k x is 2^k times f(x)
+    return BiSlicePoly([_element(dict(enumerate(a.coeffs)), k), E0])
+
+
+@settings(deadline=None)
+@given(st.integers(-500, 500))
+@example(-40)  # the 1e-12 probe, in powers of two
+@example(500)
+@example(-500)
+def test_pointwise_star_zero_test_is_relative(k):
+    # f(x) = 2^k (e1 + e3) is 2^k times the unit-scale value, never zero
+    f, g = _linear(E1, k), _linear(E2, k)
+    x = ConePoint.from_element(_element({3: 1.0}, k))
+    got = star_mul_pointwise(f, g, x)
+    want = star_mul_pointwise(_linear(E1, 0), _linear(E2, 0), ConePoint.from_element(E3))
+    assert not want.is_zero(0.0)
+    assert got.coeffs == tuple(math.ldexp(c, 2 * k) for c in want.coeffs)
+
+
+def test_pointwise_star_at_1e_minus_12_has_the_unit_scale_shape():
+    t = 1e-12
+    f, g = BiSlicePoly([t * E1, E0]), BiSlicePoly([t * E2, E0])
+    got = star_mul_pointwise(f, g, ConePoint.from_element(t * E3))
+    want = star_mul_pointwise(
+        BiSlicePoly([E1, E0]), BiSlicePoly([E2, E0]), ConePoint.from_element(E3)
+    )
+    assert (got * (1 / t**2) - want).magnitude() <= 1e-12 * want.magnitude()
