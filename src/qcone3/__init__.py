@@ -60,7 +60,6 @@ _EXPORTS = {
         "regular_conjugate",
         "representation_formula",
         "sample_slice_values",
-        "split_poly",
         "splitting_projection",
         "star_mul",
         "star_mul_pointwise",

@@ -41,7 +41,7 @@ class QuatPoly:
 
     def degree(self, tol: float = EPS) -> int:
         """Largest k whose coefficient is not negligible beside the largest."""
-        sizes = [math.hypot(*c) for c in self.coeffs]  # finite past 1e154
+        sizes = [c.modulus() for c in self.coeffs]
         top = max(sizes)
         for k in range(len(sizes) - 1, -1, -1):
             if not negligible(sizes[k], top, tol=tol):
@@ -191,10 +191,6 @@ def _point_pair(x: "CliffordElement | ConePoint") -> QuatPair:
     return split(x)
 
 
-def split_poly(poly: BiSlicePoly) -> tuple[QuatPoly, QuatPoly]:
-    return poly.split()
-
-
 def star_mul(f: BiSlicePoly, g: BiSlicePoly) -> BiSlicePoly:
     """Coefficient convolution c_k = sum_{i+j=k} a_i b_j, per component."""
     (fp, fq), (gp, gq) = f.split(), g.split()
@@ -205,7 +201,7 @@ def _horner_bound(poly: QuatPoly, size: float) -> float:
     """``sum |a_k| size^k``, which bounds ``|poly(x)|`` for ``|x| = size``."""
     bound = 0.0
     for c in reversed(poly.coeffs):
-        bound = bound * size + math.hypot(*c)
+        bound = bound * size + c.modulus()
     return bound
 
 
@@ -227,8 +223,8 @@ def star_mul_pointwise(
     gp, gq = g.split()
     a = fp.eval(p)
     b = fq.eval(q)
-    a_zero = negligible(math.hypot(*a), _horner_bound(fp, math.hypot(*p)), tol=tol)
-    b_zero = negligible(math.hypot(*b), _horner_bound(fq, math.hypot(*q)), tol=tol)
+    a_zero = negligible(a.modulus(), _horner_bound(fp, p.modulus()), tol=tol)
+    b_zero = negligible(b.modulus(), _horner_bound(fq, q.modulus()), tol=tol)
     if a_zero and b_zero:
         return ZERO
     if a_zero or b_zero:

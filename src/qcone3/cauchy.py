@@ -64,9 +64,10 @@ unbounded work.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
-from .clifford3 import EPS, Q23, CliffordElement, Quat, _times_power_of_two, join, negligible
+from .clifford3 import EPS, Q23, CliffordElement, Quat, _scaled, _times_power_of_two, join, negligible
 from .bislice import BiSlicePoly, QuatPoly, central_differences
 from .errors import (
     InputTooLarge,
@@ -109,10 +110,13 @@ class SliceContour(_ContourFields):
         # Every node and every target inside the disc lies within ``reach`` of
         # 0, so the kernel denominator and its singularity bound stay under
         # 4 reach^2; past that they overflow and every node would look singular.
+        # Near the nodes they are of size radius^2; below the normal range
+        # they lose their digits and the quadrature reads nan.
         reach = abs(center) + radius
-        if not math.isfinite(4.0 * reach * reach):
+        if not (sys.float_info.min <= radius * radius and math.isfinite(4.0 * reach * reach)):
             raise InvalidContour(
-                f"contour reaches {reach:.6g} from 0; its kernel values would overflow"
+                f"contour of center {center:.6g}, radius {radius:.6g}: its kernel "
+                "values would overflow or underflow"
             )
         if not MIN_NODES <= nodes <= MAX_NODES:
             raise InvalidContour(
@@ -136,11 +140,10 @@ def cauchy_kernel_quat(s: Quat, q: Quat, tol: float = EPS) -> Quat:
     coordinate into [1/2, 1), and the value, of degree -1, back: no bit moves
     where the unscaled steps stay normal floats, and past 1e+-154, where
     ``|s|^2`` leaves the range, the value is still the kernel's."""
-    e = math.frexp(max(map(abs, (*s, *q))))[1]
-    sc, qc = _times_power_of_two(s, -e), _times_power_of_two(q, -e)
+    e, (sc, qc) = _scaled(s, q)
     denom = qc * qc - qc * (2.0 * sc.re()) + Quat(sc.modulus_sq())
     if negligible(denom.modulus(), math.hypot(*sc, *qc), 2, tol):
-        raise _singular(s.re(), math.hypot(*s[1:]))
+        raise _singular(s.re(), s.im_modulus())
     return _times_power_of_two(denom.inverse() * (sc.conj() - qc), -e)
 
 

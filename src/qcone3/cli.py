@@ -22,7 +22,7 @@ from typing import Callable
 # Each handler imports the modules it computes with, so a call loads only
 # those (see the import contract in README.md).
 from . import grammar
-from .clifford3 import EPS, Q12, Q13, Q23, CliffordElement, Quat, split
+from .clifford3 import EPS, Q12, Q13, Q23, Quat, split
 from .errors import ConeAlgebraError, NonFiniteResult, ParseError
 
 PRETTY_DIGITS = 12
@@ -30,14 +30,6 @@ PRETTY_DIGITS = 12
 
 def _fmt(value: float) -> str:
     return f"{value + 0.0:.{PRETTY_DIGITS}g}"
-
-
-def _el_list(x: CliffordElement) -> list[float]:
-    return list(x.coeffs)
-
-
-def _quat_list(q: Quat) -> list[float]:
-    return list(q.as_tuple())
 
 
 def _all_finite(value) -> bool:
@@ -88,7 +80,7 @@ def _sample_units() -> list[Quat]:
 
 def _zero_part_fields(part) -> dict:
     if isinstance(part, Quat):
-        return {"kind": "point", "value": _quat_list(part)}
+        return {"kind": "point", "value": part}
     return {"kind": "sphere", "center": part.center, "radius": part.radius}
 
 
@@ -108,7 +100,7 @@ def _cmd_split(args, out: _Output) -> None:
     x = grammar.parse_element(args.element)
     p, q = split(x)
     out.pretty(grammar.format_quat_pair(p, q, PRETTY_DIGITS))
-    out.record(cmd="split", element=_el_list(x), p=_quat_list(p), q=_quat_list(q))
+    out.record(cmd="split", element=x.coeffs, p=p, q=q)
 
 
 def _cmd_cone_check(args, out: _Output) -> None:
@@ -120,7 +112,7 @@ def _cmd_cone_check(args, out: _Output) -> None:
     out.pretty("true" if inside else "false")
     out.record(
         cmd="cone-check",
-        element=_el_list(x),
+        element=x.coeffs,
         in_cone=inside,
         residuals=[r1, r2],
         tol=args.tol,
@@ -132,7 +124,7 @@ def _cmd_eval(args, out: _Output) -> None:
     x = grammar.parse_element(args.at)
     value = poly.eval(x)
     out.pretty(grammar.format_element(value, PRETTY_DIGITS))
-    out.record(cmd="eval", at=_el_list(x), value=_el_list(value))
+    out.record(cmd="eval", at=x.coeffs, value=value.coeffs)
 
 
 def _cmd_star(args, out: _Output) -> None:
@@ -145,7 +137,7 @@ def _cmd_star(args, out: _Output) -> None:
         grammar.format_element(c, PRETTY_DIGITS) for c in product.coeffs
     )
     out.pretty(f"coeffs: [{coeff_text}]")
-    record = {"cmd": "star", "coeffs": [_el_list(c) for c in product.coeffs]}
+    record = {"cmd": "star", "coeffs": [c.coeffs for c in product.coeffs]}
     if args.at is not None:
         x = grammar.parse_element(args.at)
         conv = product.eval(x)
@@ -154,8 +146,8 @@ def _cmd_star(args, out: _Output) -> None:
         out.pretty(
             f"pointwise form: {grammar.format_element(pointwise, PRETTY_DIGITS)}"
         )
-        record["value"] = _el_list(conv)
-        record["pointwise"] = _el_list(pointwise)
+        record["value"] = conv.coeffs
+        record["pointwise"] = pointwise.coeffs
     out.record(**record)
 
 
@@ -221,8 +213,8 @@ def _cmd_mult(args, out: _Output) -> None:
         second_kind=report.second_kind,
         p_spherical_power=report.p_spherical_power,
         q_spherical_power=report.q_spherical_power,
-        p_points=[_quat_list(p) for p in report.p_points],
-        q_points=[_quat_list(q) for q in report.q_points],
+        p_points=report.p_points,
+        q_points=report.q_points,
     )
 
 
@@ -245,8 +237,8 @@ def _cmd_det(args, out: _Output) -> None:
         cmd="det",
         det=d1,
         det_second=d2,
-        tilde=[[_quat_list(e) for e in row] for row in tilde],
-        tilde2=[[_quat_list(e) for e in row] for row in tilde2],
+        tilde=tilde,
+        tilde2=tilde2,
         right_invertible=r1 > args.tol and r2 > args.tol,
     )
 
@@ -273,8 +265,8 @@ def _cmd_cauchy_verify(args, out: _Output) -> None:
         nodes=nodes,
         center=args.center,
         radius=args.radius,
-        value=_el_list(value),
-        expected=_el_list(expected),
+        value=value.coeffs,
+        expected=expected.coeffs,
         error=error,
     )
 
@@ -305,7 +297,7 @@ def _cmd_kernel(args, out: _Output) -> None:
     x = ConePoint.from_element(grammar.parse_element(args.x), args.tol)
     value = cauchy.cauchy_kernel(s, x, args.tol)
     out.pretty(grammar.format_element(value, PRETTY_DIGITS))
-    out.record(cmd="kernel", value=_el_list(value))
+    out.record(cmd="kernel", value=value.coeffs)
 
 
 # -- parser wiring -----------------------------------------------------------------

@@ -149,8 +149,8 @@ class CliffordElement:
         return _element_from_floats(tuple(map(_fmul, _CONJ_SIGNS, self.coeffs)))
 
     def magnitude(self) -> float:
-        """Euclidean length of the coefficient vector."""
-        return math.sqrt(sum(c * c for c in self.coeffs))
+        """Euclidean length of the coefficient vector, finite wherever it is one."""
+        return math.hypot(*self.coeffs)
 
     def max_abs(self) -> float:
         return max(abs(c) for c in self.coeffs)
@@ -311,14 +311,14 @@ class Quat(tuple):
 
     def im_modulus(self) -> float:
         _, x1, x2, x3 = self
-        return math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+        return math.hypot(x1, x2, x3)
 
     def modulus_sq(self) -> float:
         x0, x1, x2, x3 = self
         return x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
 
     def modulus(self) -> float:
-        return math.sqrt(self.modulus_sq())
+        return math.hypot(*self)
 
     def inverse(self) -> "Quat":
         """``conj(q) / |q|^2``; only the zero quaternion has none.  Where
@@ -330,8 +330,7 @@ class Quat(tuple):
             return self.conj() / n
         if not any(self):
             raise SingularElement("the zero quaternion has no inverse")
-        e = math.frexp(max(map(abs, self)))[1]
-        s = _times_power_of_two(self, -e)
+        e, (s,) = _scaled(self)
         return _times_power_of_two(s.conj() / s.modulus_sq(), -e)
 
     def power(self, n: int) -> "Quat":
@@ -385,6 +384,15 @@ def _times_power_of_two(q: Quat, e: int) -> Quat:
     f, g = math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)
     w, i, j, k = q
     return _new(Quat, (w * f * g, i * f * g, j * f * g, k * f * g))
+
+
+def _scaled(*quats: tuple[float, float, float, float]) -> tuple[int, tuple[Quat, ...]]:
+    """``(e, quats * 2**-e)``, exactly, with e the exponent that brings the
+    largest coordinate of all the 4-tuples into [1/2, 1) (0 if all are 0): a
+    step whose squares would leave the float range runs on these, and its
+    result, of degree d, goes back by ``2**(d * e)``."""
+    e = math.frexp(max([max(map(abs, q)) for q in quats]))[1]
+    return e, tuple([_times_power_of_two(q, -e) for q in quats])
 
 
 def _as_quat(value: "Quat | float") -> Quat:

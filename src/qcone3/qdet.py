@@ -34,10 +34,9 @@ numbers.  A is right invertible when both sides are.
 
 from __future__ import annotations
 
-import math
 import sys
 
-from .clifford3 import E0, EPS, ZERO, CliffordElement, Quat, _times_power_of_two, join, split
+from .clifford3 import E0, EPS, ZERO, CliffordElement, Quat, _scaled, join, split
 
 QuatMatrix = tuple[tuple[Quat, Quat], tuple[Quat, Quat]]
 
@@ -105,8 +104,11 @@ def _schur(side: QuatMatrix) -> tuple[float, float]:
     pivot column ``p, r`` is divided by m, so ``1 <= |p| <= 2`` and
     ``|r p^-1| <= 2``; for m > 1, ``q`` and ``t`` enter divided by 16, so no
     coordinate of the complement overflows (nor, for m <= 1, underflows),
-    and nothing is squared.  A subnormal m, whose reciprocal overflows, is
-    first scaled exactly into [1/2, 1) with the whole side.
+    and nothing is squared.  Only the pivot column is brought to unit size:
+    scaling the whole side into [1/2, 1) would flush its small entries to
+    zero, and ``diag(1.7e308, 1e-300)``, det 1.7e8, would read 0.  A
+    subnormal m, whose reciprocal overflows, is first scaled exactly into
+    [1/2, 1) with the whole side; its det, at most 16 m**2, is then 0.
     """
     entries = (*side[0], *side[1])
     peaks = [max(map(abs, e)) for e in entries]
@@ -114,16 +116,15 @@ def _schur(side: QuatMatrix) -> tuple[float, float]:
     if m == 0.0:
         return 0.0, 0.0
     if m < sys.float_info.min:  # 1 / m would overflow: scale exactly first
-        e = math.frexp(m)[1]
-        det, ratio = _schur(tuple(tuple(_times_power_of_two(x, -e) for x in r) for r in side))
-        return math.ldexp(det, 2 * e), ratio
+        _, (a, b, c, d) = _scaled(*entries)
+        return 0.0, _schur(((a, b), (c, d)))[1]
     k = peaks.index(m)
     s = 1.0 / m
     p, q, r, t = (entries[i ^ k] for i in range(4))
     p, r = p * s, r * s
     pivot = p.modulus()
     c = 0.0625 if m > 1.0 else 1.0
-    complement = math.hypot(*(t * c - r * p.inverse() * (q * c))) / c
+    complement = (t * c - r * p.inverse() * (q * c)).modulus() / c
     return pivot * complement * m, pivot * (complement / m)
 
 

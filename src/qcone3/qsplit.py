@@ -12,7 +12,6 @@ couples (p, q) sharing real part and imaginary modulus.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .clifford3 import (
@@ -26,6 +25,7 @@ from .clifford3 import (
     Quat,
     QuatPair,
     _new,
+    _scaled,
     join,
     negligible,
     split,
@@ -48,11 +48,11 @@ def in_cone(x: CliffordElement, tol: float = EPS) -> bool:
     [1/2, 1) so it cannot underflow: a large real part does not widen it.
     """
     c = x.coeffs
-    m = max(map(abs, c[1:7]))
-    e = -math.frexp(m)[1]
-    c1, c2, c3, c12, c13, c23 = (math.ldexp(v, e) for v in c[1:7])
+    _, (u, v) = _scaled((0.0, *c[1:4]), (0.0, *c[4:7]))
+    _, c1, c2, c3 = u
+    _, c12, c13, c23 = v
     return negligible(c[7], x.max_abs(), tol=tol) and negligible(
-        c2 * c13 - c1 * c23 - c3 * c12, math.ldexp(m, e), 2, tol
+        c2 * c13 - c1 * c23 - c3 * c12, max(map(abs, (*u, *v))), 2, tol
     )
 
 
@@ -184,7 +184,7 @@ class ConePoint:
             )
         p, q = split(x)
         alpha = 0.5 * (p.re() + q.re())
-        a, b = math.hypot(*p[1:]), math.hypot(*q[1:])  # finite past 1e154
+        a, b = p.im_modulus(), q.im_modulus()
         if not (a and b):  # in the cone, one side is real only if both are
             return cls(alpha, 0.0, None, None, tol)
         return cls(alpha, 0.5 * a + 0.5 * b, p.im() / a, q.im() / b, tol)

@@ -38,7 +38,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .bislice import BiSlicePoly, QuatPoly, nan_max
-from .clifford3 import EPS, CliffordElement, Quat, _times_power_of_two, negligible, split
+from .clifford3 import EPS, CliffordElement, Quat, _scaled, _times_power_of_two, negligible, split
 from .errors import UnfactoredInput
 from .qsplit import ConePoint, SphereDescriptor
 
@@ -46,8 +46,8 @@ from .qsplit import ConePoint, SphereDescriptor
 
 
 def _sphere_of(c: Quat) -> tuple[float, float]:
-    """(Re c, |Im c|); ``math.hypot`` stays finite past 1e154."""
-    return c[0], math.hypot(c[1], c[2], c[3])
+    """(Re c, |Im c|)."""
+    return c[0], c.im_modulus()
 
 
 def _same_base(s: tuple[float, float], t: tuple[float, float], tol: float) -> bool:
@@ -109,8 +109,7 @@ def sphere_chain(
             off.append(b)
             continue
         for k in range(len(off) - 1, -1, -1):
-            e = math.frexp(max(map(abs, (*off[k], *b))))[1]
-            a, b = _times_power_of_two(off[k], -e), _times_power_of_two(b, -e)
+            e, (a, b) = _scaled(off[k], b)
             h = b - a.conj()
             moved = h.inverse() * b * h
             off[k] = _times_power_of_two(a + b - moved, e)
@@ -214,13 +213,13 @@ def classify_quadratic(
 
 def _side_residual(side: QuatPoly, shape: QuatQuadraticZeros, units: Sequence[Quat]) -> float:
     """Largest |side| over the shape's samples, nan if a coordinate is
-    (``math.hypot`` stays finite past 1e154 but reads inf beside an inf)."""
+    (the modulus reads inf beside an inf)."""
     worst = 0.0
     for z in shape.sample(units):
         value = side.eval(z)
         if any(map(math.isnan, value)):
             return math.nan
-        worst = max(worst, math.hypot(*value))
+        worst = max(worst, value.modulus())
     return worst
 
 

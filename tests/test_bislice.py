@@ -28,7 +28,6 @@ from qcone3 import (
     representation_formula,
     sample_slice_values,
     split,
-    split_poly,
     splitting_projection,
     star_mul,
     star_mul_pointwise,
@@ -56,12 +55,12 @@ from helpers import (
 
 
 def test_split_poly_examples():
-    fp, fq = split_poly(BiSlicePoly([-E1, E0]))  # x - e1
+    fp, fq = BiSlicePoly([-E1, E0]).split()  # x - e1
     assert fp.coeffs[0].isclose(Q23) and fp.coeffs[1].isclose(Quat(1))
     assert fq.coeffs[0].isclose(-Q23) and fq.coeffs[1].isclose(Quat(1))
-    fp, fq = split_poly(BiSlicePoly([ZERO, E0]))  # x
+    fp, fq = BiSlicePoly([ZERO, E0]).split()  # x
     assert fp.coeffs[0].is_zero() and fq.coeffs[0].is_zero()
-    fp, fq = split_poly(BiSlicePoly([E12, ZERO, E0]))  # x^2 + e12
+    fp, fq = BiSlicePoly([E12, ZERO, E0]).split()  # x^2 + e12
     assert fp.coeffs[0].isclose(Q12) and fq.coeffs[0].isclose(Q12)
 
 
@@ -84,9 +83,9 @@ def test_star_mul_splits_componentwise():
         table = clifford_star(f.coeffs, g.coeffs)
         assert_coeffs_close(star_mul(f, g).coeffs, table, 1e-12)
         # the split of the table convolution is the star of the splits
-        fp, fq = split_poly(f)
-        gp, gq = split_poly(g)
-        hp, hq = split_poly(BiSlicePoly(table))
+        fp, fq = f.split()
+        gp, gq = g.split()
+        hp, hq = BiSlicePoly(table).split()
         want_p = fp.star(gp)
         want_q = fq.star(gq)
         for got, want in ((hp, want_p), (hq, want_q)):
@@ -164,8 +163,8 @@ def test_regular_conjugate():
     rng = random.Random(6)
     P = rand_poly(rng, 3)
     assert_coeffs_close(regular_conjugate(P).coeffs, clifford_conjugate(P.coeffs), 1e-15)
-    cp, cq = split_poly(regular_conjugate(P))
-    fp, fq = split_poly(P)
+    cp, cq = regular_conjugate(P).split()
+    fp, fq = P.split()
     for got, src in ((cp, fp), (cq, fq)):
         for a, b in zip(got.coeffs, src.coeffs):
             assert a.isclose(b.conj(), 1e-14)
@@ -185,8 +184,8 @@ def test_symmetrization():
         P = rand_poly(rng, 2)
         table = clifford_star(P.coeffs, clifford_conjugate(P.coeffs))
         assert_coeffs_close(symmetrization(P).coeffs, table, 1e-12)
-        sp, sq = split_poly(symmetrization(P))
-        fp, fq = split_poly(P)
+        sp, sq = symmetrization(P).split()
+        fp, fq = P.split()
         for got, side in ((sp, fp), (sq, fq)):
             want = side.symmetrization()
             for a, b in zip(got.coeffs, want.coeffs):

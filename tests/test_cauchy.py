@@ -582,3 +582,23 @@ def test_contour_reach_keeps_kernel_squares_finite():
     cj = SliceContour(0.0, 6.7e153, Q13, 64)
     value = cauchy_reconstruct(BiSlicePoly([E0]), ci, cj, cone_point(0.5, 0.5, Q23, Q13))
     assert value.isclose(E0, 1e-12)
+
+
+def test_contour_radius_keeps_kernel_squares_normal():
+    # radius^2 must be a normal float: 2^-511 (about 1.49e-154) is the least
+    # radius; a contour through 0 with a smaller one read nan, though its
+    # reach is 2^-511
+    least = math.ldexp(1.0, -511)
+    for center, radius in (
+        (0.0, math.nextafter(least, 0.0)),
+        (0.0, 1e-156),
+        (-0.5 * least, 0.5 * least),
+    ):
+        with pytest.raises(InvalidContour, match="overflow or underflow"):
+            SliceContour(center, radius, Q23, 64)
+    poly = BiSlicePoly([E0, E1])
+    for center, radius in ((0.0, least), (-least, least), (0.0, 1e-150)):
+        ci, cj = SliceContour(center, radius, Q23, 64), SliceContour(center, radius, Q13, 64)
+        x = cone_point(center, 0.5 * radius, Q23, Q13)
+        error = (cauchy_reconstruct(poly, ci, cj, x) - poly.eval(x)).magnitude()
+        assert error < 1e-12

@@ -559,7 +559,7 @@ def test_mult_at_a_real_base_past_float_range_counts_no_points(capsys, mode, cen
         assert records(out)[0]["isolated"] == 0
 
 
-H = "1" + "0" * 200  # 1e200: Quat.modulus() of a factor this size overflows to inf
+H = "1" + "0" * 200  # 1e200: the squared modulus of a factor this size overflows to inf
 T = "0." + "0" * 160 + "1"  # 1e-161
 
 

@@ -84,6 +84,19 @@ def test_quat_inverse_works_at_every_nonzero_scale(q, k, t):
     assert ((q * t).inverse() * (q * t)).isclose(1.0, 1e-14)
 
 
+@settings(deadline=None)
+@given(_DYADIC_QUATS, _DYADIC_QUATS, POWERS)
+@example(Quat(0.0, 1.0), Quat(1.5), 665)  # <1e200>e23-sized inputs
+@example(Quat(0.0, 1.0), Quat(1.5), -665)
+def test_moduli_scale_exactly_at_every_scale(q, r, k):
+    # degree 1: |2^k q| = 2^k |q| bit for bit, though |2^k q|^2 leaves the range
+    big = Quat(*(math.ldexp(x, k) for x in q))
+    assert big.modulus() == math.ldexp(q.modulus(), k)
+    assert big.im_modulus() == math.ldexp(q.im_modulus(), k)
+    x = CliffordElement((*q, *r))
+    assert _element(dict(enumerate(x.coeffs)), k).magnitude() == math.ldexp(x.magnitude(), k)
+
+
 def test_quat_inverse_fails_only_at_zero():
     assert math.isclose(Quat(1e-11).inverse().w, 1e11, rel_tol=1e-15)
     assert Quat(5e-324).inverse().w == math.inf  # 2^1074 is past the float max
