@@ -156,12 +156,10 @@ class BiSlicePoly:
         return join(fp.eval(p), fq.eval(q))
 
     def max_coeff(self) -> float:
-        """Largest coefficient magnitude, sqrt((|p_k|^2 + |q_k|^2) / 2)."""
+        """Largest coefficient magnitude, sqrt((|p_k|^2 + |q_k|^2) / 2), finite
+        wherever the coefficients are."""
         p, q = self._pair
-        return max(
-            math.sqrt((a.modulus_sq() + b.modulus_sq()) / 2)
-            for a, b in zip(p.coeffs, q.coeffs)
-        )
+        return max([math.hypot(*a, *b) for a, b in zip(p.coeffs, q.coeffs)]) / math.sqrt(2.0)
 
     def __repr__(self) -> str:
         return f"BiSlicePoly({self.coeffs!r})"

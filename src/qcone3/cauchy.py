@@ -25,36 +25,39 @@ is then complex multiplication, ``(a + I b) R(v) = R((a + i b) v)``.
 
 * ``F(s) = R(w)``, where ``w`` is four complex Horner evaluations at ``z``,
   one per real coefficient column.
-* The kernel denominator ``q^2 - 2 Re(s) q + |s|^2`` has real coefficients
-  in q, so for a target ``q = alpha + J beta`` (beta >= 0, J = Im q / |Im q|)
-  it is ``d = q_c^2 - 2 Re(z) q_c + |z|^2`` read in the plane C_J, with
-  ``q_c = alpha + i beta``; its inverse is ``a + J b`` for ``1/d = a + i b``.
-  When q is real any unit serves as J, since b = 0.
-* With ``conj(s) phi`` read as ``m = r^2 + x0 phi`` and ``(a + J b) q`` kept
-  in C_J, each node contributes ``R(g w) + J R(h w)``, where
-  ``g = a m - (a alpha - b beta) phi`` and ``h = b m - (a beta + b alpha) phi``.
-* The nodes ``t_k = 2 pi k / N`` pair as ``phi_{N-k} = conj(phi_k)``: ``d``
-  is equal and ``w`` (real columns), ``g``, ``h`` conjugate, so every N-node
-  sum is real, ``sum' c_k Re(.)`` over ``k = 0 ... N//2`` with ``c_k`` 1 at
-  k = 0 and (N even) N/2, else 2.  With ``w`` for ``c_k w`` the reconstruction
-  is ``(Re sum g w + J Re sum h w) / N``, free of I as the formula says, and
-  the closed integral is ``I Re(sum phi w) * 2 pi / N``.
+* For a target ``q = alpha + J beta`` (beta >= 0, J = Im q / |Im q|; any unit
+  when q is real) put ``q_c = alpha + i beta``.  The kernel has real
+  coefficients in q, so reading J as i or as -i turns ``S(s, q) r e^{I t}``
+  into the two complex Cauchy kernels ``x = phi / (z - q_c)`` and ``y = phi /
+  (z - conj q_c)``, and each node contributes ``R(g w) + J R(h w)`` with
+  ``g = (x + y)/2`` and ``h = (x - y)/2i``.
+* The nodes ``t_k = 2 pi k / N`` pair as ``phi_{N-k} = conj(phi_k)``, where
+  ``x`` and ``y`` trade places, conjugated, and ``w`` (real columns)
+  conjugates, so every N-node sum is real, ``sum' c_k Re(.)`` over ``k = 0
+  ... N//2`` with ``c_k`` 1 at k = 0 and (N even) N/2, else 2.  With ``w``
+  for ``c_k w``, ``X = sum x w`` and ``Y = sum y w``, the reconstruction is
+  ``((Re X + Re Y) + J (Im X - Im Y)) / 2N``, free of I as the formula says,
+  and the closed integral is ``I Re(sum phi w) * 2 pi / N``.  The sums run
+  in C, ``sum(map(mul, ...), 0j)``.
 
-The weights ``g, h`` depend on the target only through ``(alpha, beta)``,
-which a cone point's split components ``alpha + beta I1`` and ``alpha + beta
-I2`` share.  One weight pass per circle, with the singular test inline (``d``
-is equal at k and N - k, so it covers all N), serves both components when
-their contours share center, radius and node count, as in every
-``cauchy-verify`` call; each component then sums against its own ``c_k w``.
+The weights depend on the target only through ``(alpha, beta)``, which a
+cone point's split components ``alpha + beta I1`` and ``alpha + beta I2``
+share.  One weight pass per circle serves both components when their
+contours share center, radius and node count, as in every ``cauchy-verify``
+call; each component then sums against its own ``c_k w``.  The pass divides
+and sums without squaring, so it has degree 0: the circle and the target
+scaled by a power of two give the same floats.  Its singular test has
+degree 1: a node is singular where ``min(|z - q_c|, |z - conj q_c|)`` (which
+covers nodes k and N - k) is negligible beside ``|(z, q)|``.
 
-Both quadratures read a node table over k = 0 ... N//2: ``phi``, ``Re z``,
-``|z|^2`` and ``m`` once per circle, and ``c_k w`` per split component, 235
-bytes per contour node (tracemalloc) when the two contours share center,
-radius and node count (308 otherwise), so at most 15 MB (20 MB) at
-:data:`MAX_NODES`, and a reconstruction's weights 40 (2.7 MB) while it runs.
-The module keeps the table of its last (polynomial, contour_i, contour_j)
-call, matched by identity, and replaces it in one assignment, so concurrent
-callers see a whole entry or none.
+Both quadratures read a node table over k = 0 ... N//2: ``phi`` and ``z``,
+and the largest ``|z|``, once per circle, and ``c_k w`` per split component,
+202 bytes per contour node (tracemalloc) when the two contours share center,
+radius and node count (243 otherwise), so at most 13 MB (16 MB) at
+:data:`MAX_NODES`, and a reconstruction's columns ``x, y`` 40 (2.5 MB) while
+it runs.  The module keeps the table of its last (polynomial, contour_i,
+contour_j) call, matched by identity, and replaces it in one assignment, so
+concurrent callers see a whole entry or none.
 
 Contours accept at most :data:`MAX_NODES` nodes, and one quadrature at most
 :data:`MAX_NODE_TERMS` nodes times coefficients, so no request does
@@ -65,6 +68,8 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import repeat
+from operator import mul, sub, truediv
 from typing import NamedTuple
 
 from .clifford3 import EPS, Q23, CliffordElement, Quat, _scaled, _times_power_of_two, join, negligible
@@ -108,10 +113,9 @@ class SliceContour(_ContourFields):
                 f"contour radius must be positive and finite, got {radius}"
             )
         # Every node and every target inside the disc lies within ``reach`` of
-        # 0, so the kernel denominator and its singularity bound stay under
-        # 4 reach^2; past that they overflow and every node would look singular.
-        # Near the nodes they are of size radius^2; below the normal range
-        # they lose their digits and the quadrature reads nan.
+        # 0.  These bounds keep squares of the contour's size in range (4
+        # reach^2 finite, radius^2 normal); the weight pass, of degree 0,
+        # would need less.
         reach = abs(center) + radius
         if not (sys.float_info.min <= radius * radius and math.isfinite(4.0 * reach * reach)):
             raise InvalidContour(
@@ -133,17 +137,21 @@ class SliceContour(_ContourFields):
 
 
 def cauchy_kernel_quat(s: Quat, q: Quat, tol: float = EPS) -> Quat:
-    """Kernel value; fails on the sphere of s, where the denominator, of
-    degree 2 in (s, q), is negligible beside ``|(s, q)|**2``.
+    """Kernel value; fails on the sphere of s, where the distance between
+    ``(Re q, |Im q|)`` and ``(Re s, |Im s|)``, of degree 1 in (s, q), is
+    negligible beside ``|(s, q)|``.
 
-    s and q are scaled exactly by the power of two that brings their largest
-    coordinate into [1/2, 1), and the value, of degree -1, back: no bit moves
-    where the unscaled steps stay normal floats, and past 1e+-154, where
-    ``|s|^2`` leaves the range, the value is still the kernel's."""
+    With ``q = a + v`` and ``s = b + u`` the denominator is ``(a - b)^2 +
+    (|u| - |v|)(|u| + |v|) + 2 (a - b) v``, free of the cancellation in
+    ``q^2 - 2 b q + |s|^2`` near the sphere.  s and q are scaled exactly by
+    the power of two that brings their largest coordinate into [1/2, 1), and
+    the value, of degree -1, back: past 1e+-154, where the squares leave the
+    range, the value is still the kernel's."""
     e, (sc, qc) = _scaled(s, q)
-    denom = qc * qc - qc * (2.0 * sc.re()) + Quat(sc.modulus_sq())
-    if negligible(denom.modulus(), math.hypot(*sc, *qc), 2, tol):
+    gap, u, v = qc.re() - sc.re(), sc.im_modulus(), qc.im_modulus()
+    if negligible(math.hypot(gap, v - u), math.hypot(*sc, *qc), 1, tol):
         raise _singular(s.re(), s.im_modulus())
+    denom = qc.im() * (2.0 * gap) + (gap * gap + (u - v) * (u + v))
     return _times_power_of_two(denom.inverse() * (sc.conj() - qc), -e)
 
 
@@ -167,22 +175,20 @@ def cauchy_kernel(s: ConePoint, x: ConePoint, tol: float = EPS) -> CliffordEleme
 
 
 def _slice_table(poly: QuatPoly, contour: SliceContour, circle: tuple = ()) -> tuple:
-    """Columns ``(phi, s_re, s_sq, m, c w0, c w1, c w2, c w3)`` over the nodes
-    k <= N//2, of weight c; the first four depend only on the circle."""
+    """``(phi, z, max |z|, c w0, c w1, c w2, c w3)``, columns over the nodes
+    k <= N//2, of weight c; the first three depend only on the circle."""
     x0, r, n = contour.center, contour.radius, contour.nodes
     if not circle:
         thetas = [2.0 * math.pi * k / n for k in range(n // 2 + 1)]
         phis = [complex(r * math.cos(t), r * math.sin(t)) for t in thetas]
-        s_res = [x0 + phi.real for phi in phis]
-        s_sqs = [s * s + phi.imag * phi.imag for s, phi in zip(s_res, phis)]
-        circle = phis, s_res, s_sqs, [r * r + x0 * phi for phi in phis]
+        zs = [x0 + phi for phi in phis]
+        circle = phis, zs, max(map(abs, zs))
     # Horner from the leading coefficient: the same bits as from 0j * z + c.
     lead, *rows = [c.as_tuple() for c in reversed(poly.coeffs)]
     lead = tuple(map(complex, lead))
     ws = [], [], [], []
     put0, put1, put2, put3 = (w.append for w in ws)
-    for k, phi in enumerate(circle[0]):
-        z = x0 + phi
+    for k, z in enumerate(circle[1]):
         w0, w1, w2, w3 = lead
         for c0, c1, c2, c3 in rows:
             w0 = w0 * z + c0
@@ -214,7 +220,7 @@ def _node_table(poly: BiSlicePoly, ci: SliceContour, cj: SliceContour) -> tuple:
     fp, fq = poly.split()
     side_i = _slice_table(fp, ci)
     same = ci[:2] == cj[:2] and ci.nodes == cj.nodes  # center, radius, nodes
-    table = side_i, _slice_table(fq, cj, side_i[:4] if same else ())
+    table = side_i, _slice_table(fq, cj, side_i[:3] if same else ())
     _last_table = (poly, ci, cj, table)
     return table
 
@@ -222,14 +228,8 @@ def _node_table(poly: BiSlicePoly, ci: SliceContour, cj: SliceContour) -> tuple:
 def _closed_integral(side: tuple, contour: SliceContour) -> Quat:
     """Trapezoid value of the closed integral of ds poly(s) from its slice table;
     the differential I r e^{I t} dt stays left of the integrand."""
-    v0 = v1 = v2 = v3 = 0j
-    for phi, w0, w1, w2, w3 in zip(side[0], *side[4:]):
-        v0 += phi * w0
-        v1 += phi * w1
-        v2 += phi * w2
-        v3 += phi * w3
-    value = contour.unit * Quat(v0.real, v1.real, v2.real, v3.real)
-    return value * (2.0 * math.pi / contour.nodes)
+    v = [sum(map(mul, side[0], w), 0j).real for w in side[3:]]
+    return contour.unit * Quat(*v) * (2.0 * math.pi / contour.nodes)
 
 
 def _check_work(poly: BiSlicePoly, *contours: SliceContour) -> None:
@@ -255,38 +255,34 @@ def contour_integral_vanishes(
 
 
 def _kernel_weights(circle: tuple, alpha: float, beta: float, tol: float) -> tuple:
-    """Columns ``(g, h)`` over a circle's nodes for targets at ``alpha + J beta``."""
+    """Columns ``(x, y)`` of the kernels ``phi / (z - q_c)`` and ``phi / (z -
+    conj q_c)`` over a circle's nodes, for targets at ``alpha + J beta``.
+
+    A node is singular where ``min(|z - q_c|, |z - conj q_c|)`` is negligible
+    beside ``|(z, q)|``.  The nearest node is screened against the largest
+    bound first, and the nodes are tested one by one only when it fails; as
+    rounding is monotone, that decides exactly as testing every node."""
+    phis, zs, z_max = circle
     q_c = complex(alpha, beta)
-    q_c_sq, two_q_c = q_c * q_c, 2.0 * q_c  # s_re * (2 q_c) is 2 s_re * q_c, exactly
-    q_sq = alpha * alpha + beta * beta
-    gs, hs = [], []
-    put_g, put_h = gs.append, hs.append
-    for phi, s_re, s_sq, m in zip(*circle):
-        d = q_c_sq - s_re * two_q_c + s_sq
-        # negligible(|d|, |(s, q)|, 2), inline: one call per node would cost ~10%
-        if abs(d) <= tol * (q_sq + s_sq):
-            raise _singular(s_re, abs(phi.imag))
-        inv = 1.0 / d
-        a, b = inv.real, inv.imag
-        put_g(a * m - (a * alpha - b * beta) * phi)
-        put_h(b * m - (a * beta + b * alpha) * phi)
-    return gs, hs
+    q_bar, q_abs = q_c.conjugate(), abs(q_c)
+    near = min([min(map(abs, map(sub, zs, repeat(c)))) for c in (q_c, q_bar)])
+    if near <= tol * math.hypot(z_max, q_abs):
+        for z in zs:
+            gap = min(abs(z - q_c), abs(z - q_bar))
+            if negligible(gap, math.hypot(abs(z), q_abs), 1, tol):
+                raise _singular(z.real, abs(z.imag))
+    return tuple([list(map(truediv, phis, map(sub, zs, repeat(c)))) for c in (q_c, q_bar)])
 
 
 def _accumulate(weights: tuple, side: tuple, unit_j: Quat, nodes: int) -> Quat:
-    """``(Re sum g w + J Re sum h w) / N`` for one split component."""
-    g0 = g1 = g2 = g3 = h0 = h1 = h2 = h3 = 0j
-    for g, h, w0, w1, w2, w3 in zip(*weights, *side[4:]):
-        g0 += g * w0
-        g1 += g * w1
-        g2 += g * w2
-        g3 += g * w3
-        h0 += h * w0
-        h1 += h * w1
-        h2 += h * w2
-        h3 += h * w3
-    acc = Quat(g0.real, g1.real, g2.real, g3.real)
-    return (acc + unit_j * Quat(h0.real, h1.real, h2.real, h3.real)) / nodes
+    """``(Re sum g w + J Re sum h w) / N`` for one split component, as
+    ``((Re X + Re Y) + J (Im X - Im Y)) / 2N`` from ``X, Y = sum x w, sum y w``."""
+    xs, ys = weights
+    sx = [sum(map(mul, xs, w), 0j) for w in side[3:]]
+    sy = [sum(map(mul, ys, w), 0j) for w in side[3:]]
+    g = Quat(*[a.real + b.real for a, b in zip(sx, sy)])
+    h = Quat(*[a.imag - b.imag for a, b in zip(sx, sy)])
+    return (g + unit_j * h) / (2 * nodes)
 
 
 def _slice_unit(target: Quat, contour: SliceContour) -> Quat:
@@ -310,11 +306,11 @@ def cauchy_reconstruct(
     if not contour_j.contains(point.q):
         raise PointOutsideContour("second component outside its contour disc")
     side_i, side_j = _node_table(poly, contour_i, contour_j)
-    weights = _kernel_weights(side_i[:4], point.alpha, point.beta, tol)
+    weights = _kernel_weights(side_i[:3], point.alpha, point.beta, tol)
     vp = _accumulate(weights, side_i, _slice_unit(point.p, contour_i), contour_i.nodes)
     if side_j[0] is not side_i[0]:  # another circle: its own weight pass
         del weights  # one pass's columns alive at a time
-        weights = _kernel_weights(side_j[:4], point.alpha, point.beta, tol)
+        weights = _kernel_weights(side_j[:3], point.alpha, point.beta, tol)
     vq = _accumulate(weights, side_j, _slice_unit(point.q, contour_j), contour_j.nodes)
     return join(vp, vq)
 

@@ -196,7 +196,9 @@ def slice_plane_component(
     poly: QuatPoly, contour: SliceContour, alpha: float, beta: float, unit_j: Quat
 ) -> Quat:
     """One split component of the Cauchy reconstruction at ``alpha + J beta``
-    (beta >= 0, J = ``unit_j``), one node at a time in the quadrature's terms:
+    (beta >= 0, J = ``unit_j``), one node at a time, with the weights ``(g,
+    h)`` built from the kernel denominator where the library divides by
+    ``z - q_c`` and ``z - conj q_c``:
     ``1/d = a + i b`` with ``d = q_c^2 - 2 Re(z) q_c + |z|^2``, weights
     ``g = a m - (a alpha - b beta) phi`` and ``h = b m - (a beta + b alpha) phi``
     with ``m = r^2 + x0 phi``, over the nodes k <= N//2 of weight 1 or 2.

@@ -245,6 +245,13 @@ def test_pair_is_the_working_form():
     assert BiSlicePoly([E1, small * 0.1]).degree() == 0
 
 
+def test_max_coeff_is_finite_past_the_square_range():
+    # |1e200 e1|^2 overflows; the magnitude itself is a float
+    for scale in (1e200, 1e-200, 1.0):
+        poly = BiSlicePoly([E1 * scale, (E1 + E2) * (0.5 * scale)])
+        assert math.isclose(poly.max_coeff(), scale, rel_tol=1e-15)
+
+
 def test_representation_formula_identity_and_real():
     rng = random.Random(9)
     x = rand_cone_point(rng)

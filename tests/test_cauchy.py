@@ -2,9 +2,13 @@
 
 import math
 import random
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcone3 import (
     E0,
@@ -40,6 +44,7 @@ from qcone3.errors import (
     OnSingularSphere,
     PointOutsideContour,
 )
+from qcone3.clifford3 import negligible
 from qcone3.qsplit import Q12, Q13, Q23
 from helpers import (
     contour_integral,
@@ -351,7 +356,7 @@ def test_slice_plane_quadrature_keeps_singular_test():
     # the node at t = pi/2 is I, whose sphere holds every unit imaginary
     contour = SliceContour(0.0, 1.0, Q23, 16)
     with pytest.raises(OnSingularSphere):
-        _kernel_weights(_slice_table(QuatPoly([1.0]), contour)[:4], 0.0, 1.0, 1e-12)
+        _kernel_weights(_slice_table(QuatPoly([1.0]), contour)[:3], 0.0, 1.0, 1e-12)
 
 
 def _inside(rng, center: float, radius: float, rho: float) -> ConePoint:
@@ -404,7 +409,7 @@ def test_reconstruction_is_close_to_the_exact_trapezoid_value():
         for f, target in zip(poly.split(), (x.p, x.q)):
             contour = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
             side = _slice_table(f, contour)
-            weights = _kernel_weights(side[:4], x.alpha, x.beta, 1e-12)
+            weights = _kernel_weights(side[:3], x.alpha, x.beta, 1e-12)
             got = _accumulate(weights, side, _slice_unit(target, contour), nodes)
             want, largest = exact_trapezoid_component(f, contour, target)
             error = max(abs(a - b) for a, b in zip(got, want))
@@ -419,8 +424,9 @@ def _target_unit(target: Quat, contour: SliceContour) -> Quat:
 def test_reconstruction_matches_the_slice_plane_loop():
     # The (g, h) node loop at the cone point's (alpha, beta) and each side's
     # own unit, on circles the two components share, on two circles, and at
-    # real points.  These 500 inputs agree with it bit for bit; the bound
-    # leaves room for a reordered sum.
+    # real points.  The library sums the complex kernels x, y in their place,
+    # so these 500 inputs agree with it to rounding, at most 2.9e-15 of
+    # 1 + |value|.
     rng = random.Random(33)
     for k in range(500):
         nodes = rng.choice((16, 17, 33, 64, 65, 128))
@@ -602,3 +608,162 @@ def test_contour_radius_keeps_kernel_squares_normal():
         x = cone_point(center, 0.5 * radius, Q23, Q13)
         error = (cauchy_reconstruct(poly, ci, cj, x) - poly.eval(x)).magnitude()
         assert error < 1e-12
+
+
+# -- the weight pass on the two complex kernels ---------------------------------
+
+
+def _weights(contour: SliceContour, alpha: float, beta: float, tol: float = 1e-12):
+    return _kernel_weights(_slice_table(QuatPoly([1.0]), contour)[:3], alpha, beta, tol)
+
+
+def _node_gaps(contour: SliceContour, alpha: float, beta: float) -> list[tuple[float, float]]:
+    """``(min(|z - q_c|, |z - conj q_c|), |(z, q)|)`` node by node: the value
+    and scale of the degree-1 singular test, without the screen."""
+    q_c = complex(alpha, beta)
+    return [
+        (min(abs(z - q_c), abs(z - q_c.conjugate())), math.hypot(abs(z), abs(q_c)))
+        for z in _slice_table(QuatPoly([1.0]), contour)[1]
+    ]
+
+
+def _loop_raises(contour: SliceContour, alpha: float, beta: float, tol: float) -> bool:
+    return any(negligible(gap, scale, 1, tol) for gap, scale in _node_gaps(contour, alpha, beta))
+
+
+def _least_tol(gap: float, scale: float) -> float:
+    """The least tol with ``gap <= tol * scale``."""
+    tol = gap / scale
+    while tol * scale < gap:
+        tol = math.nextafter(tol, math.inf)
+    while math.nextafter(tol, 0.0) * scale >= gap:
+        tol = math.nextafter(tol, 0.0)
+    return tol
+
+
+def _threshold_tols(contour: SliceContour, alpha: float, beta: float) -> list[float]:
+    """The least tolerance at which some node is singular, and one step
+    either side: the loop decides (False, True, True) there."""
+    tol = min(_least_tol(gap, scale) for gap, scale in _node_gaps(contour, alpha, beta))
+    return [math.nextafter(tol, 0.0), tol, math.nextafter(tol, math.inf)]
+
+
+def _raises(contour, alpha, beta, tol) -> bool:
+    try:
+        _weights(contour, alpha, beta, tol)
+    except OnSingularSphere:
+        return True
+    return False
+
+
+def test_screened_singular_test_decides_as_the_node_loop():
+    # Targets near a node, a step inside the disc or on the real axis, at the
+    # least singular tolerance and one step either side: the screened pass
+    # raises exactly when the plain loop over every node does.
+    rng = random.Random(41)
+    for k in range(300):
+        nodes = rng.choice((16, 17, 64, 65))
+        center, radius = rng.uniform(-2.0, 2.0), rng.uniform(1e-3, 2.0)
+        contour = SliceContour(center, radius, Q23, nodes)
+        t = 2.0 * math.pi * rng.randrange(nodes // 2 + 1) / nodes
+        rho = 1.0 - 10.0 ** rng.uniform(-9.0, -1.0)
+        alpha = center + rho * radius * math.cos(t)
+        beta = 0.0 if k % 7 == 0 else abs(rho * radius * math.sin(t))
+        below, at, above = _threshold_tols(contour, alpha, beta)
+        tols = (below, at, above, 10.0 * above, 0.1 * below, 1e-10)
+        screened = [_raises(contour, alpha, beta, tol) for tol in tols]
+        assert screened == [_loop_raises(contour, alpha, beta, tol) for tol in tols], k
+        assert screened[:3] == [False, True, True], k
+
+
+def test_weight_pass_has_no_per_node_loop():
+    # Off the singular spheres, the pass runs the same Python lines at 16 and
+    # at 4096 nodes: all per-node work is in C.
+    def traced_lines(nodes: int) -> int:
+        contour = SliceContour(0.1, 1.5, Q23, nodes)
+        circle = _slice_table(QuatPoly([1.0]), contour)[:3]
+        count = 0
+
+        def tracer(frame, event, arg):
+            nonlocal count
+            if frame.f_code is _kernel_weights.__code__:
+                count += event == "line"
+                return tracer
+            return None
+
+        sys.settrace(tracer)
+        try:
+            _kernel_weights(circle, 0.3, 0.5, 1e-10)
+        finally:
+            sys.settrace(None)
+        return count
+
+    assert traced_lines(16) == traced_lines(4096) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    center=st.floats(-3.0, 3.0),
+    radius=st.floats(0.5, 2.0),
+    rho=st.floats(0.0, 0.999),
+    angle=st.floats(0.0, math.pi),
+    nodes=st.sampled_from((16, 17, 64)),
+    k=st.integers(-400, 400),
+)
+def test_weights_have_degree_zero(center, radius, rho, angle, nodes, k):
+    # x = phi / (z - q_c) and y = phi / (z - conj q_c) are of degree 0: the
+    # circle and the target scaled by 2^k give the same floats, while every
+    # step stays a normal float.
+    alpha = center + rho * radius * math.cos(angle)
+    beta = rho * radius * math.sin(angle)
+    assume(all(v == 0.0 or abs(v) >= 1e-30 for v in (center, alpha, beta)))
+    f = math.ldexp(1.0, k)
+    contour = SliceContour(center, radius, Q23, nodes)
+    scaled = SliceContour(center * f, radius * f, Q23, nodes)
+    assert _weights(scaled, alpha * f, beta * f) == _weights(contour, alpha, beta)
+
+
+@pytest.mark.parametrize("rho", [0.9, 0.99, 0.999, 0.9999, 0.99999])
+def test_near_contour_targets_at_the_least_radius(rho):
+    # At radius 2^-511 a kernel denominator of degree 2 is subnormal near the
+    # contour, and its inverse overflows; the weights, of degree 0, stay
+    # finite.  The trapezoid value of a target at rho of the radius aliases by
+    # f(q) rho^N / (1 - rho^N) per complex kernel.
+    radius, nodes = math.ldexp(1.0, -511), 64
+    poly = BiSlicePoly([E0, E1])
+    ci, cj = SliceContour(0.0, radius, Q23, nodes), SliceContour(0.0, radius, Q13, nodes)
+    angle = 1.0
+    x = cone_point(rho * radius * math.cos(angle), rho * radius * math.sin(angle), Q12, Q13)
+    got = cauchy_reconstruct(poly, ci, cj, x)
+    assert all(map(math.isfinite, got.coeffs))
+    fp, fq = poly.split()
+    size = max(fp.eval(x.p).modulus(), fq.eval(x.q).modulus())
+    aliasing = 2.0 * rho**nodes / (1.0 - rho**nodes) * size
+    assert (got - poly.eval(x)).magnitude() <= aliasing + 1e-12 * size / (1.0 - rho)
+
+
+def test_kernel_singular_test_is_of_degree_one():
+    # 1e-5 from the real pole 1.00001: |s - q|^2 = 1e-10 would be negligible
+    # at degree 2 beside the default tol, the distance 1e-5 at degree 1 is not.
+    s, q = Quat(1.00001), Quat(1.0, 1e-7)
+    value = cauchy_kernel_quat(s, q)
+    gap = Fraction(s.w) - Fraction(q.w), -Fraction(q.a23)
+    size = gap[0] ** 2 + gap[1] ** 2
+    # (s - q)^-1 = conj(s - q) / |s - q|^2, to rounding
+    want = Quat(float(gap[0] / size), float(-gap[1] / size))
+    assert (value - want).modulus() <= 1e-15 * want.modulus()
+    # at the threshold and one step either side: the gap is |q - s| here
+    tol = _least_tol(math.hypot(q.w - s.w, q.a23), math.hypot(s.w, q.w, q.a23))
+    cauchy_kernel_quat(s, q, math.nextafter(tol, 0.0))
+    for at_or_above in (tol, math.nextafter(tol, math.inf)):
+        with pytest.raises(OnSingularSphere):
+            cauchy_kernel_quat(s, q, at_or_above)
+
+
+def test_small_contour_far_from_zero_is_not_singular():
+    # radius 1e-5 about 1: the nodes are 1e-5 from the target, of size 1
+    poly = BiSlicePoly([E0, E1])
+    ci, cj = SliceContour(1.0, 1e-5, Q23, 64), SliceContour(1.0, 1e-5, Q13, 64)
+    x = ConePoint.from_element(E0 + E1 * 1e-7)
+    error = (cauchy_reconstruct(poly, ci, cj, x) - poly.eval(x)).magnitude()
+    assert error < 1e-12
