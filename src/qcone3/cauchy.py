@@ -48,16 +48,23 @@ call; each component then sums against its own ``c_k w``.  The pass divides
 and sums without squaring, so it has degree 0: the circle and the target
 scaled by a power of two give the same floats.  Its singular test has
 degree 1: a node is singular where ``min(|z - q_c|, |z - conj q_c|)`` (which
-covers nodes k and N - k) is negligible beside ``|(z, q)|``.
+covers nodes k and N - k) is negligible beside ``|(z, q)|``.  The disc
+decides it for most targets in O(1): every node lies on the circle ``|z -
+x0| = r``, so it is at least ``r - |q_c - x0|`` from q_c and from conj q_c,
+and when that margin, less a rounding slack of ``eps (8 (|x0| + r) + 16
+bound)``, exceeds the largest bound ``tol |(|x0| + r, q)|``, no node can be
+singular.  Only targets within about ``1.5 tol (|x0| + r)`` of the circle
+are tested node by node, and the answer is the node loop's either way
+(:func:`_kernel_weights`).
 
-Both quadratures read a node table over k = 0 ... N//2: ``phi`` and ``z``,
-and the largest ``|z|``, once per circle, and ``c_k w`` per split component,
-202 bytes per contour node (tracemalloc) when the two contours share center,
-radius and node count (243 otherwise), so at most 13 MB (16 MB) at
-:data:`MAX_NODES`, and a reconstruction's columns ``x, y`` 40 (2.5 MB) while
-it runs.  The module keeps the table of its last (polynomial, contour_i,
-contour_j) call, matched by identity, and replaces it in one assignment, so
-concurrent callers see a whole entry or none.
+Both quadratures read a node table over k = 0 ... N//2: ``phi`` and ``z``
+once per circle, and ``c_k w`` per split component, 202 bytes per contour
+node (tracemalloc) when the two contours share center, radius and node count
+(243 otherwise), so at most 13 MB (16 MB) at :data:`MAX_NODES`, and a
+reconstruction's columns ``x, y`` 40 (2.5 MB) while it runs.  The module
+keeps the table of its last (polynomial, contour_i, contour_j) call, matched
+by identity, and replaces it in one assignment, so concurrent callers see a
+whole entry or none.
 
 Contours accept at most :data:`MAX_NODES` nodes, and one quadrature at most
 :data:`MAX_NODE_TERMS` nodes times coefficients, so no request does
@@ -87,8 +94,11 @@ DEFAULT_NODES = 512
 MIN_NODES = 16
 MAX_NODES = 65536
 #: Most nodes x coefficients one contour's quadrature may evaluate (about
-#: 0.22 us each, as only nodes k <= N//2 are evaluated: 0.5 s per contour).
+#: 0.12 us each, as only nodes k <= N//2 are evaluated: 0.25 s per contour,
+#: measured with Python 3.11 on a 2-CPU shared host).
 MAX_NODE_TERMS = 2**21
+#: Machine epsilon, 2^-52: the unit of the singular screen's rounding slack.
+_MACHINE_EPS = sys.float_info.epsilon
 
 
 class _ContourFields(NamedTuple):
@@ -175,14 +185,13 @@ def cauchy_kernel(s: ConePoint, x: ConePoint, tol: float = EPS) -> CliffordEleme
 
 
 def _slice_table(poly: QuatPoly, contour: SliceContour, circle: tuple = ()) -> tuple:
-    """``(phi, z, max |z|, c w0, c w1, c w2, c w3)``, columns over the nodes
-    k <= N//2, of weight c; the first three depend only on the circle."""
+    """``(phi, z, c w0, c w1, c w2, c w3)``, columns over the nodes k <= N//2,
+    of weight c; the first two depend only on the circle."""
     x0, r, n = contour.center, contour.radius, contour.nodes
     if not circle:
         thetas = [2.0 * math.pi * k / n for k in range(n // 2 + 1)]
         phis = [complex(r * math.cos(t), r * math.sin(t)) for t in thetas]
-        zs = [x0 + phi for phi in phis]
-        circle = phis, zs, max(map(abs, zs))
+        circle = phis, [x0 + phi for phi in phis]
     # Horner from the leading coefficient: the same bits as from 0j * z + c.
     lead, *rows = [c.as_tuple() for c in reversed(poly.coeffs)]
     lead = tuple(map(complex, lead))
@@ -220,7 +229,7 @@ def _node_table(poly: BiSlicePoly, ci: SliceContour, cj: SliceContour) -> tuple:
     fp, fq = poly.split()
     side_i = _slice_table(fp, ci)
     same = ci[:2] == cj[:2] and ci.nodes == cj.nodes  # center, radius, nodes
-    table = side_i, _slice_table(fq, cj, side_i[:3] if same else ())
+    table = side_i, _slice_table(fq, cj, side_i[:2] if same else ())
     _last_table = (poly, ci, cj, table)
     return table
 
@@ -228,7 +237,7 @@ def _node_table(poly: BiSlicePoly, ci: SliceContour, cj: SliceContour) -> tuple:
 def _closed_integral(side: tuple, contour: SliceContour) -> Quat:
     """Trapezoid value of the closed integral of ds poly(s) from its slice table;
     the differential I r e^{I t} dt stays left of the integrand."""
-    v = [sum(map(mul, side[0], w), 0j).real for w in side[3:]]
+    v = [sum(map(mul, side[0], w), 0j).real for w in side[2:]]
     return contour.unit * Quat(*v) * (2.0 * math.pi / contour.nodes)
 
 
@@ -254,19 +263,41 @@ def contour_integral_vanishes(
     )
 
 
-def _kernel_weights(circle: tuple, alpha: float, beta: float, tol: float) -> tuple:
+def _kernel_weights(
+    circle: tuple, contour: SliceContour, alpha: float, beta: float, tol: float
+) -> tuple:
     """Columns ``(x, y)`` of the kernels ``phi / (z - q_c)`` and ``phi / (z -
-    conj q_c)`` over a circle's nodes, for targets at ``alpha + J beta``.
+    conj q_c)`` over the nodes of a circle of the contour's center x0 and
+    radius r, for targets at ``alpha + J beta``.
 
     A node is singular where ``min(|z - q_c|, |z - conj q_c|)`` is negligible
-    beside ``|(z, q)|``.  The nearest node is screened against the largest
-    bound first, and the nodes are tested one by one only when it fails; as
-    rounding is monotone, that decides exactly as testing every node."""
-    phis, zs, z_max = circle
+    beside ``|(z, q)|``.  The disc settles that for most targets: q_c and conj
+    q_c lie ``d = |q_c - x0|`` from the center, so every point of the circle
+    is at least ``r - d`` from both, and every node's bound is about ``tol
+    |(reach, q)|`` or less, with ``reach = |x0| + r``.  The rounding slack,
+    with eps = 2^-52 and cos and sin within an ulp:
+
+    * a node, ``x0 + (r cos t + i r sin t)``, is within 2.5 eps reach of the
+      circle; the computed ``r - d`` is at most 2.5 eps r too large, and a
+      computed gap at most eps gap too small: 6.5 eps reach in all;
+    * a node's computed bound, through ``|z|``, the hypot and the product
+      with tol, exceeds the computed ``bound`` by at most 7.5 eps bound;
+    * radius >= 2^-511 puts underflow far below eps reach.
+
+    So no node can be singular when ``r - d - eps (8 reach + 16 bound)``
+    exceeds ``bound``, and the nodes are tested one by one only when it does
+    not: the answer is the node loop's.  (The targets of
+    ``test_screened_singular_test_decides_as_the_node_loop`` need at most
+    0.48 eps reach.)
+    """
+    phis, zs = circle
     q_c = complex(alpha, beta)
     q_bar, q_abs = q_c.conjugate(), abs(q_c)
-    near = min([min(map(abs, map(sub, zs, repeat(c)))) for c in (q_c, q_bar)])
-    if near <= tol * math.hypot(z_max, q_abs):
+    x0, r = contour.center, contour.radius
+    reach = abs(x0) + r
+    bound = tol * math.hypot(reach, q_abs)
+    margin = r - math.hypot(alpha - x0, beta)
+    if margin - _MACHINE_EPS * (8.0 * reach + 16.0 * bound) <= bound:
         for z in zs:
             gap = min(abs(z - q_c), abs(z - q_bar))
             if negligible(gap, math.hypot(abs(z), q_abs), 1, tol):
@@ -278,8 +309,8 @@ def _accumulate(weights: tuple, side: tuple, unit_j: Quat, nodes: int) -> Quat:
     """``(Re sum g w + J Re sum h w) / N`` for one split component, as
     ``((Re X + Re Y) + J (Im X - Im Y)) / 2N`` from ``X, Y = sum x w, sum y w``."""
     xs, ys = weights
-    sx = [sum(map(mul, xs, w), 0j) for w in side[3:]]
-    sy = [sum(map(mul, ys, w), 0j) for w in side[3:]]
+    sx = [sum(map(mul, xs, w), 0j) for w in side[2:]]
+    sy = [sum(map(mul, ys, w), 0j) for w in side[2:]]
     g = Quat(*[a.real + b.real for a, b in zip(sx, sy)])
     h = Quat(*[a.imag - b.imag for a, b in zip(sx, sy)])
     return (g + unit_j * h) / (2 * nodes)
@@ -306,11 +337,11 @@ def cauchy_reconstruct(
     if not contour_j.contains(point.q):
         raise PointOutsideContour("second component outside its contour disc")
     side_i, side_j = _node_table(poly, contour_i, contour_j)
-    weights = _kernel_weights(side_i[:3], point.alpha, point.beta, tol)
+    weights = _kernel_weights(side_i[:2], contour_i, point.alpha, point.beta, tol)
     vp = _accumulate(weights, side_i, _slice_unit(point.p, contour_i), contour_i.nodes)
     if side_j[0] is not side_i[0]:  # another circle: its own weight pass
         del weights  # one pass's columns alive at a time
-        weights = _kernel_weights(side_j[:3], point.alpha, point.beta, tol)
+        weights = _kernel_weights(side_j[:2], contour_j, point.alpha, point.beta, tol)
     vq = _accumulate(weights, side_j, _slice_unit(point.q, contour_j), contour_j.nodes)
     return join(vp, vq)
 

@@ -25,7 +25,6 @@ from .clifford3 import (
     Quat,
     QuatPair,
     _new,
-    _scaled,
     join,
     negligible,
     split,
@@ -34,26 +33,29 @@ from .errors import NotImaginaryUnit, NotInCone
 
 
 def cone_residuals(x: CliffordElement) -> tuple[float, float]:
-    """The two defining quantities of the cone; both vanish on it."""
+    """The two defining quantities of the cone, each relative to the
+    coefficients it involves: the numbers :func:`in_cone` holds to ``tol``.
+
+    The residual x123 is linear in x and is divided by ``max|x_i|``.  The
+    quadratic residual ``x2 x13 - x1 x23 - x3 x12`` is built from the six
+    imaginary coefficients alone, so a large real part does not shrink it; it
+    is evaluated on those six divided by the largest of them, at most 1 in
+    size, so it cannot overflow.  Both have degree 0: ``2**k * x`` gives the
+    same two floats wherever its coefficients are normal.
+    """
     c = x.coeffs
-    return c[7], c[2] * c[5] - c[1] * c[6] - c[3] * c[4]
+    size = max(map(abs, c)) or 1.0  # all zero: so are both residuals
+    m = max(map(abs, c[1:7])) or 1.0
+    c1, c2, c3, c12, c13, c23 = [a / m for a in c[1:7]]
+    return c[7] / size, c2 * c13 - c1 * c23 - c3 * c12
 
 
 def in_cone(x: CliffordElement, tol: float = EPS) -> bool:
-    """Cone membership relative to the coefficients each residual involves.
-
-    The residual x123 is linear in x and is held to ``tol * max|x_i|``.  The
-    quadratic residual is built from the six imaginary coefficients alone, so
-    it is held to ``tol * max|x_im|**2``, on those six scaled exactly into
-    [1/2, 1) so it cannot underflow: a large real part does not widen it.
-    """
-    c = x.coeffs
-    _, (u, v) = _scaled((0.0, *c[1:4]), (0.0, *c[4:7]))
-    _, c1, c2, c3 = u
-    _, c12, c13, c23 = v
-    return negligible(c[7], x.max_abs(), tol=tol) and negligible(
-        c2 * c13 - c1 * c23 - c3 * c12, max(map(abs, (*u, *v))), 2, tol
-    )
+    """Cone membership: both :func:`cone_residuals`, relative already, are
+    negligible at degree 0, so what ``cone-check`` records is what it
+    decides."""
+    r1, r2 = cone_residuals(x)
+    return negligible(r1, 1.0, 0, tol) and negligible(r2, 1.0, 0, tol)
 
 
 def is_sqrt_minus_one(x: CliffordElement) -> bool:
@@ -180,7 +182,7 @@ class ConePoint:
         if not in_cone(x, tol):
             r1, r2 = cone_residuals(x)
             raise NotInCone(
-                f"cone residuals ({r1:.3e}, {r2:.3e}) exceed tolerance"
+                f"relative cone residuals ({r1:.3e}, {r2:.3e}) exceed tolerance"
             )
         p, q = split(x)
         alpha = 0.5 * (p.re() + q.re())

@@ -356,7 +356,7 @@ def test_slice_plane_quadrature_keeps_singular_test():
     # the node at t = pi/2 is I, whose sphere holds every unit imaginary
     contour = SliceContour(0.0, 1.0, Q23, 16)
     with pytest.raises(OnSingularSphere):
-        _kernel_weights(_slice_table(QuatPoly([1.0]), contour)[:3], 0.0, 1.0, 1e-12)
+        _kernel_weights(_slice_table(QuatPoly([1.0]), contour)[:2], contour, 0.0, 1.0, 1e-12)
 
 
 def _inside(rng, center: float, radius: float, rho: float) -> ConePoint:
@@ -409,7 +409,7 @@ def test_reconstruction_is_close_to_the_exact_trapezoid_value():
         for f, target in zip(poly.split(), (x.p, x.q)):
             contour = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
             side = _slice_table(f, contour)
-            weights = _kernel_weights(side[:3], x.alpha, x.beta, 1e-12)
+            weights = _kernel_weights(side[:2], contour, x.alpha, x.beta, 1e-12)
             got = _accumulate(weights, side, _slice_unit(target, contour), nodes)
             want, largest = exact_trapezoid_component(f, contour, target)
             error = max(abs(a - b) for a, b in zip(got, want))
@@ -614,7 +614,7 @@ def test_contour_radius_keeps_kernel_squares_normal():
 
 
 def _weights(contour: SliceContour, alpha: float, beta: float, tol: float = 1e-12):
-    return _kernel_weights(_slice_table(QuatPoly([1.0]), contour)[:3], alpha, beta, tol)
+    return _kernel_weights(_slice_table(QuatPoly([1.0]), contour)[:2], contour, alpha, beta, tol)
 
 
 def _node_gaps(contour: SliceContour, alpha: float, beta: float) -> list[tuple[float, float]]:
@@ -656,10 +656,12 @@ def _raises(contour, alpha, beta, tol) -> bool:
     return False
 
 
-def test_screened_singular_test_decides_as_the_node_loop():
-    # Targets near a node, a step inside the disc or on the real axis, at the
-    # least singular tolerance and one step either side: the screened pass
-    # raises exactly when the plain loop over every node does.
+def _screen_cases():
+    """``(contour, alpha, beta)`` for the singular-node screen: random targets
+    near a node, then targets 1 to 4 ulps of the radius inside the circle at
+    node angles and half way between, real ones among them, on odd and even N,
+    on circles that include radius 1e-5 about 1, each also scaled exactly by
+    2^-490 and 2^505, near both ends of the range SliceContour accepts."""
     rng = random.Random(41)
     for k in range(300):
         nodes = rng.choice((16, 17, 64, 65))
@@ -669,11 +671,70 @@ def test_screened_singular_test_decides_as_the_node_loop():
         rho = 1.0 - 10.0 ** rng.uniform(-9.0, -1.0)
         alpha = center + rho * radius * math.cos(t)
         beta = 0.0 if k % 7 == 0 else abs(rho * radius * math.sin(t))
+        yield contour, alpha, beta
+    for nodes in (16, 17, 64, 65):
+        for center, radius in ((0.0, 1.0), (0.75, 1.25), (-1.5, 0.375), (1.0, 1e-5)):
+            for ulps in (1, 4):
+                dist = radius - ulps * math.ulp(radius)
+                targets = [(center + dist, 0.0), (center - dist, 0.0)]  # real
+                for half in (0.0, 0.5):  # at node k, or half way to node k + 1
+                    for k in (0, 1, nodes // 4, nodes // 2):
+                        t = 2.0 * math.pi * (k + half) / nodes
+                        targets.append((center + dist * math.cos(t), abs(dist * math.sin(t))))
+                for e in (0, -490, 505):
+                    contour = SliceContour(
+                        math.ldexp(center, e), math.ldexp(radius, e), Q23, nodes
+                    )
+                    for alpha, beta in targets:
+                        yield contour, math.ldexp(alpha, e), math.ldexp(beta, e)
+
+
+def test_screened_singular_test_decides_as_the_node_loop():
+    # At each case's least singular tolerance and one step either side (and a
+    # few tolerances further off), the screened pass raises exactly when the
+    # plain loop over every node does.
+    for case, (contour, alpha, beta) in enumerate(_screen_cases()):
+        if min(gap for gap, _ in _node_gaps(contour, alpha, beta)) == 0.0:
+            # the target rounded onto a node: singular at every tol, even 0
+            assert _raises(contour, alpha, beta, 0.0), case
+            continue
         below, at, above = _threshold_tols(contour, alpha, beta)
         tols = (below, at, above, 10.0 * above, 0.1 * below, 1e-10)
         screened = [_raises(contour, alpha, beta, tol) for tol in tols]
-        assert screened == [_loop_raises(contour, alpha, beta, tol) for tol in tols], k
-        assert screened[:3] == [False, True, True], k
+        assert screened == [_loop_raises(contour, alpha, beta, tol) for tol in tols], case
+        assert screened[:3] == [False, True, True], case
+
+
+def test_well_inside_targets_skip_the_node_loop(monkeypatch):
+    # At 0.7 of the radius the disc alone shows that no node is singular, so
+    # no node is tested; 1e-12 of the radius inside, between two nodes, every
+    # node is tested and none is singular.
+    tested = []
+
+    def counted(*args):
+        tested.append(args)
+        return negligible(*args)
+
+    monkeypatch.setattr(cauchy, "negligible", counted)
+    poly = BiSlicePoly([E0, E1])
+    for nodes in (16, 17, 64, 65):
+        for center, radius in ((0.1, 1.5), (-2.0, 0.5), (1.0, 1e-5)):
+            ci = SliceContour(center, radius, Q23, nodes)
+            cj = SliceContour(center, radius, Q13, nodes)
+            for angle in (0.0, 0.4, 0.5 * math.pi, math.pi):
+                x = cone_point(
+                    center + 0.7 * radius * math.cos(angle),
+                    0.7 * radius * math.sin(angle),
+                    Q12,
+                    Q13,
+                )
+                cauchy_reconstruct(poly, ci, cj, x)
+    assert tested == []
+    contour = SliceContour(0.1, 1.5, Q23, 16)
+    t = math.pi / 16
+    dist = 1.5 * (1.0 - 1e-12)
+    _weights(contour, 0.1 + dist * math.cos(t), dist * math.sin(t))
+    assert len(tested) == 9
 
 
 def test_weight_pass_has_no_per_node_loop():
@@ -681,7 +742,7 @@ def test_weight_pass_has_no_per_node_loop():
     # at 4096 nodes: all per-node work is in C.
     def traced_lines(nodes: int) -> int:
         contour = SliceContour(0.1, 1.5, Q23, nodes)
-        circle = _slice_table(QuatPoly([1.0]), contour)[:3]
+        circle = _slice_table(QuatPoly([1.0]), contour)[:2]
         count = 0
 
         def tracer(frame, event, arg):
@@ -693,7 +754,7 @@ def test_weight_pass_has_no_per_node_loop():
 
         sys.settrace(tracer)
         try:
-            _kernel_weights(circle, 0.3, 0.5, 1e-10)
+            _kernel_weights(circle, contour, 0.3, 0.5, 1e-10)
         finally:
             sys.settrace(None)
         return count

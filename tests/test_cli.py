@@ -58,6 +58,15 @@ def test_cone_check(capsys):
     # split (1e6 + 10e23, 1e6): a large real part does not hide r2 = 25
     code, out, _ = invoke(capsys, "cone-check", "1000000,-5,0,0,0,0,5,0")
     assert code == 0 and out.strip() == "false"
+    # x3 x12 = -1e461 overflows, but the record holds the residuals in_cone
+    # compares with tol, relative to max|x_i| and max|x_im|^2: (0, 1e-153)
+    element = f"1{'0' * 307}e3 - 1{'0' * 154}e12"
+    code, out, _ = invoke(capsys, "cone-check", element)
+    assert code == 0 and out.strip() == "true"
+    code, out, _ = invoke(capsys, "cone-check", element, "--output", "records")
+    record = json.loads(out)
+    assert code == 0 and record["in_cone"] is True
+    assert record["residuals"] == [0.0, 1e-153]
 
 
 def test_det_pretty(capsys):

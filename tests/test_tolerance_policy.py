@@ -31,6 +31,7 @@ from qcone3 import (
 )
 from qcone3.clifford3 import E1, E2, E3, E23, E123, negligible
 from qcone3.errors import OnSingularSphere, SingularElement
+from qcone3.qsplit import cone_residuals
 from qcone3.zeros import sphere_chain
 from helpers import rand_cone_element
 
@@ -126,6 +127,20 @@ def test_cone_membership_at_its_threshold_under_powers_of_two(k):
             if accepted:  # what in_cone accepts builds a ConePoint
                 point = ConePoint.from_element(x, TOL)
                 assert math.isclose(point.beta, math.ldexp(1.0, k), rel_tol=1e-15)
+
+
+@settings(deadline=None)
+@given(POWERS, st.lists(st.integers(-64, 64), min_size=8, max_size=8))
+@example(1000, [0, 0, 0, 64, -1, 0, 0, 0])
+@example(-1000, [1, 0, 0, 0, 0, 0, 64, 1])
+def test_cone_residuals_have_degree_zero(k, eighths):
+    # The record cone-check writes is the pair in_cone holds to tol, and
+    # 2^k x gives the same two floats, past the range of x3 x12 too.
+    x = _element({i: v / 8.0 for i, v in enumerate(eighths)}, 0)
+    y = _element({i: v / 8.0 for i, v in enumerate(eighths)}, k)
+    r1, r2 = cone_residuals(y)
+    assert (r1, r2) == cone_residuals(x)
+    assert in_cone(y, TOL) == (abs(r1) <= TOL and abs(r2) <= TOL)
 
 
 @given(TENS, st.sampled_from((1.0 - 1e-6, 1.0 + 1e-6)))
