@@ -68,7 +68,6 @@ _EXPORTS = {
     "stem": (
         "StemFunction",
         "RectDomain",
-        "builtin_stem",
         "check_cauchy_riemann",
         "check_parity",
         "constant_stem",
@@ -112,7 +111,6 @@ _EXPORTS = {
         "parse_factored",
         "parse_matrix",
         "parse_poly",
-        "parse_quat",
         "parse_sphere",
     ),
 }

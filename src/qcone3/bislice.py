@@ -322,21 +322,6 @@ def splitting_projection(
     return a, b
 
 
-def complex_on_slice(z: complex, unit: Quat) -> Quat:
-    """Embed a complex number into the plane spanned by 1 and ``unit``."""
-    return Quat(z.real) + unit * z.imag
-
-
-def reassemble_splitting(
-    a: Sequence[complex], b: Sequence[complex], i: Quat, k: Quat, z: complex
-) -> Quat:
-    """Evaluate A(z) + B(z)*k back in the quaternions; test oracle for the
-    splitting projection."""
-    az = sum((z**n) * c for n, c in enumerate(a))
-    bz = sum((z**n) * c for n, c in enumerate(b))
-    return complex_on_slice(az, i) + complex_on_slice(bz, i) * k
-
-
 SliceMap = Callable[[float, float], CliffordElement]
 
 

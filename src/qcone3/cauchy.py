@@ -346,13 +346,6 @@ def cauchy_reconstruct(
     return join(vp, vq)
 
 
-def _unit_or_fallback(primary: Quat | None, *fallbacks: Quat | None) -> Quat:
-    for u in (primary, *fallbacks):
-        if u is not None:
-            return u
-    return Q23
-
-
 def kernel_regularity_residual(
     s: ConePoint, x: ConePoint, h: float = 1e-4
 ) -> tuple[float, float]:
@@ -363,31 +356,23 @@ def kernel_regularity_residual(
     the right-sided operator ``(d_u + d_v (.) I)/2`` in the first argument
     along the slices of s.  Both are O(h^2) away from the singular spheres.
     """
-    u1 = _unit_or_fallback(x.i1, s.i1)
-    u2 = _unit_or_fallback(x.i2, s.i2)
-    su1 = _unit_or_fallback(s.i1, x.i1)
-    su2 = _unit_or_fallback(s.i2, x.i2)
 
-    def left_side(sq: Quat, base: float, beta: float, unit: Quat) -> Quat:
-        du, dv = central_differences(
-            lambda u, v: cauchy_kernel_quat(sq, Quat(u) + unit * v), base, beta, h
-        )
-        return (du + unit * dv) * 0.5
+    def slice_operator(fixed: Quat, at: ConePoint, unit: Quat, right_sided: bool) -> Quat:
+        def kernel(u: float, v: float) -> Quat:
+            y = Quat(u) + unit * v
+            return cauchy_kernel_quat(y, fixed) if right_sided else cauchy_kernel_quat(fixed, y)
 
+        du, dv = central_differences(kernel, at.alpha, at.beta, h)
+        return (du + (dv * unit if right_sided else unit * dv)) * 0.5
+
+    # A real point has no slice of its own: it is differenced along the other
+    # point's slice, or along e23 when both are real.
     left = join(
-        left_side(s.p, x.alpha, x.beta, u1), left_side(s.q, x.alpha, x.beta, u2)
+        slice_operator(s.p, x, x.i1 or s.i1 or Q23, False),
+        slice_operator(s.q, x, x.i2 or s.i2 or Q23, False),
     ).magnitude()
-
-    def right_side(target: Quat, base: float, beta: float, unit: Quat) -> Quat:
-        du, dv = central_differences(
-            lambda u, v: cauchy_kernel_quat(Quat(u) + unit * v, target),
-            base,
-            beta,
-            h,
-        )
-        return (du + dv * unit) * 0.5
-
     right = join(
-        right_side(x.p, s.alpha, s.beta, su1), right_side(x.q, s.alpha, s.beta, su2)
+        slice_operator(x.p, s, s.i1 or x.i1 or Q23, True),
+        slice_operator(x.q, s, s.i2 or x.i2 or Q23, True),
     ).magnitude()
     return left, right

@@ -250,10 +250,9 @@ def _cmd_cauchy_verify(args, out: _Output) -> None:
     nodes = cauchy.DEFAULT_NODES if args.nodes is None else args.nodes
     poly = grammar.parse_poly(args.poly)
     x = ConePoint.from_element(grammar.parse_element(args.at), args.tol)
-    unit_i = x.i1 if x.i1 is not None else Q23
-    unit_j = x.i2 if x.i2 is not None else Q13
-    contour_i = cauchy.SliceContour(args.center, args.radius, unit_i, nodes)
-    contour_j = cauchy.SliceContour(args.center, args.radius, unit_j, nodes)
+    # The contour units drop out of the reconstruction, so both sides use fixed ones.
+    contour_i = cauchy.SliceContour(args.center, args.radius, Q23, nodes)
+    contour_j = cauchy.SliceContour(args.center, args.radius, Q13, nodes)
     value = cauchy.cauchy_reconstruct(poly, contour_i, contour_j, x, args.tol)
     expected = poly.eval(x)
     error = (value - expected).magnitude()

@@ -69,40 +69,6 @@ class CliffordElement:
     def __setattr__(self, name, value):
         raise AttributeError("CliffordElement is immutable")
 
-    # -- named coefficient access -------------------------------------------------
-
-    @property
-    def c0(self) -> float:
-        return self.coeffs[0]
-
-    @property
-    def c1(self) -> float:
-        return self.coeffs[1]
-
-    @property
-    def c2(self) -> float:
-        return self.coeffs[2]
-
-    @property
-    def c3(self) -> float:
-        return self.coeffs[3]
-
-    @property
-    def c12(self) -> float:
-        return self.coeffs[4]
-
-    @property
-    def c13(self) -> float:
-        return self.coeffs[5]
-
-    @property
-    def c23(self) -> float:
-        return self.coeffs[6]
-
-    @property
-    def c123(self) -> float:
-        return self.coeffs[7]
-
     # -- ring operations ----------------------------------------------------------
 
     def __add__(self, other: "CliffordElement | float") -> "CliffordElement":

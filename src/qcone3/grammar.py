@@ -153,14 +153,6 @@ def format_quat(q: Quat, sig: int | None = None) -> str:
     return format_element(q.to_clifford(), sig)
 
 
-def parse_quat(text: str) -> Quat:
-    """Element grammar restricted to the even tokens 1, e23, e13, e12."""
-    x = parse_element(text)
-    if any(x.coeffs[i] != 0.0 for i in (1, 2, 3, 7)):
-        raise ParseError("quaternion may only use tokens 1, e12, e13, e23", text, 0)
-    return Quat(x.c0, x.c23, x.c13, x.c12)
-
-
 def format_quat_pair(p: Quat, q: Quat, sig: int | None = None) -> str:
     return f"({format_quat(p, sig)} | {format_quat(q, sig)})"
 

@@ -1,8 +1,9 @@
 """The quadratic cone in the quaternion-pair view.
 
 The pair itself (:class:`Quat`, :class:`QuatPair`, :func:`split`,
-:func:`join`) is defined in :mod:`qcone3.clifford3`; the library imports it
-from there, and it is re-exported here for outside callers.
+:func:`join`) is defined in :mod:`qcone3.clifford3`, and this module imports
+only what it computes with.  Import the pair and the ``Q*`` units from
+``clifford3``; ``perfbench/`` still calls ``qsplit.split`` and ``qsplit.join``.
 
 The quadratic cone consists of the elements whose trace and norm are real;
 in coordinates that is ``x123 = 0`` together with
@@ -16,11 +17,6 @@ from typing import NamedTuple
 
 from .clifford3 import (
     EPS,
-    Q12,
-    Q13,
-    Q23,
-    Q_ONE,
-    Q_ZERO,
     CliffordElement,
     Quat,
     QuatPair,

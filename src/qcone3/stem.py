@@ -227,17 +227,3 @@ def stem_from_poly(
         build(fq.coeffs, True),
         domain,
     )
-
-
-def builtin_stem(spec: str) -> StemFunction:
-    """Named stems on the default domain: ``identity``, ``monomial:<n>``,
-    ``constant:<element>``."""
-    if spec == "identity":
-        return stem_from_poly(bislice.BiSlicePoly.monomial(1))
-    if spec.startswith("monomial:"):
-        return stem_from_poly(bislice.BiSlicePoly.monomial(int(spec.split(":", 1)[1])))
-    if spec.startswith("constant:"):
-        from .grammar import parse_element
-
-        return constant_stem(parse_element(spec.split(":", 1)[1]))
-    raise ValueError(f"unknown builtin stem {spec!r}")

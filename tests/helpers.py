@@ -478,6 +478,24 @@ def stem_component(coeffs: Sequence[Quat], alpha: float, beta: float, pick_imag:
     return acc
 
 
+# -- oracle: the splitting projection reassembled ---------------------------------
+
+
+def complex_on_slice(z: complex, unit: Quat) -> Quat:
+    """Embed a complex number into the plane spanned by 1 and ``unit``."""
+    return Quat(z.real) + unit * z.imag
+
+
+def reassemble_splitting(
+    a: Sequence[complex], b: Sequence[complex], i: Quat, k: Quat, z: complex
+) -> Quat:
+    """Evaluate A(z) + B(z)*k back in the quaternions, where (A, B) is what
+    ``splitting_projection`` returns for the plane of ``i``."""
+    az = sum((z**n) * c for n, c in enumerate(a))
+    bz = sum((z**n) * c for n, c in enumerate(b))
+    return complex_on_slice(az, i) + complex_on_slice(bz, i) * k
+
+
 # -- oracle: the element formatter with one number formatter per term -------------
 
 

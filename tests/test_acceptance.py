@@ -52,7 +52,8 @@ from qcone3 import (
 )
 from qcone3.cauchy import cauchy_kernel_quat
 from qcone3.errors import NotInvertibleAtPoint
-from qcone3.qsplit import Q12, Q13, Q23, cone_residuals
+from qcone3.clifford3 import Q12, Q13, Q23
+from qcone3.qsplit import cone_residuals
 from helpers import (
     contour_phase,
     contour_point,

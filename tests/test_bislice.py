@@ -33,16 +33,17 @@ from qcone3 import (
     star_mul_pointwise,
     symmetrization,
 )
-from qcone3.bislice import central_differences, complex_on_slice, reassemble_splitting
+from qcone3.bislice import central_differences
 from qcone3.cauchy import kernel_regularity_residual
 from qcone3.errors import NotInvertibleAtPoint, NotOrthogonal
-from qcone3.qsplit import Q12, Q13, Q23
-from qcone3.stem import builtin_stem, check_cauchy_riemann, stem_from_poly
+from qcone3.clifford3 import Q12, Q13, Q23
+from qcone3.stem import check_cauchy_riemann, stem_from_poly
 from helpers import (
     assert_coeffs_close,
     clifford_conjugate,
     clifford_from_factors,
     clifford_star,
+    complex_on_slice,
     quat_horner,
     quat_star,
     rand_cone_point,
@@ -50,6 +51,7 @@ from helpers import (
     rand_poly,
     rand_quat,
     rand_unit_imaginary,
+    reassemble_splitting,
     stem_component,
 )
 
@@ -366,7 +368,7 @@ def test_finite_difference_step_must_be_positive_and_finite(h):
         lambda: dbar_residual(P, x, h),
         lambda: dbar_residual_single(P, x, h),
         lambda: kernel_regularity_residual(cone_point(3.0, 0.0, None, None), x, h),
-        lambda: check_cauchy_riemann(builtin_stem("identity"), h, samples=1),
+        lambda: check_cauchy_riemann(stem_from_poly(BiSlicePoly.monomial(1)), h, samples=1),
     ):
         with pytest.raises(ValueError, match="step"):
             call()

@@ -44,8 +44,7 @@ from qcone3.errors import (
     OnSingularSphere,
     PointOutsideContour,
 )
-from qcone3.clifford3 import negligible
-from qcone3.qsplit import Q12, Q13, Q23
+from qcone3.clifford3 import Q12, Q13, Q23, negligible
 from helpers import (
     contour_integral,
     contour_phase,

@@ -1,15 +1,21 @@
 """Command-line behavior: outputs, record schemas, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcone3
 from qcone3 import cauchy
+from qcone3 import cli
 from qcone3.cli import run
 from qcone3.grammar import MAX_COEFFS
 
@@ -704,3 +710,162 @@ def test_mult_near_the_float_maximum(capsys, mode):
         (rec,) = records(out)
         assert rec["isolated"] == 2
         assert rec["p_points"] == rec["q_points"] == [[0.0, 1.5e308, 0.0, 0.0]]
+
+
+# -- the exit contract on random argv ------------------------------------------------
+
+
+def _plain(mantissa: int, exponent: int) -> str:
+    """``mantissa * 10**exponent`` written out in full: the element grammar's
+    numbers have no exponent part."""
+    digits = str(mantissa)
+    if exponent >= 0:
+        return digits + "0" * exponent
+    digits = digits.rjust(1 - exponent, "0")
+    return f"{digits[:exponent]}.{digits[exponent:]}"
+
+
+# Magnitudes from 1e-320 to 9.9e306, with a share near 1 so that inputs also
+# reach the arithmetic past the range checks.
+NUMBERS = st.builds(
+    _plain, st.integers(1, 99), st.one_of(st.integers(-3, 2), st.integers(-320, 305))
+)
+SIGNED = st.builds(str.__add__, st.sampled_from(["", "-"]), NUMBERS)
+BASIS = {
+    "all": ("", "e1", "e2", "e3", "e12", "e13", "e23", "e123"),
+    "vector": ("", "e1", "e2", "e3"),  # real + vector part lies in the cone
+    "bivector": ("", "e12", "e13", "e23"),  # and so does real + bivector part
+}
+
+
+@st.composite
+def terms(draw, basis: str = "all", star: bool = True) -> str:
+    """1 to 4 terms, each led by its sign: `` - 5e1 + 0.25*e23``."""
+    text = ""
+    for token in draw(st.lists(st.sampled_from(BASIS[basis]), min_size=1, max_size=4)):
+        sign = draw(st.sampled_from("+-"))
+        glue = draw(st.sampled_from(["", "*"])) if star and token else ""
+        text += f" {sign} {draw(NUMBERS)}{glue}{token}"
+    return text
+
+
+def elements(basis: str = "all") -> st.SearchStrategy:
+    return terms(basis).map(lambda text: text.removeprefix(" + ").strip())
+
+
+POSITIONAL = st.lists(SIGNED, min_size=8, max_size=8).map(",".join)
+ELEMENTS = st.one_of(elements(), POSITIONAL)
+CONE_ELEMENTS = st.one_of(elements("vector"), elements("bivector"), ELEMENTS)
+
+
+@st.composite
+def factored(draw, sizes=st.integers(1, 8)) -> str:
+    scale = draw(st.sampled_from(["", "{}*", "{}/{}*"])).format(draw(NUMBERS), draw(NUMBERS))
+    # a factor's terms take no '*': the grammar reads one as nonlinear
+    return scale + "*".join(f"(x{draw(terms(star=False))})" for _ in range(draw(sizes)))
+
+
+POLYS = st.one_of(
+    st.lists(elements(), min_size=1, max_size=8).map(lambda cs: f"coeffs: [{', '.join(cs)}]"),
+    factored(),
+)
+
+
+def _option(name: str, values: st.SearchStrategy) -> st.SearchStrategy:
+    """``--name value`` or ``--name=value``; a value starting with '-' needs the second."""
+    return values.flatmap(lambda v: st.sampled_from([(name, v), (f"{name}={v}",)]))
+
+
+def _optional(name: str, values: st.SearchStrategy) -> st.SearchStrategy:
+    return st.one_of(st.just(()), _option(name, values))
+
+
+def _positional(values: st.SearchStrategy) -> st.SearchStrategy:
+    """The value, or ``-- value`` so that a leading '-' is not read as an option."""
+    return values.flatmap(lambda v: st.sampled_from([(v,), ("--", v)]))
+
+
+COMMANDS = {
+    "split": _positional(ELEMENTS),
+    "cone-check": _positional(CONE_ELEMENTS),
+    "eval": st.tuples(_option("--poly", POLYS), _option("--at", ELEMENTS)),
+    "star": st.tuples(
+        _option("--left", POLYS), _option("--right", POLYS), _optional("--at", ELEMENTS)
+    ),
+    "roots": _option("--factored", factored(st.one_of(st.just(2), st.integers(1, 8)))),
+    "mult": st.tuples(
+        _option("--factored", factored()),
+        _option("--sphere", st.builds("{},{}".format, SIGNED, NUMBERS)),
+    ),
+    "det": _option(
+        "--matrix",
+        st.lists(elements(), min_size=4, max_size=4).map(
+            lambda e: f"[[{e[0]}, {e[1]}], [{e[2]}, {e[3]}]]"
+        ),
+    ),
+    "cauchy-verify": st.tuples(
+        _option("--poly", POLYS),
+        _option("--at", CONE_ELEMENTS),
+        _option("--radius", NUMBERS),
+        _optional("--center", SIGNED),
+        _optional("--nodes", st.integers(1, 512).map(str)),
+    ),
+    "dbar-check": st.tuples(
+        _option("--poly", POLYS), _option("--at", CONE_ELEMENTS), _optional("--fd-step", NUMBERS)
+    ),
+    "kernel": st.tuples(_option("--s", CONE_ELEMENTS), _option("--x", CONE_ELEMENTS)),
+}
+
+
+def _flatten(parts) -> list[str]:
+    if isinstance(parts, str):
+        return [parts]
+    return [word for part in parts for word in _flatten(part)]
+
+
+@st.composite
+def argvs(draw) -> tuple[list[str], str]:
+    """One invocation of a random subcommand, and its output mode."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    mode = draw(st.sampled_from(["pretty", "records"]))
+    words = (
+        command,
+        draw(_option("--output", st.just(mode))),
+        draw(_optional("--tol", NUMBERS)),
+        draw(COMMANDS[command]),  # last, for a positional after '--'
+    )
+    return _flatten(words), mode
+
+
+def _finite(text: str) -> float:
+    """``json.loads`` hook for every non-integer number, NaN and Infinity included."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise AssertionError(f"record holds {text}")
+    return value
+
+
+def test_exit_contract_strategy_covers_every_subcommand():
+    (choices,) = re.findall(r"\{([^}]*)\}", cli._build_parser().format_usage())
+    assert sorted(COMMANDS) == sorted(choices.split(","))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(argvs())
+def test_random_argv_keeps_the_exit_contract(invocation):
+    """Exit 0, 1 or 2 and no traceback; exit 1 names its error class; at exit 0
+    every record is JSON of finite numbers and pretty text has no nan or inf."""
+    argv, mode = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert re.match(r"error: [A-Za-z]+: ", err.getvalue()), (argv, err.getvalue())
+    if code != 0:
+        return
+    if mode == "records":
+        for line in out.getvalue().splitlines():
+            json.loads(line, parse_float=_finite, parse_constant=_finite)
+    else:
+        assert not re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE), (argv, out.getvalue())

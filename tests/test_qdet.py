@@ -25,9 +25,8 @@ from qcone3 import (
     split,
     split_matrix,
 )
-from qcone3.clifford3 import EPS
+from qcone3.clifford3 import EPS, Q13, Q23
 from qcone3.qdet import quat_matmul
-from qcone3.qsplit import Q13, Q23
 from helpers import det_radicand, rand_cone_element, table_mul
 
 SQRT3_MATRIX = Matrix2(E1, E2 + E23, -E0, E2)

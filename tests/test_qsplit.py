@@ -32,7 +32,8 @@ from qcone3 import (
     trace,
 )
 from qcone3.errors import NotImaginaryUnit, NotInCone, SingularElement
-from qcone3.qsplit import Q12, Q13, Q23, cone_residuals
+from qcone3.clifford3 import Q12, Q13, Q23
+from qcone3.qsplit import cone_residuals
 from helpers import (
     rand_cone_point,
     rand_element,
@@ -69,8 +70,7 @@ def test_join_examples():
     assert join(-Q23, Q23).isclose(E1)
     p = Quat(0.5, -1.0, 2.0, 0.25)
     emb = join(p, p)
-    assert emb.c0 == p.w and emb.c23 == p.a23 and emb.c13 == p.a13 and emb.c12 == p.a12
-    assert emb.c1 == emb.c2 == emb.c3 == emb.c123 == 0.0
+    assert emb.coeffs == (p.w, 0.0, 0.0, 0.0, p.a12, p.a13, p.a23, 0.0)
 
 
 def test_round_trip_random():
@@ -130,7 +130,7 @@ def test_cone_characterization_matches_component_data():
     for _ in range(500):
         y = rand_element(rng)
         _, r2 = cone_residuals(y)
-        if abs(y.c123) < 1e-6 and abs(r2) < 1e-6:
+        if abs(y.coeffs[7]) < 1e-6 and abs(r2) < 1e-6:
             continue  # too close to the boundary to assert either way
         p, q = split(y)
         component_eq = (
@@ -231,8 +231,8 @@ def test_cone_point_trace_norm_real():
         x = pt.element
         t = trace(x)
         n = norm_n(x)
-        assert abs(t.c0 - pt.trace_value) < 1e-12
-        assert abs(n.c0 - pt.norm_value) < 1e-12 * (1 + pt.norm_value)
+        assert abs(t.coeffs[0] - pt.trace_value) < 1e-12
+        assert abs(n.coeffs[0] - pt.norm_value) < 1e-12 * (1 + pt.norm_value)
         assert max(abs(c) for c in t.coeffs[1:]) < 1e-12
         assert max(abs(c) for c in n.coeffs[1:]) < 1e-12 * (1 + pt.norm_value)
 

@@ -9,11 +9,11 @@ from qcone3 import (
     E0,
     E1,
     E23,
+    BiSlicePoly,
     ConePoint,
     Quat,
     RectDomain,
     StemFunction,
-    builtin_stem,
     check_cauchy_riemann,
     check_parity,
     cone_point,
@@ -26,11 +26,11 @@ from qcone3 import (
     stem_from_poly,
 )
 from qcone3.errors import OutOfDomain, RealPoint
-from qcone3.qsplit import Q13, Q23
+from qcone3.clifford3 import Q13, Q23
 from helpers import rand_cone_point, rand_poly
 
-SQ = builtin_stem("monomial:2")
-IDENT = builtin_stem("identity")
+SQ = stem_from_poly(BiSlicePoly.monomial(2))
+IDENT = stem_from_poly(BiSlicePoly.monomial(1))
 
 
 def unit_mix(a, b, c):
@@ -173,13 +173,11 @@ def test_polynomial_stem_matches_eval():
         )
 
 
-def test_builtin_monomial_and_errors():
+def test_monomial_stem_and_errors():
     x = cone_point(0.5, 0.9, Q23, Q13)
-    cube = builtin_stem("monomial:3")
+    cube = stem_from_poly(BiSlicePoly.monomial(3))
     from qcone3 import power
 
     assert induce(cube, x).isclose(power(x.element, 3), 1e-11)
     with pytest.raises(ValueError):
-        builtin_stem("monomial:-1")
-    with pytest.raises(ValueError):
-        builtin_stem("nope")
+        stem_from_poly(BiSlicePoly.monomial(-1))

@@ -31,7 +31,7 @@ from qcone3 import (
 )
 from qcone3.bislice import nan_max
 from qcone3.errors import UnfactoredInput
-from qcone3.qsplit import Q12, Q13, Q23
+from qcone3.clifford3 import Q12, Q13, Q23
 from qcone3.grammar import parse_factored
 from qcone3.zeros import candidate_bases, left_divide_linear, sphere_chain
 from helpers import (
