@@ -34,17 +34,21 @@ is then complex multiplication, ``(a + I b) R(v) = R((a + i b) v)``.
 * The nodes ``t_k = 2 pi k / N`` pair as ``phi_{N-k} = conj(phi_k)``, where
   ``x`` and ``y`` trade places, conjugated, and ``w`` (real columns)
   conjugates, so every N-node sum is real, ``sum' c_k Re(.)`` over ``k = 0
-  ... N//2`` with ``c_k`` 1 at k = 0 and (N even) N/2, else 2.  With ``w``
-  for ``c_k w``, ``X = sum x w`` and ``Y = sum y w``, the reconstruction is
-  ``((Re X + Re Y) + J (Im X - Im Y)) / 2N``, free of I as the formula says,
-  and the closed integral is ``I Re(sum phi w) * 2 pi / N``.  The sums run
-  in C, ``sum(map(mul, ...), 0j)``.
+  ... N//2`` with ``c_k`` 1 at k = 0 and (N even) N/2, else 2.  The weight
+  is folded into the coefficients: Horner on ``2 f`` is exactly ``2 w``
+  while the values stay normal.  With ``w`` for ``c_k w``, ``X = sum x w``
+  and ``Y = sum y w``, the reconstruction is ``((Re X + Re Y) + J (Im X - Im
+  Y)) / 2N``, free of I as the formula says, and the closed integral is ``I
+  Re(sum phi w) * 2 pi / N``.  The sums run in C, ``sum(map(mul, ...),
+  0j)``.
 
 The weights depend on the target only through ``(alpha, beta)``, which a
 cone point's split components ``alpha + beta I1`` and ``alpha + beta I2``
 share.  One weight pass per circle serves both components when their
 contours share center, radius and node count, as in every ``cauchy-verify``
-call; each component then sums against its own ``c_k w``.  The pass divides
+call; each component then sums against its own ``c_k w``.  The pass forms
+``z - q_c`` centred, as ``phi - (q_c - x0)``: ``x0 + phi`` would round away
+phi's low bits on a radius small beside the center.  The pass divides
 and sums without squaring, so it has degree 0: the circle and the target
 scaled by a power of two give the same floats.  Its singular test has
 degree 1: a node is singular where ``min(|z - q_c|, |z - conj q_c|)`` (which
@@ -75,7 +79,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import repeat
+from itertools import islice, repeat
 from operator import mul, sub, truediv
 from typing import NamedTuple
 
@@ -184,32 +188,47 @@ def cauchy_kernel(s: ConePoint, x: ConePoint, tol: float = EPS) -> CliffordEleme
     return join(kp, kq)
 
 
-def _slice_table(poly: QuatPoly, contour: SliceContour, circle: tuple = ()) -> tuple:
-    """``(phi, z, c w0, c w1, c w2, c w3)``, columns over the nodes k <= N//2,
-    of weight c; the first two depend only on the circle."""
-    x0, r, n = contour.center, contour.radius, contour.nodes
-    if not circle:
-        thetas = [2.0 * math.pi * k / n for k in range(n // 2 + 1)]
-        phis = [complex(r * math.cos(t), r * math.sin(t)) for t in thetas]
-        circle = phis, [x0 + phi for phi in phis]
-    # Horner from the leading coefficient: the same bits as from 0j * z + c.
-    lead, *rows = [c.as_tuple() for c in reversed(poly.coeffs)]
-    lead = tuple(map(complex, lead))
-    ws = [], [], [], []
+def _horner(ws: tuple, rows: list, zs) -> None:
+    """Append the four Horner values at each z to the columns ``ws``; ``rows``
+    holds the coefficient columns from the leading one down."""
+    (l0, l1, l2, l3), *rows = rows
+    # From the leading coefficient as a complex: the same bits as from 0j * z + c.
+    lead = complex(l0), complex(l1), complex(l2), complex(l3)
     put0, put1, put2, put3 = (w.append for w in ws)
-    for k, z in enumerate(circle[1]):
+    for z in zs:
         w0, w1, w2, w3 = lead
         for c0, c1, c2, c3 in rows:
             w0 = w0 * z + c0
             w1 = w1 * z + c1
             w2 = w2 * z + c2
             w3 = w3 * z + c3
-        if 0 < k < n - k:  # node k stands for itself and its conjugate N - k
-            w0, w1, w2, w3 = 2.0 * w0, 2.0 * w1, 2.0 * w2, 2.0 * w3
         put0(w0)
         put1(w1)
         put2(w2)
         put3(w3)
+
+
+def _slice_table(poly: QuatPoly, contour: SliceContour, circle: tuple = ()) -> tuple:
+    """``(phi, z, c w0, c w1, c w2, c w3)``, columns over the nodes k <= N//2,
+    of weight c; the first two depend only on the circle.
+
+    Nodes 0 < k < N - k stand for themselves and their conjugates N - k, so
+    c = 2 there.  Doubling is exact, so it is folded into the coefficients:
+    Horner on 2 f gives the same floats as 2 times Horner on f while the
+    values stay normal."""
+    x0, r, n = contour.center, contour.radius, contour.nodes
+    if not circle:
+        thetas = [2.0 * math.pi * k / n for k in range(n // 2 + 1)]
+        phis = [complex(r * math.cos(t), r * math.sin(t)) for t in thetas]
+        circle = phis, [x0 + phi for phi in phis]
+    zs = circle[1]
+    rows = [c.as_tuple() for c in reversed(poly.coeffs)]
+    doubled = [(2.0 * c0, 2.0 * c1, 2.0 * c2, 2.0 * c3) for c0, c1, c2, c3 in rows]
+    stop = (n + 1) // 2  # nodes 1 ... stop - 1 have weight 2
+    ws = [], [], [], []
+    _horner(ws, rows, zs[:1])
+    _horner(ws, doubled, islice(zs, 1, stop))
+    _horner(ws, rows, zs[stop:])  # node N/2 when N is even, else none
     return (*circle, *ws)
 
 
@@ -302,7 +321,11 @@ def _kernel_weights(
             gap = min(abs(z - q_c), abs(z - q_bar))
             if negligible(gap, math.hypot(abs(z), q_abs), 1, tol):
                 raise _singular(z.real, abs(z.imag))
-    return tuple([list(map(truediv, phis, map(sub, zs, repeat(c)))) for c in (q_c, q_bar)])
+    # z - q_c as phi - (q_c - x0): x0 + phi would round away phi's low bits
+    # when the radius is small beside the center.
+    return tuple(
+        [list(map(truediv, phis, map(sub, phis, repeat(c - x0)))) for c in (q_c, q_bar)]
+    )
 
 
 def _accumulate(weights: tuple, side: tuple, unit_j: Quat, nodes: int) -> Quat:

@@ -229,7 +229,7 @@ def parse_factored(text: str) -> tuple[float, list[CliffordElement]]:
         if not stripped.startswith("x"):
             raise UnfactoredInput(f"factor {body!r} is not of the form (x - element)")
         rest = stripped[1:]
-        if "x" in rest or "^" in rest or "*" in rest:
+        if "x" in rest or "^" in rest or rest.lstrip().startswith("*"):
             raise UnfactoredInput(f"factor {body!r} is not linear in x")
         if rest.strip():
             constants.append(_element_from_floats(tuple(map(neg, _parse_terms(rest)))))

@@ -228,6 +228,22 @@ def slice_plane_component(
     return value / n
 
 
+def per_node_slice_columns(poly: QuatPoly, zs: Sequence[complex], nodes: int) -> list:
+    """The columns ``c w0 ... c w3`` of a slice table, node by node: Horner on
+    the plain coefficients at each z, then ``2.0 *`` for 0 < k < N - k."""
+    lead, *rows = [c.as_tuple() for c in reversed(poly.coeffs)]
+    columns: list[list[complex]] = [[], [], [], []]
+    for k, z in enumerate(zs):
+        w = list(map(complex, lead))
+        for row in rows:
+            w = [wi * z + ci for wi, ci in zip(w, row)]
+        if 0 < k < nodes - k:
+            w = [2.0 * wi for wi in w]
+        for column, wi in zip(columns, w):
+            column.append(wi)
+    return columns
+
+
 # -- oracle: the exact trapezoid value, in mpmath ------------------------------
 
 
@@ -408,7 +424,7 @@ def scanner_factor(body: str) -> CliffordElement:
     if not stripped.startswith("x"):
         raise UnfactoredInput(f"factor {body!r} is not of the form (x - element)")
     rest = stripped[1:]
-    if "x" in rest or "^" in rest or "*" in rest:
+    if "x" in rest or "^" in rest or rest.lstrip().startswith("*"):
         raise UnfactoredInput(f"factor {body!r} is not linear in x")
     if not rest.strip():
         return ZERO

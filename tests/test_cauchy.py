@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from qcone3 import (
     E0,
     E1,
+    E12,
     ZERO,
     BiSlicePoly,
+    CliffordElement,
     ConePoint,
     Quat,
     QuatPoly,
@@ -34,9 +36,11 @@ from qcone3.cauchy import (
     _accumulate,
     _closed_integral,
     _kernel_weights,
+    _node_table,
     _slice_table,
     _slice_unit,
 )
+from qcone3.cli import run
 from qcone3.errors import (
     InputTooLarge,
     InvalidContour,
@@ -50,6 +54,7 @@ from helpers import (
     contour_phase,
     contour_point,
     exact_trapezoid_component,
+    per_node_slice_columns,
     rand_cone_point,
     rand_poly,
     rand_quat,
@@ -827,3 +832,50 @@ def test_small_contour_far_from_zero_is_not_singular():
     x = ConePoint.from_element(E0 + E1 * 1e-7)
     error = (cauchy_reconstruct(poly, ci, cj, x) - poly.eval(x)).magnitude()
     assert error < 1e-12
+
+
+@pytest.mark.parametrize("radius", [1e-10, 1e-13, 1e-15])
+def test_small_contour_about_1_keeps_its_digits(radius):
+    # The kernel denominators are phi - (q_c - x0): formed as (x0 + phi) - q_c
+    # they lost phi's low bits, and the errors read 5.2e-8, 2.4e-4 and 1.3e-2.
+    poly = BiSlicePoly([E0, E1, E12])
+    ci, cj = SliceContour(1.0, radius, Q23, 64), SliceContour(1.0, radius, Q13, 64)
+    x = ConePoint.from_element(E0 + E1 * (0.3 * radius))
+    error = (cauchy_reconstruct(poly, ci, cj, x, 0.0) - poly.eval(x)).magnitude()
+    assert error < 1e-15
+
+
+# -- the slice table: weights folded into the Horner coefficients --------------
+
+
+@pytest.mark.parametrize("nodes", [16, 17, 64, 65, 512])
+def test_folded_weights_give_the_per_node_floats(nodes):
+    # Horner on 2 f is 2 times Horner on f, float for float, while the values
+    # stay normal: coefficients from 1e-3 to 1e3, on a shared circle and on two.
+    rng = random.Random(nodes)
+    for degree in range(9):
+        poly = BiSlicePoly(
+            [
+                CliffordElement([rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 3) for _ in range(8)])
+                for _ in range(degree + 1)
+            ]
+        )
+        ci = SliceContour(rng.uniform(-1, 1), rng.uniform(0.5, 2), Q12, nodes)
+        for cj in (ci, SliceContour(rng.uniform(-1, 1), rng.uniform(0.5, 2), Q23, nodes)):
+            for side, component in zip(_node_table(poly, ci, cj), poly.split()):
+                assert list(side[2:]) == per_node_slice_columns(component, side[1], nodes)
+
+
+def test_folded_weights_near_the_float_maximum_stay_a_named_error(capsys):
+    # Doubled, the coefficients 1e308 overflow where only the doubled values
+    # did; either way the node values are not finite, and cauchy-verify names it.
+    big = "1" + "0" * 308
+    poly = BiSlicePoly([CliffordElement([-1e308] + [0.0] * 7), CliffordElement([1e308] + [0.0] * 7)])
+    contour = SliceContour(0.0, 2.0, Q23, 64)
+    side, _ = _node_table(poly, contour, contour)
+    want = per_node_slice_columns(poly.split()[0], side[1], 64)
+    for columns in (side[2:], want):
+        assert not all(math.isfinite(abs(w)) for w in columns[0])
+    argv = ["cauchy-verify", "--poly", f"coeffs: [-{big}, {big}]", "--at", "0.5e1"]
+    assert run(argv + ["--radius", "2", "--nodes", "64"]) == 1
+    assert capsys.readouterr().err.startswith("error: NonFiniteResult: ")

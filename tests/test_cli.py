@@ -739,12 +739,12 @@ BASIS = {
 
 
 @st.composite
-def terms(draw, basis: str = "all", star: bool = True) -> str:
+def terms(draw, basis: str = "all") -> str:
     """1 to 4 terms, each led by its sign: `` - 5e1 + 0.25*e23``."""
     text = ""
     for token in draw(st.lists(st.sampled_from(BASIS[basis]), min_size=1, max_size=4)):
         sign = draw(st.sampled_from("+-"))
-        glue = draw(st.sampled_from(["", "*"])) if star and token else ""
+        glue = draw(st.sampled_from(["", "*"])) if token else ""
         text += f" {sign} {draw(NUMBERS)}{glue}{token}"
     return text
 
@@ -761,8 +761,7 @@ CONE_ELEMENTS = st.one_of(elements("vector"), elements("bivector"), ELEMENTS)
 @st.composite
 def factored(draw, sizes=st.integers(1, 8)) -> str:
     scale = draw(st.sampled_from(["", "{}*", "{}/{}*"])).format(draw(NUMBERS), draw(NUMBERS))
-    # a factor's terms take no '*': the grammar reads one as nonlinear
-    return scale + "*".join(f"(x{draw(terms(star=False))})" for _ in range(draw(sizes)))
+    return scale + "*".join(f"(x{draw(terms())})" for _ in range(draw(sizes)))
 
 
 POLYS = st.one_of(

@@ -176,6 +176,10 @@ def test_parse_factored_forms():
     assert constants[0].isclose(E12 + E23 - E3 - E1)
     lead, constants = parse_factored("0.5*(x)")
     assert lead == 0.5 and constants[0].is_zero(0.0)
+    # A '*' inside the constant joins a number to its basis token.
+    lead, constants = parse_factored("(x - 2*e1)*(x - 0.5 * e12 + 3*1)")
+    assert lead == 1.0
+    assert constants[0] == 2.0 * E1 and constants[1] == 0.5 * E12 - 3.0
 
 
 def test_parse_factored_rejects_nonlinear():
@@ -183,6 +187,10 @@ def test_parse_factored_rejects_nonlinear():
         parse_factored("(x^2 - 1)")
     with pytest.raises(UnfactoredInput):
         parse_factored("(x*x - 1)")
+    # A '*' right after x multiplies x: the factor is not (x - element).
+    for body in ("x*e1 - 1", "x * e1 - 1", "x *2"):
+        with pytest.raises(UnfactoredInput, match="not linear in x"):
+            parse_factored(f"({body})*(x - e2)")
     with pytest.raises(UnfactoredInput):
         parse_factored("(e1 - x)")
     with pytest.raises(ParseError):
