@@ -65,10 +65,14 @@ Both quadratures read a node table over k = 0 ... N//2: ``phi`` and ``z``
 once per circle, and ``c_k w`` per split component, 202 bytes per contour
 node (tracemalloc) when the two contours share center, radius and node count
 (243 otherwise), so at most 13 MB (16 MB) at :data:`MAX_NODES`, and a
-reconstruction's columns ``x, y`` 40 (2.5 MB) while it runs.  The module
-keeps the table of its last (polynomial, contour_i, contour_j) call, matched
-by identity, and replaces it in one assignment, so concurrent callers see a
-whole entry or none.
+reconstruction's columns ``x, y`` 40 (2.5 MB) while it runs.  One Horner
+pass fills both components' columns, over node pairs ``(z_i, z_j)`` of the
+two contours (:func:`_horner`).  The unit circle ``e^{i t_k}`` is kept for
+the last four node counts, about 1.3 MB an entry at :data:`MAX_NODES`, and
+each circle scales it (:func:`_circle`).  The module keeps the table of its
+last (polynomial, contour_i, contour_j) call, matched by identity, and
+replaces it in one assignment, so concurrent callers see a whole entry or
+none.
 
 Contours accept at most :data:`MAX_NODES` nodes, and one quadrature at most
 :data:`MAX_NODE_TERMS` nodes times coefficients, so no request does
@@ -79,8 +83,9 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 from itertools import islice, repeat
-from operator import mul, sub, truediv
+from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
 from .clifford3 import EPS, Q23, CliffordElement, Quat, _scaled, _times_power_of_two, join, negligible
@@ -188,48 +193,81 @@ def cauchy_kernel(s: ConePoint, x: ConePoint, tol: float = EPS) -> CliffordEleme
     return join(kp, kq)
 
 
-def _horner(ws: tuple, rows: list, zs) -> None:
-    """Append the four Horner values at each z to the columns ``ws``; ``rows``
-    holds the coefficient columns from the leading one down."""
-    (l0, l1, l2, l3), *rows = rows
+@lru_cache(maxsize=4)
+def _unit_circle(n: int) -> tuple:
+    """``e^{i t_k}`` for ``t_k = 2 pi k / N``, k <= N//2: each circle of N
+    nodes scales it, so no contour computes a cosine or sine of its own."""
+    return tuple(
+        complex(math.cos(t), math.sin(t)) for t in (2.0 * math.pi * k / n for k in range(n // 2 + 1))
+    )
+
+
+def _circle(contour: SliceContour) -> tuple:
+    """``(phi, z)``, columns over the nodes k <= N//2 of the contour's circle.
+
+    ``e^{i t} * r`` is ``complex(r cos t, r sin t)`` float for float for any
+    r > 0.  The product adds ``-(sin t * 0)`` to r cos t and ``cos t * 0`` to r
+    sin t; adding a zero changes only a -0.0, to +0.0, which needs sin t < 0
+    with ``r cos t == -0.0`` or cos t > 0 with ``r sin t == -0.0``, and
+    neither occurs on the half circle."""
+    phis = list(map(mul, _unit_circle(contour.nodes), repeat(contour.radius)))
+    return phis, list(map(add, repeat(contour.center), phis))
+
+
+def _horner(ws: tuple, rows: list, pairs) -> None:
+    """Append the Horner values at each node pair ``(z_i, z_j)`` to the eight
+    columns ``ws``: four of the first component at z_i, four of the second at
+    z_j.  ``rows`` holds both components' coefficient columns, side by side,
+    from the leading one down."""
+    lead, *rows = rows
     # From the leading coefficient as a complex: the same bits as from 0j * z + c.
-    lead = complex(l0), complex(l1), complex(l2), complex(l3)
-    put0, put1, put2, put3 = (w.append for w in ws)
-    for z in zs:
-        w0, w1, w2, w3 = lead
-        for c0, c1, c2, c3 in rows:
-            w0 = w0 * z + c0
-            w1 = w1 * z + c1
-            w2 = w2 * z + c2
-            w3 = w3 * z + c3
-        put0(w0)
-        put1(w1)
-        put2(w2)
-        put3(w3)
+    lead = tuple(map(complex, lead))
+    put0, put1, put2, put3, put4, put5, put6, put7 = (w.append for w in ws)
+    for zi, zj in pairs:
+        u0, u1, u2, u3, v0, v1, v2, v3 = lead
+        for a0, a1, a2, a3, b0, b1, b2, b3 in rows:
+            u0 = u0 * zi + a0
+            u1 = u1 * zi + a1
+            u2 = u2 * zi + a2
+            u3 = u3 * zi + a3
+            v0 = v0 * zj + b0
+            v1 = v1 * zj + b1
+            v2 = v2 * zj + b2
+            v3 = v3 * zj + b3
+        put0(u0)
+        put1(u1)
+        put2(u2)
+        put3(u3)
+        put4(v0)
+        put5(v1)
+        put6(v2)
+        put7(v3)
 
 
-def _slice_table(poly: QuatPoly, contour: SliceContour, circle: tuple = ()) -> tuple:
-    """``(phi, z, c w0, c w1, c w2, c w3)``, columns over the nodes k <= N//2,
-    of weight c; the first two depend only on the circle.
+def _slice_tables(fp: QuatPoly, ci: SliceContour, fq: QuatPoly, cj: SliceContour) -> tuple:
+    """The two split components' slice tables ``(phi, z, c w0, c w1, c w2, c
+    w3)``, columns over the nodes k <= N//2, of weight c; the first two
+    depend only on the circle, and a shared circle is one pair of lists.
 
     Nodes 0 < k < N - k stand for themselves and their conjugates N - k, so
     c = 2 there.  Doubling is exact, so it is folded into the coefficients:
     Horner on 2 f gives the same floats as 2 times Horner on f while the
-    values stay normal."""
-    x0, r, n = contour.center, contour.radius, contour.nodes
-    if not circle:
-        thetas = [2.0 * math.pi * k / n for k in range(n // 2 + 1)]
-        phis = [complex(r * math.cos(t), r * math.sin(t)) for t in thetas]
-        circle = phis, [x0 + phi for phi in phis]
-    zs = circle[1]
-    rows = [c.as_tuple() for c in reversed(poly.coeffs)]
-    doubled = [(2.0 * c0, 2.0 * c1, 2.0 * c2, 2.0 * c3) for c0, c1, c2, c3 in rows]
-    stop = (n + 1) // 2  # nodes 1 ... stop - 1 have weight 2
-    ws = [], [], [], []
-    _horner(ws, rows, zs[:1])
-    _horner(ws, doubled, islice(zs, 1, stop))
-    _horner(ws, rows, zs[stop:])  # node N/2 when N is even, else none
-    return (*circle, *ws)
+    values stay normal.  One Horner pass runs over the node pairs of both
+    contours; contours of unequal node counts have no pairs, and run it once
+    each, against themselves."""
+    n = ci.nodes
+    if cj.nodes != n:
+        return _slice_tables(fp, ci, fp, ci)[0], _slice_tables(fq, cj, fq, cj)[1]
+    circle_i = _circle(ci)
+    circle_j = circle_i if ci[:2] == cj[:2] else _circle(cj)  # center, radius
+    rows = [a.as_tuple() + b.as_tuple() for a, b in zip(reversed(fp.coeffs), reversed(fq.coeffs))]
+    doubled = [tuple([2.0 * c for c in row]) for row in rows]
+    pairs = zip(circle_i[1], circle_j[1])
+    ws = [], [], [], [], [], [], [], []
+    _horner(ws, rows, islice(pairs, 1))
+    _horner(ws, doubled, islice(pairs, (n + 1) // 2 - 1))  # nodes 1 ... (N-1)//2
+    _horner(ws, rows, pairs)  # node N/2 when N is even, else none
+    return (*circle_i, *ws[:4]), (*circle_j, *ws[4:])
 
 
 #: ``(poly, contour_i, contour_j, table)`` of the last quadrature, replaced whole.
@@ -246,9 +284,7 @@ def _node_table(poly: BiSlicePoly, ci: SliceContour, cj: SliceContour) -> tuple:
     # Let go of the old table before building the new one: two are never alive.
     _last_table = last = ()
     fp, fq = poly.split()
-    side_i = _slice_table(fp, ci)
-    same = ci[:2] == cj[:2] and ci.nodes == cj.nodes  # center, radius, nodes
-    table = side_i, _slice_table(fq, cj, side_i[:2] if same else ())
+    table = _slice_tables(fp, ci, fq, cj)
     _last_table = (poly, ci, cj, table)
     return table
 

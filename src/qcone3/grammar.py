@@ -192,7 +192,8 @@ def parse_factored(text: str) -> tuple[float, list[CliffordElement]]:
 
     Returns the leading real scale and the factor constants c with factors
     (x - c).  The scale, ``<number>`` or ``<number>/<number>``, must be
-    finite and nonzero.  Anything nonlinear in a factor is rejected.
+    finite and nonzero.  Anything nonlinear in a factor is rejected, and a
+    constant after x starts with its sign.
     """
     lead = 1.0
     pos = scale_at = _SPACE_RE.match(text).end()
@@ -231,10 +232,14 @@ def parse_factored(text: str) -> tuple[float, list[CliffordElement]]:
         rest = stripped[1:]
         if "x" in rest or "^" in rest or rest.lstrip().startswith("*"):
             raise UnfactoredInput(f"factor {body!r} is not linear in x")
-        if rest.strip():
+        after = rest.lstrip()
+        if not after:
+            constants.append(ZERO)
+        elif after[0] in "+-":
             constants.append(_element_from_floats(tuple(map(neg, _parse_terms(rest)))))
         else:
-            constants.append(ZERO)
+            # "(x 2)" is not "(x + 2)": the constant needs its sign after x.
+            raise ParseError("expected '+' or '-' after x", rest, len(rest) - len(after))
         pos = _SPACE_RE.match(text, end + 1).end()
         if pos == len(text):
             break

@@ -426,8 +426,11 @@ def scanner_factor(body: str) -> CliffordElement:
     rest = stripped[1:]
     if "x" in rest or "^" in rest or rest.lstrip().startswith("*"):
         raise UnfactoredInput(f"factor {body!r} is not linear in x")
-    if not rest.strip():
+    after = rest.lstrip()
+    if not after:
         return ZERO
+    if after[0] not in "+-":
+        raise ParseError("expected '+' or '-' after x", rest, len(rest) - len(after))
     inner = Scanner(rest)
     shift = scanner_terms(inner)
     if not inner.at_end():

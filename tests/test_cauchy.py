@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -36,9 +37,11 @@ from qcone3.cauchy import (
     _accumulate,
     _closed_integral,
     _kernel_weights,
+    _circle,
     _node_table,
-    _slice_table,
+    _slice_tables,
     _slice_unit,
+    _unit_circle,
 )
 from qcone3.cli import run
 from qcone3.errors import (
@@ -346,12 +349,17 @@ def test_odd_node_counts_match_quaternion_loop(nodes):
         _check_against_quaternion_loop(rng, nodes, degree)
 
 
+def _side(f: QuatPoly, contour: SliceContour) -> tuple:
+    """The slice table of one component on its own contour."""
+    return _slice_tables(f, contour, f, contour)[0]
+
+
 def _check_closed_integrals(poly, ci, cj) -> tuple[float, float]:
     got = contour_integral_vanishes(poly, ci, cj)
     for value, f, c in zip(got, poly.split(), (ci, cj)):
         want = contour_integral(c, f.eval)
         scale = 1 + max(f.eval(contour_point(c, t)).modulus() for t in thetas(c))
-        assert (_closed_integral(_slice_table(f, c), c) - want).modulus() <= 1e-13 * scale
+        assert (_closed_integral(_side(f, c), c) - want).modulus() <= 1e-13 * scale
         assert abs(value - want.modulus()) <= 1e-13 * scale
     return got
 
@@ -360,7 +368,7 @@ def test_slice_plane_quadrature_keeps_singular_test():
     # the node at t = pi/2 is I, whose sphere holds every unit imaginary
     contour = SliceContour(0.0, 1.0, Q23, 16)
     with pytest.raises(OnSingularSphere):
-        _kernel_weights(_slice_table(QuatPoly([1.0]), contour)[:2], contour, 0.0, 1.0, 1e-12)
+        _kernel_weights(_circle(contour), contour, 0.0, 1.0, 1e-12)
 
 
 def _inside(rng, center: float, radius: float, rho: float) -> ConePoint:
@@ -412,7 +420,7 @@ def test_reconstruction_is_close_to_the_exact_trapezoid_value():
             x = ConePoint(x.alpha, 0.0, None, None)
         for f, target in zip(poly.split(), (x.p, x.q)):
             contour = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
-            side = _slice_table(f, contour)
+            side = _side(f, contour)
             weights = _kernel_weights(side[:2], contour, x.alpha, x.beta, 1e-12)
             got = _accumulate(weights, side, _slice_unit(target, contour), nodes)
             want, largest = exact_trapezoid_component(f, contour, target)
@@ -486,7 +494,7 @@ def test_closed_integral_keeps_the_contour_unit(nodes):
     f = QuatPoly([0.0] * (nodes - 1) + [1.0])
     for radius in (0.9, 1.0, 1.3):
         contour = SliceContour(0.0, radius, rand_unit_imaginary(rng), nodes)
-        got = _closed_integral(_slice_table(f, contour), contour)
+        got = _closed_integral(_side(f, contour), contour)
         size = 2.0 * math.pi * radius**nodes
         assert (got - contour.unit * size).modulus() <= 1e-13 * size
 
@@ -618,7 +626,7 @@ def test_contour_radius_keeps_kernel_squares_normal():
 
 
 def _weights(contour: SliceContour, alpha: float, beta: float, tol: float = 1e-12):
-    return _kernel_weights(_slice_table(QuatPoly([1.0]), contour)[:2], contour, alpha, beta, tol)
+    return _kernel_weights(_circle(contour), contour, alpha, beta, tol)
 
 
 def _node_gaps(contour: SliceContour, alpha: float, beta: float) -> list[tuple[float, float]]:
@@ -627,7 +635,7 @@ def _node_gaps(contour: SliceContour, alpha: float, beta: float) -> list[tuple[f
     q_c = complex(alpha, beta)
     return [
         (min(abs(z - q_c), abs(z - q_c.conjugate())), math.hypot(abs(z), abs(q_c)))
-        for z in _slice_table(QuatPoly([1.0]), contour)[1]
+        for z in _circle(contour)[1]
     ]
 
 
@@ -746,7 +754,7 @@ def test_weight_pass_has_no_per_node_loop():
     # at 4096 nodes: all per-node work is in C.
     def traced_lines(nodes: int) -> int:
         contour = SliceContour(0.1, 1.5, Q23, nodes)
-        circle = _slice_table(QuatPoly([1.0]), contour)[:2]
+        circle = _circle(contour)
         count = 0
 
         def tracer(frame, event, arg):
@@ -862,8 +870,61 @@ def test_folded_weights_give_the_per_node_floats(nodes):
         )
         ci = SliceContour(rng.uniform(-1, 1), rng.uniform(0.5, 2), Q12, nodes)
         for cj in (ci, SliceContour(rng.uniform(-1, 1), rng.uniform(0.5, 2), Q23, nodes)):
-            for side, component in zip(_node_table(poly, ci, cj), poly.split()):
-                assert list(side[2:]) == per_node_slice_columns(component, side[1], nodes)
+            _check_one_pass_table(poly, ci, cj)
+
+
+def _check_one_pass_table(poly: BiSlicePoly, ci: SliceContour, cj: SliceContour) -> None:
+    """Each side of the node table is its own circle and the per-node columns."""
+    sides = _node_table(poly, ci, cj)
+    for side, component, contour in zip(sides, poly.split(), (ci, cj)):
+        assert _bits(side[0]) == _bits(_circle(contour)[0])
+        assert _bits(side[1]) == _bits(_circle(contour)[1])
+        assert list(side[2:]) == per_node_slice_columns(component, side[1], contour.nodes)
+    # a shared circle is one pair of lists, which the weight pass reads once
+    assert (sides[1][0] is sides[0][0]) == (ci[:2] == cj[:2] and ci.nodes == cj.nodes)
+
+
+def test_one_pass_table_on_unequal_node_counts():
+    # 64 against 65 nodes: no node pairs, so each side runs the pass alone.
+    rng = random.Random(6465)
+    for degree in range(9):
+        poly = rand_poly(rng, degree)
+        center, radius = rng.uniform(-1, 1), rng.uniform(0.5, 2)
+        ci = SliceContour(center, radius, Q12, 64)
+        for cj in (SliceContour(center, radius, Q23, 65), SliceContour(-center, 2 * radius, Q23, 65)):
+            _check_one_pass_table(poly, ci, cj)
+            _check_one_pass_table(poly, cj, ci)
+
+
+# -- the unit circle, kept per node count ---------------------------------------
+
+
+def _bits(zs) -> bytes:
+    """The floats of a complex column, signed zeros included."""
+    return array("d", [x for z in zs for x in (z.real, z.imag)]).tobytes()
+
+
+@pytest.mark.parametrize("nodes", [16, 17, 64, 65, 512, 65536])
+def test_cached_unit_circle_gives_the_per_node_floats(nodes):
+    # e^{i t} r and x0 + phi from the cache against r cos t, r sin t per node,
+    # over centres of both zero signs and radii across SliceContour's bounds.
+    thetas = [2.0 * math.pi * k / nodes for k in range(nodes // 2 + 1)]
+    radii = (math.ldexp(1.0, -511), 1e-150, 1e-13, 0.7, 1.0, 3.0, 1e50, 6.7e153 - 3.0)
+    for radius in radii:
+        want_phis = [complex(radius * math.cos(t), radius * math.sin(t)) for t in thetas]
+        for center in (0.0, -0.0, 3.0, -3.0):
+            phis, zs = _circle(SliceContour(center, radius, Q23, nodes))
+            assert _bits(phis) == _bits(want_phis)
+            assert _bits(zs) == _bits([center + phi for phi in want_phis])
+
+
+def test_unit_circle_cache_holds_at_most_its_bound():
+    for nodes in (16, 17, 64, 65, 512, 1024):
+        _circle(SliceContour(0.0, 1.0, Q23, nodes))
+    info = _unit_circle.cache_info()
+    assert info.maxsize == 4 and info.currsize <= 4
+    _unit_circle(1024)  # the newest is kept
+    assert _unit_circle.cache_info().hits == info.hits + 1
 
 
 def test_folded_weights_near_the_float_maximum_stay_a_named_error(capsys):

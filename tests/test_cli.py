@@ -447,10 +447,10 @@ def test_cauchy_verify_bounds_nodes_times_coefficients(
 ):
     # 256 coefficients: 8192 nodes is MAX_NODE_TERMS exactly, 8193 one node
     # past.  A sentinel replaces the node loop, so reaching it costs nothing.
-    def no_nodes(poly, contour):
+    def no_nodes(fp, ci, fq, cj):
         raise _NodeEvaluated
 
-    monkeypatch.setattr(cauchy, "_slice_table", no_nodes)
+    monkeypatch.setattr(cauchy, "_slice_tables", no_nodes)
     assert (nodes * MAX_COEFFS <= cauchy.MAX_NODE_TERMS) == accepted
     poly = _coeffs_text(MAX_COEFFS)
     argv = ("cauchy-verify", "--poly", poly, "--radius", "2", "--at", "0.3e1")

@@ -56,6 +56,7 @@ INVOCATIONS = [
     ("roots", "--factored", "(x - e12)*(x - e23)"),
     ("roots", "--factored", "(x - e1)"),
     ("roots", "--factored", "(x - 2*e1)*(x - e2)"),
+    ("roots", "--factored", "(x 2)*(x - e2)"),
     ("mult", "--factored", "(x - e1)*(x - e23)", "--sphere", "0,1"),
     (*CAUCHY, "--radius", "2", "--nodes", "256"),
     ("dbar-check", "--poly", "coeffs: [0, 0, 0, 1]", "--at", "0.4 + e1", "--fd-step", "1e-4"),

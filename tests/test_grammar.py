@@ -25,6 +25,7 @@ from qcone3 import (
     parse_matrix,
     parse_poly,
     parse_sphere,
+    ZERO,
 )
 from qcone3.errors import ParseError, UnfactoredInput
 from qcone3.grammar import _split_top_level
@@ -199,6 +200,27 @@ def test_parse_factored_rejects_nonlinear():
         parse_factored("(x - e1)(x - e2)")
 
 
+@pytest.mark.parametrize(
+    "factor, rest, pos",
+    [("(x 2)", " 2", 1), ("(x e1)", " e1", 1), ("(x2)", "2", 0), ("( x  .5e12 - 1 )", "  .5e12 - 1", 2)],
+)
+def test_factor_constant_needs_its_sign_after_x(factor, rest, pos):
+    # "(x 2)" read as "(x + 2)" once: the element grammar lets a first term go
+    # unsigned, but after x the sign is what makes the factor (x - c).
+    with pytest.raises(ParseError) as info:
+        parse_factored(f"{factor}*(x - e2)")
+    assert (info.value.message, info.value.text, info.value.pos) == (
+        "expected '+' or '-' after x",
+        rest,
+        pos,
+    )
+
+
+def test_factor_constant_keeps_spaces_and_may_be_empty():
+    lead, constants = parse_factored("( x  - 2 )*(x)")
+    assert lead == 1.0 and constants == [2.0 * E0, ZERO]
+
+
 def test_factor_parentheses_nest():
     # The ')' closing a factor is the one at depth zero.
     cases = [
@@ -287,6 +309,8 @@ def test_element_matches_scanner(text):
 
 
 @given(_token_text)
+@example(" 2")  # no sign between x and its constant
+@example("e1")
 @settings(max_examples=500)
 def test_factor_body_matches_scanner(body):
     assert _outcome(lambda t: [c.coeffs for c in parse_factored(t)[1]], f"(x{body})") == (
