@@ -23,7 +23,7 @@ import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .clifford3 import E0, EPS, Q_ONE, CliffordElement, Quat, QuatPair, ZERO, _new, join, negligible, scalar, split
-from .errors import NotImaginaryUnit, NotInvertibleAtPoint, NotOrthogonal, RealPoint
+from .errors import InvalidStep, NotImaginaryUnit, NotInvertibleAtPoint, NotOrthogonal, RealPoint
 from .qsplit import ConePoint
 
 
@@ -358,9 +358,17 @@ def nan_max(*values: float) -> float:
 
 
 def central_differences(f: Callable, u: float, v: float, h: float) -> tuple:
-    """Central differences (df/du, df/dv) at (u, v) with step h, O(h^2)."""
+    """Central differences (df/du, df/dv) at (u, v) with step h, O(h^2).
+
+    Each of u + h, u - h, v + h and v - h must differ from u or v: a step
+    that rounds away would difference f at the point itself."""
     if not (math.isfinite(h) and h > 0.0):
-        raise ValueError("finite-difference step must be positive and finite")
+        raise InvalidStep("finite-difference step must be positive and finite")
+    if u + h == u or u - h == u or v + h == v or v - h == v:
+        raise InvalidStep(
+            f"finite-difference step {h:.6g} does not move the point ({u:.6g}, {v:.6g}): "
+            "a coordinate plus or minus the step rounds back to itself"
+        )
     du = (f(u + h, v) - f(u - h, v)) / (2.0 * h)
     dv = (f(u, v + h) - f(u, v - h)) / (2.0 * h)
     return du, dv

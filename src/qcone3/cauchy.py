@@ -7,8 +7,12 @@ imaginary modulus).  Joining the two component kernels gives the two-slice
 kernel, whose singular set is the corresponding product of spheres.
 
 Contours are circles with real center inside a slice plane, traversed
-counterclockwise.  With the parametrization ``s = x0 + r e^{I t}`` the
-oriented slice measure is ``r e^{I t} dt``, and the reproduction integral
+counterclockwise.  A curve in a slice of the cone splits into the same circle
+``x0 + r e^{i t}`` in both components, so the two split components' contours
+share center, radius and node count and differ only in their units; the
+quadratures refuse two contours that do not (:class:`InvalidContour`).  With
+the parametrization ``s = x0 + r e^{I t}`` the oriented slice measure is ``r
+e^{I t} dt``, and the reproduction integral
 
     value = (1/2 pi) integral S(s, p) * (r e^{I t}) * F(s) dt
 
@@ -44,35 +48,31 @@ is then complex multiplication, ``(a + I b) R(v) = R((a + i b) v)``.
 
 The weights depend on the target only through ``(alpha, beta)``, which a
 cone point's split components ``alpha + beta I1`` and ``alpha + beta I2``
-share.  One weight pass per circle serves both components when their
-contours share center, radius and node count, as in every ``cauchy-verify``
-call; each component then sums against its own ``c_k w``.  The pass forms
-``z - q_c`` centred, as ``phi - (q_c - x0)``: ``x0 + phi`` would round away
-phi's low bits on a radius small beside the center.  The pass divides
-and sums without squaring, so it has degree 0: the circle and the target
-scaled by a power of two give the same floats.  Its singular test has
-degree 1: a node is singular where ``min(|z - q_c|, |z - conj q_c|)`` (which
-covers nodes k and N - k) is negligible beside ``|(z, q)|``.  The disc
-decides it for most targets in O(1): every node lies on the circle ``|z -
-x0| = r``, so it is at least ``r - |q_c - x0|`` from q_c and from conj q_c,
-and when that margin, less a rounding slack of ``eps (8 (|x0| + r) + 16
-bound)``, exceeds the largest bound ``tol |(|x0| + r, q)|``, no node can be
-singular.  Only targets within about ``1.5 tol (|x0| + r)`` of the circle
-are tested node by node, and the answer is the node loop's either way
-(:func:`_kernel_weights`).
+share, so one weight pass over the circle serves both; each component then
+sums against its own ``c_k w``.  The pass forms ``z - q_c`` centred, as
+``phi - (q_c - x0)``: ``x0 + phi`` would round away phi's low bits on a
+radius small beside the center.  The pass divides and sums without
+squaring, so it has degree 0: the circle and the target scaled by a power of
+two give the same floats.  Its singular test has degree 1: a node is
+singular where ``min(|z - q_c|, |z - conj q_c|)`` (which covers nodes k and
+N - k) is negligible beside ``|(z, q)|``.  The disc decides it for most
+targets in O(1): every node lies on the circle ``|z - x0| = r``, so it is at
+least ``r - |q_c - x0|`` from q_c and from conj q_c, and when that margin,
+less a rounding slack of ``eps (8 (|x0| + r) + 16 bound)``, exceeds the
+largest bound ``tol |(|x0| + r, q)|``, no node can be singular.  Only
+targets within about ``1.5 tol (|x0| + r)`` of the circle are tested node by
+node, and the answer is the node loop's either way (:func:`_kernel_weights`).
 
-Both quadratures read a node table over k = 0 ... N//2: ``phi`` and ``z``
-once per circle, and ``c_k w`` per split component, 202 bytes per contour
-node (tracemalloc) when the two contours share center, radius and node count
-(243 otherwise), so at most 13 MB (16 MB) at :data:`MAX_NODES`, and a
+Both quadratures read one node table over k = 0 ... N//2: the circle's
+``phi`` and ``z``, and ``c_k w`` for each split component, 202 bytes per
+contour node (tracemalloc), so at most 13 MB at :data:`MAX_NODES`, and a
 reconstruction's columns ``x, y`` 40 (2.5 MB) while it runs.  One Horner
-pass fills both components' columns, over node pairs ``(z_i, z_j)`` of the
-two contours (:func:`_horner`).  The unit circle ``e^{i t_k}`` is kept for
-the last four node counts, about 1.3 MB an entry at :data:`MAX_NODES`, and
-each circle scales it (:func:`_circle`).  The module keeps the table of its
-last (polynomial, contour_i, contour_j) call, matched by identity, and
-replaces it in one assignment, so concurrent callers see a whole entry or
-none.
+pass over ``z`` fills both components' columns (:func:`_horner`).  The unit
+circle ``e^{i t_k}`` is kept for the last four node counts, about 1.3 MB an
+entry at :data:`MAX_NODES`, and each circle scales it (:func:`_circle`).
+The module keeps the table of its last (polynomial, contour) call, matched
+by identity, and replaces it in one assignment, so concurrent callers see a
+whole entry or none.
 
 Contours accept at most :data:`MAX_NODES` nodes, and one quadrature at most
 :data:`MAX_NODE_TERMS` nodes times coefficients, so no request does
@@ -214,26 +214,26 @@ def _circle(contour: SliceContour) -> tuple:
     return phis, list(map(add, repeat(contour.center), phis))
 
 
-def _horner(ws: tuple, rows: list, pairs) -> None:
-    """Append the Horner values at each node pair ``(z_i, z_j)`` to the eight
-    columns ``ws``: four of the first component at z_i, four of the second at
-    z_j.  ``rows`` holds both components' coefficient columns, side by side,
-    from the leading one down."""
+def _horner(ws: tuple, rows: list, zs) -> None:
+    """Append the Horner values at each node z to the eight columns ``ws``:
+    four of the first component, then four of the second.  ``rows`` holds
+    both components' coefficient columns, side by side, from the leading one
+    down."""
     lead, *rows = rows
     # From the leading coefficient as a complex: the same bits as from 0j * z + c.
     lead = tuple(map(complex, lead))
     put0, put1, put2, put3, put4, put5, put6, put7 = (w.append for w in ws)
-    for zi, zj in pairs:
+    for z in zs:
         u0, u1, u2, u3, v0, v1, v2, v3 = lead
         for a0, a1, a2, a3, b0, b1, b2, b3 in rows:
-            u0 = u0 * zi + a0
-            u1 = u1 * zi + a1
-            u2 = u2 * zi + a2
-            u3 = u3 * zi + a3
-            v0 = v0 * zj + b0
-            v1 = v1 * zj + b1
-            v2 = v2 * zj + b2
-            v3 = v3 * zj + b3
+            u0 = u0 * z + a0
+            u1 = u1 * z + a1
+            u2 = u2 * z + a2
+            u3 = u3 * z + a3
+            v0 = v0 * z + b0
+            v1 = v1 * z + b1
+            v2 = v2 * z + b2
+            v3 = v3 * z + b3
         put0(u0)
         put1(u1)
         put2(u2)
@@ -244,77 +244,76 @@ def _horner(ws: tuple, rows: list, pairs) -> None:
         put7(v3)
 
 
-def _slice_tables(fp: QuatPoly, ci: SliceContour, fq: QuatPoly, cj: SliceContour) -> tuple:
-    """The two split components' slice tables ``(phi, z, c w0, c w1, c w2, c
-    w3)``, columns over the nodes k <= N//2, of weight c; the first two
-    depend only on the circle, and a shared circle is one pair of lists.
+def _slice_table(fp: QuatPoly, fq: QuatPoly, contour: SliceContour) -> tuple:
+    """The node table ``(phi, z, c w0, ..., c w3, c w0', ..., c w3')``,
+    columns over the nodes k <= N//2 of weight c: the circle, then four
+    columns of fp and four of fq.
 
     Nodes 0 < k < N - k stand for themselves and their conjugates N - k, so
     c = 2 there.  Doubling is exact, so it is folded into the coefficients:
     Horner on 2 f gives the same floats as 2 times Horner on f while the
-    values stay normal.  One Horner pass runs over the node pairs of both
-    contours; contours of unequal node counts have no pairs, and run it once
-    each, against themselves."""
-    n = ci.nodes
-    if cj.nodes != n:
-        return _slice_tables(fp, ci, fp, ci)[0], _slice_tables(fq, cj, fq, cj)[1]
-    circle_i = _circle(ci)
-    circle_j = circle_i if ci[:2] == cj[:2] else _circle(cj)  # center, radius
+    values stay normal."""
+    n = contour.nodes
+    phis, zs = _circle(contour)
     rows = [a.as_tuple() + b.as_tuple() for a, b in zip(reversed(fp.coeffs), reversed(fq.coeffs))]
     doubled = [tuple([2.0 * c for c in row]) for row in rows]
-    pairs = zip(circle_i[1], circle_j[1])
+    nodes = iter(zs)
     ws = [], [], [], [], [], [], [], []
-    _horner(ws, rows, islice(pairs, 1))
-    _horner(ws, doubled, islice(pairs, (n + 1) // 2 - 1))  # nodes 1 ... (N-1)//2
-    _horner(ws, rows, pairs)  # node N/2 when N is even, else none
-    return (*circle_i, *ws[:4]), (*circle_j, *ws[4:])
+    _horner(ws, rows, islice(nodes, 1))
+    _horner(ws, doubled, islice(nodes, (n + 1) // 2 - 1))  # nodes 1 ... (N-1)//2
+    _horner(ws, rows, nodes)  # node N/2 when N is even, else none
+    return (phis, zs, *ws)
 
 
-#: ``(poly, contour_i, contour_j, table)`` of the last quadrature, replaced whole.
+#: ``(poly, contour, table)`` of the last quadrature, replaced whole.
 _last_table: tuple = ()
 
 
-def _node_table(poly: BiSlicePoly, ci: SliceContour, cj: SliceContour) -> tuple:
-    """Slice tables of the two split components, reused while the polynomial
-    and both contours are the same objects as in the previous call."""
+def _node_table(poly: BiSlicePoly, contour: SliceContour) -> tuple:
+    """The node table of both split components, reused while the polynomial
+    and the contour are the same objects as in the previous call."""
     global _last_table
     last = _last_table
-    if last and last[0] is poly and last[1] is ci and last[2] is cj:
-        return last[3]
+    if last and last[0] is poly and last[1] is contour:
+        return last[2]
     # Let go of the old table before building the new one: two are never alive.
     _last_table = last = ()
-    fp, fq = poly.split()
-    table = _slice_tables(fp, ci, fq, cj)
-    _last_table = (poly, ci, cj, table)
+    table = _slice_table(*poly.split(), contour)
+    _last_table = (poly, contour, table)
     return table
 
 
-def _closed_integral(side: tuple, contour: SliceContour) -> Quat:
-    """Trapezoid value of the closed integral of ds poly(s) from its slice table;
-    the differential I r e^{I t} dt stays left of the integrand."""
-    v = [sum(map(mul, side[0], w), 0j).real for w in side[2:]]
+def _closed_integral(phis: list, ws: tuple, contour: SliceContour) -> Quat:
+    """Trapezoid value of the closed integral of ds poly(s) from its columns
+    ``ws``; the differential I r e^{I t} dt stays left of the integrand."""
+    v = [sum(map(mul, phis, w), 0j).real for w in ws]
     return contour.unit * Quat(*v) * (2.0 * math.pi / contour.nodes)
 
 
-def _check_work(poly: BiSlicePoly, *contours: SliceContour) -> None:
+def _check_contours(poly: BiSlicePoly, ci: SliceContour, cj: SliceContour) -> None:
+    """Both split components on one circle, within :data:`MAX_NODE_TERMS`."""
+    if ci[:2] != cj[:2] or ci.nodes != cj.nodes:  # center, radius
+        raise InvalidContour(
+            "the two contours must share center, radius and node count, got "
+            f"{ci.center:.6g}, {ci.radius:.6g}, {ci.nodes} and {cj.center:.6g}, {cj.radius:.6g}, {cj.nodes}"
+        )
     terms = len(poly.coeffs)
-    for contour in contours:
-        if contour.nodes * terms > MAX_NODE_TERMS:
-            raise InputTooLarge(
-                f"{contour.nodes} nodes x {terms} coefficients is more than "
-                f"MAX_NODE_TERMS = {MAX_NODE_TERMS}"
-            )
+    if ci.nodes * terms > MAX_NODE_TERMS:
+        raise InputTooLarge(
+            f"{ci.nodes} nodes x {terms} coefficients is more than "
+            f"MAX_NODE_TERMS = {MAX_NODE_TERMS}"
+        )
 
 
 def contour_integral_vanishes(
     poly: BiSlicePoly, contour_i: SliceContour, contour_j: SliceContour
 ) -> tuple[float, float]:
     """Magnitudes of the closed integrals of the two split components."""
-    _check_work(poly, contour_i, contour_j)
-    side_i, side_j = _node_table(poly, contour_i, contour_j)
+    _check_contours(poly, contour_i, contour_j)
+    table = _node_table(poly, contour_i)
     return (
-        _closed_integral(side_i, contour_i).modulus(),
-        _closed_integral(side_j, contour_j).modulus(),
+        _closed_integral(table[0], table[2:6], contour_i).modulus(),
+        _closed_integral(table[0], table[6:], contour_j).modulus(),
     )
 
 
@@ -364,12 +363,12 @@ def _kernel_weights(
     )
 
 
-def _accumulate(weights: tuple, side: tuple, unit_j: Quat, nodes: int) -> Quat:
+def _accumulate(weights: tuple, ws: tuple, unit_j: Quat, nodes: int) -> Quat:
     """``(Re sum g w + J Re sum h w) / N`` for one split component, as
     ``((Re X + Re Y) + J (Im X - Im Y)) / 2N`` from ``X, Y = sum x w, sum y w``."""
     xs, ys = weights
-    sx = [sum(map(mul, xs, w), 0j) for w in side[2:]]
-    sy = [sum(map(mul, ys, w), 0j) for w in side[2:]]
+    sx = [sum(map(mul, xs, w), 0j) for w in ws]
+    sy = [sum(map(mul, ys, w), 0j) for w in ws]
     g = Quat(*[a.real + b.real for a, b in zip(sx, sy)])
     h = Quat(*[a.imag - b.imag for a, b in zip(sx, sy)])
     return (g + unit_j * h) / (2 * nodes)
@@ -388,20 +387,17 @@ def cauchy_reconstruct(
     x: "ConePoint | CliffordElement",
     tol: float = EPS,
 ) -> CliffordElement:
-    """Reproduce poly(x) from its values on two slice circles."""
-    _check_work(poly, contour_i, contour_j)
+    """Reproduce poly(x) from its values on one circle in two slices."""
+    _check_contours(poly, contour_i, contour_j)
     point = x if isinstance(x, ConePoint) else ConePoint.from_element(x, tol)
     if not contour_i.contains(point.p):
         raise PointOutsideContour("first component outside its contour disc")
     if not contour_j.contains(point.q):
         raise PointOutsideContour("second component outside its contour disc")
-    side_i, side_j = _node_table(poly, contour_i, contour_j)
-    weights = _kernel_weights(side_i[:2], contour_i, point.alpha, point.beta, tol)
-    vp = _accumulate(weights, side_i, _slice_unit(point.p, contour_i), contour_i.nodes)
-    if side_j[0] is not side_i[0]:  # another circle: its own weight pass
-        del weights  # one pass's columns alive at a time
-        weights = _kernel_weights(side_j[:2], contour_j, point.alpha, point.beta, tol)
-    vq = _accumulate(weights, side_j, _slice_unit(point.q, contour_j), contour_j.nodes)
+    table = _node_table(poly, contour_i)
+    weights = _kernel_weights(table[:2], contour_i, point.alpha, point.beta, tol)
+    vp = _accumulate(weights, table[2:6], _slice_unit(point.p, contour_i), contour_i.nodes)
+    vq = _accumulate(weights, table[6:], _slice_unit(point.q, contour_j), contour_j.nodes)
     return join(vp, vq)
 
 

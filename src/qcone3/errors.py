@@ -47,6 +47,11 @@ class InvalidContour(ConeAlgebraError, ValueError):
     """Contour center, radius or node count outside the supported range."""
 
 
+class InvalidStep(ConeAlgebraError, ValueError):
+    """A finite-difference step that is not positive and finite, or too small
+    to move the point it differences at."""
+
+
 class NonFiniteResult(ConeAlgebraError):
     """A computed result overflowed to inf or became nan."""
 

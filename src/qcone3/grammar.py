@@ -94,6 +94,24 @@ def _parse_terms(text: str) -> list[float]:
         pos = m.end()
 
 
+def _parse_within(parse, text: str, start: int, piece: str):
+    """``parse(piece)`` for the ``piece`` of ``text`` that starts at ``start``:
+    a parse error inside it is reported against the whole text."""
+    try:
+        return parse(piece)
+    except ParseError as exc:
+        raise ParseError(exc.message, text, start + exc.pos) from None
+
+
+def _parse_elements(text: str, start: int, items: list[str]) -> list[CliffordElement]:
+    """The comma-separated ``items`` of ``text``, the first at ``start``."""
+    elements = []
+    for item in items:
+        elements.append(_parse_within(parse_element, text, start, item))
+        start += len(item) + 1
+    return elements
+
+
 def parse_element(text: str) -> CliffordElement:
     """Parse either the term grammar or the positional 8-real form."""
     if "," in text:
@@ -233,13 +251,15 @@ def parse_factored(text: str) -> tuple[float, list[CliffordElement]]:
         if "x" in rest or "^" in rest or rest.lstrip().startswith("*"):
             raise UnfactoredInput(f"factor {body!r} is not linear in x")
         after = rest.lstrip()
+        rest_at = pos + 2 + len(body) - len(body.lstrip())  # past '(' and x
         if not after:
             constants.append(ZERO)
         elif after[0] in "+-":
-            constants.append(_element_from_floats(tuple(map(neg, _parse_terms(rest)))))
+            terms = _parse_within(_parse_terms, text, rest_at, rest)
+            constants.append(_element_from_floats(tuple(map(neg, terms))))
         else:
             # "(x 2)" is not "(x + 2)": the constant needs its sign after x.
-            raise ParseError("expected '+' or '-' after x", rest, len(rest) - len(after))
+            raise ParseError("expected '+' or '-' after x", text, rest_at + len(rest) - len(after))
         pos = _SPACE_RE.match(text, end + 1).end()
         if pos == len(text):
             break
@@ -268,8 +288,9 @@ def parse_poly(text: str):
             raise InputTooLarge(
                 f"{len(items)} coefficients, more than MAX_COEFFS = {MAX_COEFFS}"
             )
-        return BiSlicePoly([parse_element(item) for item in items])
-    lead, constants = parse_factored(stripped)
+        # the list ends where text.rstrip() does; its first item is past '['
+        return BiSlicePoly(_parse_elements(text, len(text.rstrip()) - len(body) + 1, items))
+    lead, constants = parse_factored(text)
     return BiSlicePoly.from_factors(constants, lead)
 
 
@@ -284,6 +305,7 @@ def parse_matrix(text: str):
     if len(rows) != 2:
         raise ParseError(f"expected 2 rows, got {len(rows)}", text, 0)
     entries: list[CliffordElement] = []
+    row_at = len(text) - len(text.lstrip()) + 1  # past the outer '['
     for row in rows:
         r = row.strip()
         if not (r.startswith("[") and r.endswith("]")):
@@ -291,7 +313,8 @@ def parse_matrix(text: str):
         cells = _split_top_level(r[1:-1])
         if len(cells) != 2:
             raise ParseError(f"expected 2 entries per row, got {len(cells)}", text, 0)
-        entries.extend(parse_element(cell) for cell in cells)
+        entries += _parse_elements(text, row_at + len(row) - len(row.lstrip()) + 1, cells)
+        row_at += len(row) + 1
     return Matrix2(*entries)
 
 

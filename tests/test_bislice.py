@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,7 +36,7 @@ from qcone3 import (
 )
 from qcone3.bislice import central_differences
 from qcone3.cauchy import kernel_regularity_residual
-from qcone3.errors import NotInvertibleAtPoint, NotOrthogonal
+from qcone3.errors import InvalidStep, NotInvertibleAtPoint, NotOrthogonal
 from qcone3.clifford3 import Q12, Q13, Q23
 from qcone3.stem import check_cauchy_riemann, stem_from_poly
 from helpers import (
@@ -370,8 +371,42 @@ def test_finite_difference_step_must_be_positive_and_finite(h):
         lambda: kernel_regularity_residual(cone_point(3.0, 0.0, None, None), x, h),
         lambda: check_cauchy_riemann(stem_from_poly(BiSlicePoly.monomial(1)), h, samples=1),
     ):
-        with pytest.raises(ValueError, match="step"):
+        with pytest.raises(InvalidStep, match="step"):
             call()
+
+
+def _least_moving_step(u: float, v: float) -> float:
+    """The least h > 0 with u + h, u - h, v + h and v - h all different from
+    u or v, by bisection over the positive floats (moving is monotone in h)."""
+
+    def moves(h: float) -> bool:
+        return all(x + h != x and x - h != x for x in (u, v))
+
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1e300))[0]  # the bits of h
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if moves(struct.unpack("<d", struct.pack("<q", mid))[0]):
+            hi = mid
+        else:
+            lo = mid
+    return struct.unpack("<d", struct.pack("<q", hi))[0]
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    # below 0 the spacing toward -inf is the wider one, so u - h or v - h decides
+    [(0.0, 0.5), (1.0, 3.0), (-1.0, 0.0), (0.0, -0.5), (-2.5, 1e10), (1e-300, 0.0), (0.75, -1e300)],
+)
+def test_step_too_small_to_move_the_point_is_refused(u, v):
+    # At 0.5, 0.5 + 1e-17 == 0.5, so the difference along v read 0.  The least
+    # step that moves both coordinates both ways is accepted, one ulp below it
+    # is refused.
+    least = _least_moving_step(u, v)
+    f = lambda a, b: a * a + 3.0 * b  # noqa: E731
+    central_differences(f, u, v, least)
+    central_differences(f, u, v, math.nextafter(least, math.inf))
+    with pytest.raises(InvalidStep, match="does not move the point"):
+        central_differences(f, u, v, math.nextafter(least, 0.0))
 
 
 # -- the float kernels against the operator form, bit for bit -----------------------

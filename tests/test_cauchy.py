@@ -39,7 +39,7 @@ from qcone3.cauchy import (
     _kernel_weights,
     _circle,
     _node_table,
-    _slice_tables,
+    _slice_table,
     _slice_unit,
     _unit_circle,
 )
@@ -183,16 +183,49 @@ def test_contour_validation_names_the_error():
 
 def test_quadrature_work_is_bounded_jointly():
     # At MAX_NODES nodes one coefficient past the bound fails both
-    # quadratures, whichever contour carries the excess.
+    # quadratures.
     terms = MAX_NODE_TERMS // MAX_NODES
-    small = SliceContour(0.0, 2.0, Q23, 64)
-    big = SliceContour(0.0, 2.0, Q13, MAX_NODES)
+    ci = SliceContour(0.0, 2.0, Q23, MAX_NODES)
+    cj = SliceContour(0.0, 2.0, Q13, MAX_NODES)
     poly = BiSlicePoly([E1] * (terms + 1))
-    for ci, cj in ((big, small), (small, big)):
-        with pytest.raises(InputTooLarge):
-            cauchy_reconstruct(poly, ci, cj, 0.5 * E1)
-        with pytest.raises(InputTooLarge):
-            contour_integral_vanishes(poly, ci, cj)
+    with pytest.raises(InputTooLarge):
+        cauchy_reconstruct(poly, ci, cj, 0.5 * E1)
+    with pytest.raises(InputTooLarge):
+        contour_integral_vanishes(poly, ci, cj)
+
+
+def _refused(args) -> list[bool]:
+    """Whether each quadrature refuses the two contours of ``args``."""
+    refused = []
+    for call in (lambda: cauchy_reconstruct(*args, 0.3 * E1), lambda: contour_integral_vanishes(*args)):
+        try:
+            call()
+        except InvalidContour:
+            refused.append(True)
+        else:
+            refused.append(False)
+    return refused
+
+
+def test_contours_on_two_circles_are_refused():
+    # The split components integrate over one circle: a second contour that
+    # differs in center, radius or node count is refused by both quadratures,
+    # in either order; one that differs only in its unit, or in the sign of a
+    # zero center, is the same circle.
+    poly = BiSlicePoly([E0, E1, E12])
+    for center in (0.0, -0.5):
+        ci = SliceContour(center, 1.5, Q23, 64)
+        same = SliceContour(center, 1.5, Q13, 64)
+        assert _refused((poly, ci, same)) == [False, False]
+        for cj in (
+            SliceContour(math.nextafter(center, 1.0), 1.5, Q13, 64),
+            SliceContour(center, math.nextafter(1.5, 2.0), Q13, 64),
+            SliceContour(center, 1.5, Q13, 65),
+        ):
+            assert _refused((poly, ci, cj)) == [True, True], cj
+            assert _refused((poly, cj, ci)) == [True, True], cj
+    plus, minus = SliceContour(0.0, 1.5, Q23, 64), SliceContour(-0.0, 1.5, Q13, 64)
+    assert _refused((poly, plus, minus)) == _refused((poly, minus, plus)) == [False, False]
 
 
 def test_closed_integrals_vanish_for_polynomials():
@@ -350,8 +383,8 @@ def test_odd_node_counts_match_quaternion_loop(nodes):
 
 
 def _side(f: QuatPoly, contour: SliceContour) -> tuple:
-    """The slice table of one component on its own contour."""
-    return _slice_tables(f, contour, f, contour)[0]
+    """``(phi, z, c w0, ..., c w3)``: the node table of one component."""
+    return _slice_table(f, f, contour)[:6]
 
 
 def _check_closed_integrals(poly, ci, cj) -> tuple[float, float]:
@@ -359,7 +392,8 @@ def _check_closed_integrals(poly, ci, cj) -> tuple[float, float]:
     for value, f, c in zip(got, poly.split(), (ci, cj)):
         want = contour_integral(c, f.eval)
         scale = 1 + max(f.eval(contour_point(c, t)).modulus() for t in thetas(c))
-        assert (_closed_integral(_side(f, c), c) - want).modulus() <= 1e-13 * scale
+        side = _side(f, c)
+        assert (_closed_integral(side[0], side[2:], c) - want).modulus() <= 1e-13 * scale
         assert abs(value - want.modulus()) <= 1e-13 * scale
     return got
 
@@ -422,7 +456,7 @@ def test_reconstruction_is_close_to_the_exact_trapezoid_value():
             contour = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
             side = _side(f, contour)
             weights = _kernel_weights(side[:2], contour, x.alpha, x.beta, 1e-12)
-            got = _accumulate(weights, side, _slice_unit(target, contour), nodes)
+            got = _accumulate(weights, side[2:], _slice_unit(target, contour), nodes)
             want, largest = exact_trapezoid_component(f, contour, target)
             error = max(abs(a - b) for a, b in zip(got, want))
             assert error <= 2e-15 * largest, (k, nodes, error / largest)
@@ -435,21 +469,16 @@ def _target_unit(target: Quat, contour: SliceContour) -> Quat:
 
 def test_reconstruction_matches_the_slice_plane_loop():
     # The (g, h) node loop at the cone point's (alpha, beta) and each side's
-    # own unit, on circles the two components share, on two circles, and at
-    # real points.  The library sums the complex kernels x, y in their place,
-    # so these 500 inputs agree with it to rounding, at most 2.9e-15 of
-    # 1 + |value|.
+    # own unit, on the circle the two components share, and at real points.
+    # The library sums the complex kernels x, y in their place, so these 500
+    # inputs agree with it to rounding, at most 2.9e-15 of 1 + |value|.
     rng = random.Random(33)
     for k in range(500):
         nodes = rng.choice((16, 17, 33, 64, 65, 128))
         poly = rand_poly(rng, rng.randint(0, 5))
         center, radius = rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.0)
         ci = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
-        shift = 0.0 if k % 2 else rng.uniform(-0.3, 0.3)
-        # a shifted circle of radius radius + |shift| holds ci's whole disc
-        cj = SliceContour(
-            center + shift, radius + abs(shift), rand_unit_imaginary(rng), nodes
-        )
+        cj = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
         x = _inside(rng, center, radius, rng.uniform(0.0, 0.7))
         if k % 5 == 0:
             x = ConePoint(x.alpha, 0.0, None, None)
@@ -475,14 +504,10 @@ def test_one_weight_pass_per_circle(monkeypatch):
     poly = rand_poly(rng, 3)
     ci = SliceContour(0.1, 1.5, Q23, 64)
     x = _inside(rng, 0.1, 1.5, 0.5)
-    for cj, passes in (
-        (SliceContour(0.1, 1.5, Q13, 64), 1),  # ci's circle in another slice
-        (SliceContour(0.1, 1.6, Q23, 64), 2),
-        (SliceContour(0.1, 1.5, Q23, 65), 2),
-    ):
+    for unit in (Q13, Q23):  # ci's circle in another slice, and in its own
         calls.clear()
-        cauchy_reconstruct(poly, ci, cj, x)
-        assert len(calls) == passes
+        cauchy_reconstruct(poly, ci, SliceContour(0.1, 1.5, unit, 64), x)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("nodes", [16, 17, 64])
@@ -494,13 +519,14 @@ def test_closed_integral_keeps_the_contour_unit(nodes):
     f = QuatPoly([0.0] * (nodes - 1) + [1.0])
     for radius in (0.9, 1.0, 1.3):
         contour = SliceContour(0.0, radius, rand_unit_imaginary(rng), nodes)
-        got = _closed_integral(_side(f, contour), contour)
+        side = _side(f, contour)
+        got = _closed_integral(side[0], side[2:], contour)
         size = 2.0 * math.pi * radius**nodes
         assert (got - contour.unit * size).modulus() <= 1e-13 * size
 
 
-# The node table of the last (polynomial, contour_i, contour_j) call is kept and
-# reused while all three are the same objects; equal copies never hit it.
+# The node table of the last (polynomial, contour) call is kept and reused
+# while both are the same objects; equal copies never hit it.
 
 
 def _copies(poly, *contours):
@@ -527,10 +553,7 @@ def test_memo_hit_equals_fresh_objects_float_for_float():
         for degree in range(6):
             poly = rand_poly(rng, degree)
             ci = SliceContour(0.1, 1.5, rand_unit_imaginary(rng), nodes)
-            # the second circle alternates between ci's circle, whose columns
-            # the table shares, and a circle of its own
-            center, radius = (0.1, 1.5) if degree % 2 else (-0.2, 1.8)
-            cj = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
+            cj = SliceContour(0.1, 1.5, rand_unit_imaginary(rng), nodes)
             cauchy_reconstruct(poly, ci, cj, _memo_target(rng))
             entry = cauchy._last_table
             x = _memo_target(rng)
@@ -544,13 +567,14 @@ def test_memo_interleaved_calls_return_their_own_values():
     for nodes in (16, 64, 512):
         for degree in range(6):
             p1, p2 = rand_poly(rng, degree), rand_poly(rng, degree)
-            ci, cj, ci2, cj2 = (
+            # ci, cj and cj2 share one circle, ci2 and cj3 another
+            ci, cj, cj2, ci2, cj3 = (
                 SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
-                for center, radius in ((0.1, 1.5), (-0.2, 1.8), (0.0, 1.2), (0.05, 1.6))
+                for center, radius in ((0.1, 1.5),) * 3 + ((-0.2, 1.8),) * 2
             )
             x = _memo_target(rng)
             a = (p1, ci, cj)
-            for b in ((p2, ci, cj), (p1, ci, cj2), (p1, ci2, cj), (p2, ci2, cj2), (p1, cj, ci)):
+            for b in ((p2, ci, cj), (p1, ci, cj2), (p1, ci2, cj3), (p2, ci2, cj3), (p1, cj, ci)):
                 want = [_quadratures(_copies(*args), x) for args in (a, b, a)]
                 assert [_quadratures(args, x) for args in (a, b, a)] == want
 
@@ -576,7 +600,7 @@ def test_memo_hit_keeps_contour_and_singular_checks():
 def test_memo_holds_one_node_table_at_a_time():
     rng = random.Random(25)
     poly = rand_poly(rng, 3)
-    args = (poly, SliceContour(0.1, 1.5, Q23, 1024), SliceContour(-0.2, 1.8, Q13, 1024))
+    args = (poly, SliceContour(0.1, 1.5, Q23, 1024), SliceContour(0.1, 1.5, Q13, 1024))
     x = _memo_target(rng)
     cauchy._last_table = ()
     tracemalloc.start()
@@ -859,7 +883,7 @@ def test_small_contour_about_1_keeps_its_digits(radius):
 @pytest.mark.parametrize("nodes", [16, 17, 64, 65, 512])
 def test_folded_weights_give_the_per_node_floats(nodes):
     # Horner on 2 f is 2 times Horner on f, float for float, while the values
-    # stay normal: coefficients from 1e-3 to 1e3, on a shared circle and on two.
+    # stay normal: coefficients from 1e-3 to 1e3.
     rng = random.Random(nodes)
     for degree in range(9):
         poly = BiSlicePoly(
@@ -868,32 +892,13 @@ def test_folded_weights_give_the_per_node_floats(nodes):
                 for _ in range(degree + 1)
             ]
         )
-        ci = SliceContour(rng.uniform(-1, 1), rng.uniform(0.5, 2), Q12, nodes)
-        for cj in (ci, SliceContour(rng.uniform(-1, 1), rng.uniform(0.5, 2), Q23, nodes)):
-            _check_one_pass_table(poly, ci, cj)
-
-
-def _check_one_pass_table(poly: BiSlicePoly, ci: SliceContour, cj: SliceContour) -> None:
-    """Each side of the node table is its own circle and the per-node columns."""
-    sides = _node_table(poly, ci, cj)
-    for side, component, contour in zip(sides, poly.split(), (ci, cj)):
-        assert _bits(side[0]) == _bits(_circle(contour)[0])
-        assert _bits(side[1]) == _bits(_circle(contour)[1])
-        assert list(side[2:]) == per_node_slice_columns(component, side[1], contour.nodes)
-    # a shared circle is one pair of lists, which the weight pass reads once
-    assert (sides[1][0] is sides[0][0]) == (ci[:2] == cj[:2] and ci.nodes == cj.nodes)
-
-
-def test_one_pass_table_on_unequal_node_counts():
-    # 64 against 65 nodes: no node pairs, so each side runs the pass alone.
-    rng = random.Random(6465)
-    for degree in range(9):
-        poly = rand_poly(rng, degree)
-        center, radius = rng.uniform(-1, 1), rng.uniform(0.5, 2)
-        ci = SliceContour(center, radius, Q12, 64)
-        for cj in (SliceContour(center, radius, Q23, 65), SliceContour(-center, 2 * radius, Q23, 65)):
-            _check_one_pass_table(poly, ci, cj)
-            _check_one_pass_table(poly, cj, ci)
+        contour = SliceContour(rng.uniform(-1, 1), rng.uniform(0.5, 2), Q12, nodes)
+        # the circle, then each component's per-node columns
+        table = _node_table(poly, contour)
+        assert _bits(table[0]) == _bits(_circle(contour)[0])
+        assert _bits(table[1]) == _bits(_circle(contour)[1])
+        for ws, component in zip((table[2:6], table[6:]), poly.split()):
+            assert list(ws) == per_node_slice_columns(component, table[1], nodes)
 
 
 # -- the unit circle, kept per node count ---------------------------------------
@@ -933,9 +938,9 @@ def test_folded_weights_near_the_float_maximum_stay_a_named_error(capsys):
     big = "1" + "0" * 308
     poly = BiSlicePoly([CliffordElement([-1e308] + [0.0] * 7), CliffordElement([1e308] + [0.0] * 7)])
     contour = SliceContour(0.0, 2.0, Q23, 64)
-    side, _ = _node_table(poly, contour, contour)
-    want = per_node_slice_columns(poly.split()[0], side[1], 64)
-    for columns in (side[2:], want):
+    table = _node_table(poly, contour)
+    want = per_node_slice_columns(poly.split()[0], table[1], 64)
+    for columns in (table[2:6], want):
         assert not all(math.isfinite(abs(w)) for w in columns[0])
     argv = ["cauchy-verify", "--poly", f"coeffs: [-{big}, {big}]", "--at", "0.5e1"]
     assert run(argv + ["--radius", "2", "--nodes", "64"]) == 1

@@ -373,6 +373,17 @@ def test_dbar_check_rejects_bad_step(capsys, step):
     assert "--fd-step" in err and "finite number > 0" in err
 
 
+@pytest.mark.parametrize("step", ["1e-17", "1e-300"])
+def test_dbar_check_refuses_a_step_that_does_not_move_the_point(capsys, step):
+    # At 0.5e1, 0.5 + 1e-17 == 0.5: the residual read 5.000e-01 and exited 0.
+    code, out, err = invoke(
+        capsys, "dbar-check", "--poly", "coeffs: [1, e1]", "--at", "0.5e1", "--fd-step", step
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InvalidStep: finite-difference step")
+
+
 def test_zero_tolerance_is_accepted(capsys):
     code, out, _ = invoke(capsys, "cone-check", "e1", "--tol", "0")
     assert code == 0 and out.strip() == "true"
@@ -447,10 +458,10 @@ def test_cauchy_verify_bounds_nodes_times_coefficients(
 ):
     # 256 coefficients: 8192 nodes is MAX_NODE_TERMS exactly, 8193 one node
     # past.  A sentinel replaces the node loop, so reaching it costs nothing.
-    def no_nodes(fp, ci, fq, cj):
+    def no_nodes(fp, fq, contour):
         raise _NodeEvaluated
 
-    monkeypatch.setattr(cauchy, "_slice_tables", no_nodes)
+    monkeypatch.setattr(cauchy, "_slice_table", no_nodes)
     assert (nodes * MAX_COEFFS <= cauchy.MAX_NODE_TERMS) == accepted
     poly = _coeffs_text(MAX_COEFFS)
     argv = ("cauchy-verify", "--poly", poly, "--radius", "2", "--at", "0.3e1")

@@ -201,19 +201,47 @@ def test_parse_factored_rejects_nonlinear():
 
 
 @pytest.mark.parametrize(
-    "factor, rest, pos",
-    [("(x 2)", " 2", 1), ("(x e1)", " e1", 1), ("(x2)", "2", 0), ("( x  .5e12 - 1 )", "  .5e12 - 1", 2)],
+    "text, pos",
+    [
+        ("(x 2)*(x - e2)", 3),
+        ("(x e1)*(x - e2)", 3),
+        ("(x2)*(x - e2)", 2),
+        ("( x  .5e12 - 1 )*(x - e2)", 5),
+        ("(x - e1)*(x 2)", 12),
+    ],
 )
-def test_factor_constant_needs_its_sign_after_x(factor, rest, pos):
+def test_factor_constant_needs_its_sign_after_x(text, pos):
     # "(x 2)" read as "(x + 2)" once: the element grammar lets a first term go
-    # unsigned, but after x the sign is what makes the factor (x - c).
+    # unsigned, but after x the sign is what makes the factor (x - c).  The
+    # caret is under the constant in the whole text, whichever factor it is in.
     with pytest.raises(ParseError) as info:
-        parse_factored(f"{factor}*(x - e2)")
+        parse_factored(text)
     assert (info.value.message, info.value.text, info.value.pos) == (
         "expected '+' or '-' after x",
-        rest,
+        text,
         pos,
     )
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, pos",
+    [
+        (parse_factored, "(x - e1)*(x - 2 2)", "expected '+' or '-' between terms", 16),
+        (parse_poly, "  (x - e1)*(x 2)", "expected '+' or '-' after x", 14),
+        (parse_poly, "coeffs: [1, e1, 2 2]", "expected '+' or '-' between terms", 18),
+        (parse_poly, " coeffs : [ 1 , e1 e2 ]  ", "expected '+' or '-' between terms", 19),
+        (parse_poly, "coeffs: [1, (e1)]", "expected a number or basis token", 12),
+        (parse_matrix, "[[e1, 2 2], [0, e2]]", "expected '+' or '-' between terms", 8),
+        (parse_matrix, " [ [e1, 2], [0,   e2 e3]] ", "expected '+' or '-' between terms", 21),
+        (parse_matrix, "[[e1, 2], [0, ]]", "expected an element", 14),
+    ],
+)
+def test_errors_inside_a_piece_cite_the_whole_text(parse, text, message, pos):
+    # A factor, a coeffs: item or a matrix cell is parsed on its own; its
+    # error is re-based onto the whole argument, caret and all.
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.message, info.value.text, info.value.pos) == (message, text, pos)
 
 
 def test_factor_constant_keeps_spaces_and_may_be_empty():
@@ -224,7 +252,7 @@ def test_factor_constant_keeps_spaces_and_may_be_empty():
 def test_factor_parentheses_nest():
     # The ')' closing a factor is the one at depth zero.
     cases = [
-        ("(x - (e1))*(x)", ParseError, " - (e1)", 3),
+        ("(x - (e1))*(x)", ParseError, "(x - (e1))*(x)", 5),
         ("(x - e1))", ParseError, "(x - e1))", 8),
         (" (x - (e1)", ParseError, " (x - (e1)", 1),
         ("(x - e1)*((x))", UnfactoredInput, None, None),
@@ -286,6 +314,15 @@ _TOKENS = (
 _token_text = st.lists(st.sampled_from(_TOKENS), max_size=10).map("".join)
 
 
+def _rebased(parse, text: str, start: int, piece: str):
+    """``parse(piece)``, its parse error moved into ``text``, where the piece
+    starts at ``start``."""
+    try:
+        return parse(piece)
+    except ParseError as err:
+        raise ParseError(err.message, text, start + err.pos) from None
+
+
 def _outcome(parse, text):
     """The repr of the parsed coefficients (it tells -0.0 from 0.0), or the error."""
     try:
@@ -314,16 +351,25 @@ def test_element_matches_scanner(text):
 @settings(max_examples=500)
 def test_factor_body_matches_scanner(body):
     assert _outcome(lambda t: [c.coeffs for c in parse_factored(t)[1]], f"(x{body})") == (
-        _outcome(lambda t: [scanner_factor(t).coeffs], f"x{body}")
+        # the scanner reads the text after x, which starts at 2 in "(x...)"
+        _outcome(lambda t: [_rebased(scanner_factor, t, 2, f"x{body}").coeffs], f"(x{body})")
     )
 
 
 def _scanner_poly(text: str) -> BiSlicePoly:
     """``parse_poly`` through the scanner, for the two forms built below."""
+    pieces = []
     if text.startswith("coeffs: ["):
-        items = split_top_level(text[len("coeffs: [") : -1])
-        return BiSlicePoly([scanner_element(item) for item in items])
-    return BiSlicePoly.from_factors([scanner_factor(f) for f in text[1:-1].split(")*(")])
+        at = len("coeffs: [")
+        for item in split_top_level(text[at:-1]):
+            pieces.append(_rebased(scanner_element, text, at, item))
+            at += len(item) + 1
+        return BiSlicePoly(pieces)
+    at = 2  # the text after x in the first "(x"
+    for body in text[1:-1].split(")*("):
+        pieces.append(_rebased(scanner_factor, text, at, body))
+        at += len(body) + 3
+    return BiSlicePoly.from_factors(pieces)
 
 
 @given(st.lists(_token_text, min_size=1, max_size=4), st.booleans())
