@@ -6,17 +6,24 @@ one library operation family, and prints either a human-readable summary
 JSON records with stable field names (``--output records``, full float
 precision).
 
-Exit status: 0 on success, 2 on syntax errors in any input grammar (with a
-caret-annotated message on stderr), 1 on domain errors such as singular
-elements or points outside a contour (the error class is named).
+``argv[0]`` names a command in ``COMMANDS``; its options are the words that
+start with ``--``, and ``-h``.  ``--opt value`` is ``--opt=value`` whatever
+the value starts with (``--at -e1``); ``--`` ends options, every other word
+is a positional (``split -e1``).  Names match exactly (no abbreviations), a
+repeated option's last value wins, and ``-h``/``--help`` prints usage (exit 0).
+
+Exit status: 0 on success, 2 on usage errors (``usage:`` and ``qcone3
+<command>: error:`` on stderr) and on syntax errors in any input grammar
+(a caret-annotated message), 1 on domain errors such as singular elements
+or points outside a contour (the error class is named).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
+from types import SimpleNamespace
 from typing import Callable
 
 # Each handler imports the modules it computes with, so a call loads only
@@ -299,118 +306,111 @@ def _cmd_kernel(args, out: _Output) -> None:
     out.record(cmd="kernel", value=value.coeffs)
 
 
-# -- parser wiring -----------------------------------------------------------------
+# -- command table -----------------------------------------------------------------
 
 
 def _finite_flag(text: str, positive: bool) -> float:
-    """argparse type: a finite real >= 0, or > 0 when ``positive``."""
+    """A finite real >= 0, or > 0 when ``positive``."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
-        bound = "> 0" if positive else ">= 0"
-        raise argparse.ArgumentTypeError(f"expected a finite number {bound}, got {text!r}")
-    return value
+    if math.isfinite(value) and (value > 0.0 if positive else value >= 0.0):
+        return value
+    raise ValueError(f"expected a finite number {'> 0' if positive else '>= 0'}, got {text!r}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qcone3",
-        description="Computer algebra for the rank-3 Clifford algebra and its "
-        "quadratic cone.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--output",
-        choices=("pretty", "records"),
-        default="pretty",
-        help="pretty text or line-delimited JSON records",
-    )
-    common.add_argument(
-        "--tol",
-        type=lambda t: _finite_flag(t, False),
-        default=EPS,
-        help="comparison tolerance (default %(default)g)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _output_mode(text: str) -> str:
+    if text not in ("pretty", "records"):
+        raise ValueError(f"invalid choice: {text!r} (choose from 'pretty', 'records')")
+    return text
 
-    p = sub.add_parser("split", parents=[common], help="quaternion pair of an element")
-    p.add_argument("element")
-    p.set_defaults(handler=_cmd_split)
 
-    p = sub.add_parser(
-        "cone-check", parents=[common], help="quadratic-cone membership"
-    )
-    p.add_argument("element")
-    p.set_defaults(handler=_cmd_cone_check)
+# Options are flag -> (converter, default); a default of ... marks a required one.
+_COMMON = {"--output": (_output_mode, "pretty"), "--tol": (lambda t: _finite_flag(t, False), EPS)}
+_TEXT = (str, ...)
+#: command -> (handler, help line, positional names, options beside ``_COMMON``).
+COMMANDS: dict[str, tuple[Callable, str, tuple[str, ...], dict]] = {
+    "split": (_cmd_split, "quaternion pair of an element", ("element",), {}),
+    "cone-check": (_cmd_cone_check, "quadratic-cone membership", ("element",), {}),
+    "eval": (_cmd_eval, "evaluate a polynomial", (), {"--poly": _TEXT, "--at": _TEXT}),
+    "star": (_cmd_star, "star product of polynomials, and both product forms at --at", (),
+             {"--left": _TEXT, "--right": _TEXT, "--at": (str, None)}),
+    "roots": (_cmd_roots, "classify zeros of a factored quadratic", (), {"--factored": _TEXT}),
+    "mult": (_cmd_mult, "multiplicity report of a factored polynomial at a sphere", (),
+             {"--factored": _TEXT, "--sphere": _TEXT}),
+    "det": (_cmd_det, "determinant of a 2x2 matrix", (), {"--matrix": _TEXT}),
+    "cauchy-verify": (_cmd_cauchy_verify, "reconstruct a polynomial value from contour integrals",
+                      (), {"--poly": _TEXT, "--center": (float, 0.0), "--radius": (float, ...),
+                           "--nodes": (int, None), "--at": _TEXT}),
+    "dbar-check": (_cmd_dbar_check, "finite-difference regularity residuals", (),
+                   {"--poly": _TEXT, "--at": _TEXT,
+                    "--fd-step": (lambda t: _finite_flag(t, True), 1e-5)}),
+    "kernel": (_cmd_kernel, "two-slice Cauchy kernel value", (), {"--s": _TEXT, "--x": _TEXT}),
+}
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a polynomial")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--at", required=True)
-    p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("star", parents=[common], help="star product of polynomials")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--at", help="also evaluate both product forms at this element")
-    p.set_defaults(handler=_cmd_star)
+def _usage(name: str | None) -> str:
+    _, _, positional, options = COMMANDS.get(name, (None, None, ("...",), {}))
+    words = [f"usage: qcone3 {name or '<command>'} [-h]"]
+    for flag, (_, default) in {**_COMMON, **options}.items():
+        word = f"{flag} {flag[2:].upper().replace('-', '_')}"
+        words.append(word if default is ... else f"[{word}]")
+    return " ".join([*words, *positional])
 
-    p = sub.add_parser(
-        "roots", parents=[common], help="classify zeros of a factored quadratic"
-    )
-    p.add_argument("--factored", required=True)
-    p.set_defaults(handler=_cmd_roots)
 
-    p = sub.add_parser(
-        "mult", parents=[common], help="multiplicity report of a factored polynomial"
-    )
-    p.add_argument("--factored", required=True)
-    p.add_argument("--sphere", required=True, help="base as 'center,radius'")
-    p.set_defaults(handler=_cmd_mult)
+def _fail(name: str | None, message: str) -> int:
+    """Print a usage error for command ``name`` (None: no command); its exit status."""
+    prog = f"qcone3 {name}" if name else "qcone3"
+    print(f"{_usage(name)}\n{prog}: error: {message}", file=sys.stderr)
+    return 2
 
-    p = sub.add_parser("det", parents=[common], help="determinant of a 2x2 matrix")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(handler=_cmd_det)
 
-    p = sub.add_parser(
-        "cauchy-verify",
-        parents=[common],
-        help="reconstruct a polynomial value from contour integrals",
-    )
-    p.add_argument("--poly", required=True)
-    p.add_argument("--center", type=float, default=0.0)
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--at", required=True)
-    p.set_defaults(handler=_cmd_cauchy_verify)
-
-    p = sub.add_parser(
-        "dbar-check", parents=[common], help="finite-difference regularity residuals"
-    )
-    p.add_argument("--poly", required=True)
-    p.add_argument("--at", required=True)
-    p.add_argument("--fd-step", type=lambda t: _finite_flag(t, True), default=1e-5)
-    p.set_defaults(handler=_cmd_dbar_check)
-
-    p = sub.add_parser(
-        "kernel", parents=[common], help="two-slice Cauchy kernel value"
-    )
-    p.add_argument("--s", required=True)
-    p.add_argument("--x", required=True)
-    p.set_defaults(handler=_cmd_kernel)
-
-    return parser
+def _parse(argv: list[str]):
+    """``(handler, args)``, or the exit status once help or a usage error is printed."""
+    if argv[:1] in (["-h"], ["--help"]):
+        print(_usage(None), "", "commands:", sep="\n")
+        print("\n".join(f"  {name:<15}{entry[1]}" for name, entry in COMMANDS.items()))
+        return 0
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown command {argv[0]!r}" if argv else "missing command"
+        return _fail(None, f"{got} (choose from {', '.join(map(repr, COMMANDS))})")
+    name, rest = argv[0], iter(argv[1:])
+    handler, help_line, positional, options = COMMANDS[name]
+    options, values, words = {**_COMMON, **options}, {}, []
+    for word in rest:
+        if word == "--":
+            words += rest
+        elif word in ("-h", "--help"):
+            print(_usage(name), "", help_line, sep="\n")
+            return 0
+        elif word.startswith("--"):
+            flag, eq, text = word.partition("=")
+            if flag not in options:
+                return _fail(name, f"unrecognized option {flag}")
+            if not eq and (text := next(rest, None)) is None:
+                return _fail(name, f"argument {flag}: expected one argument")
+            try:
+                values[flag] = options[flag][0](text)
+            except ValueError as exc:
+                return _fail(name, f"argument {flag}: {exc}")
+        else:
+            words.append(word)
+    missing = [flag for flag, (_, d) in options.items() if d is ... and flag not in values]
+    if missing := missing + list(positional[len(words) :]):
+        return _fail(name, f"the following arguments are required: {', '.join(missing)}")
+    if len(words) > len(positional):
+        return _fail(name, f"unrecognized arguments: {' '.join(words[len(positional) :])}")
+    args = {flag[2:].replace("-", "_"): values.get(flag, d) for flag, (_, d) in options.items()}
+    return handler, SimpleNamespace(**args, **dict(zip(positional, words)))
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    parsed = _parse(argv)
+    if isinstance(parsed, int):
+        return parsed
+    handler, args = parsed
     out = _Output(args.output)
-    handler: Callable = args.handler
     try:
         handler(args, out)
     except ParseError as exc:

@@ -301,6 +301,114 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+# -- the command line grammar (see the cli module docstring) -----------------------
+
+POLY = "coeffs: [1, e1]"
+# One valid call per command, every option as ``--opt value`` (eval's value starts with '-').
+VALID_ARGV = {
+    "split": ["split", "--tol", "1e-9", "e1"],
+    "cone-check": ["cone-check", "--tol", "0", "e1"],
+    "eval": ["eval", "--poly", POLY, "--at", "-e1"],
+    "star": ["star", "--left", POLY, "--right", "coeffs: [e2]", "--at", "0.5e1"],
+    "roots": ["roots", "--factored", "(x - e1)*(x - e23)"],
+    "mult": ["mult", "--factored", "(x - e1)*(x - e23)", "--sphere", "0,1"],
+    "det": ["det", "--matrix", "[[1, e1], [e2, 2]]"],
+    "cauchy-verify": [
+        "cauchy-verify", "--poly", POLY, "--center", "-0.5", "--radius", "2",
+        "--nodes", "64", "--at", "0.5e1",
+    ],
+    "dbar-check": ["dbar-check", "--poly", POLY, "--at", "0.5e1", "--fd-step", "1e-4"],
+    "kernel": ["kernel", "--s", "e1", "--x", "0.5e1"],
+}
+
+
+def _joined(argv: list[str]) -> list[str]:
+    """``argv`` with every ``--opt value`` written ``--opt=value``."""
+    out, words = [], iter(argv)
+    for word in words:
+        out.append(f"{word}={next(words)}" if word.startswith("--") else word)
+    return out
+
+
+def test_valid_argv_covers_every_subcommand():
+    assert sorted(VALID_ARGV) == sorted(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV.values(), ids=list(VALID_ARGV))
+def test_option_value_forms_give_the_same_records(capsys, argv):
+    spaced = invoke(capsys, *argv, "--output", "records")
+    joined = invoke(capsys, *_joined(argv), "--output=records")
+    assert spaced[0] == 0 and spaced[2] == ""
+    assert joined == spaced
+
+
+def test_double_dash_ends_options(capsys):
+    assert invoke(capsys, "split", "--output", "records", "--", "-e1") == invoke(
+        capsys, "split", "-e1", "--output", "records"
+    )
+    # After '--' an option name is a positional, here one the element grammar refuses.
+    code, out, err = invoke(capsys, "split", "--", "--output")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error")
+
+
+def test_repeated_option_last_value_wins(capsys):
+    assert invoke(capsys, "split", "e1", "--output", "pretty", "--output", "records") == invoke(
+        capsys, "split", "e1", "--output", "records"
+    )
+    assert invoke(capsys, "eval", "--poly", POLY, "--at", "e2", "--at", "-e1") == invoke(
+        capsys, "eval", "--poly", POLY, "--at", "-e1"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("split", "e1", "--bogus", "1"), "unrecognized option --bogus"),
+        (("split", "e1", "--out", "records"), "unrecognized option --out"),
+        (("split", "e1", "--output"), "argument --output: expected one argument"),
+        (("eval", "--poly", POLY, "--at"), "argument --at: expected one argument"),
+        (("eval", "--poly", POLY), "the following arguments are required: --at"),
+        (("kernel",), "the following arguments are required: --s, --x"),
+        (("split",), "the following arguments are required: element"),
+        (("split", "e1", "e2"), "unrecognized arguments: e2"),
+        (("eval", "--poly", POLY, "--at", "e1", "e2"), "unrecognized arguments: e2"),
+        (("split", "e1", "--output", "json"), "argument --output: invalid choice: 'json'"),
+        (("cauchy-verify", *VALID_ARGV["cauchy-verify"][1:], "--nodes", "1.5"), "argument --nodes"),
+    ],
+    ids=[
+        "unknown option", "abbreviated option", "no value", "no value at the end",
+        "missing option", "missing options", "missing positional", "extra positional",
+        "positional to an option-only command", "bad choice", "bad int",
+    ],
+)
+def test_usage_error_names_the_command_and_exits_2(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith(f"usage: qcone3 {argv[0]} [-h] ")
+    assert error.startswith(f"qcone3 {argv[0]}: error: {message}")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_at_both_levels(capsys, flag):
+    code, out, err = invoke(capsys, flag)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: qcone3 <command> ")
+    for name, (_, help_line, _, _) in cli.COMMANDS.items():
+        assert re.search(rf"^  {re.escape(name)} +{re.escape(help_line)}$", out, re.M), name
+    code, out, err = invoke(capsys, "cauchy-verify", "--poly", POLY, flag, "--bogus")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: qcone3 cauchy-verify [-h] ")
+    assert " --radius RADIUS [--nodes NODES] --at AT\n" in out
+
+
+def test_help_flag_as_an_option_value_is_the_value(capsys):
+    code, out, err = invoke(capsys, "eval", "--poly", POLY, "--at", "-h")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error")
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_split_rejects_non_finite_coefficient(capsys, bad):
     code, out, err = invoke(capsys, "split", f"1,0,0,{bad},0,0,0,0")
@@ -782,7 +890,7 @@ POLYS = st.one_of(
 
 
 def _option(name: str, values: st.SearchStrategy) -> st.SearchStrategy:
-    """``--name value`` or ``--name=value``; a value starting with '-' needs the second."""
+    """``--name value`` or ``--name=value``, one and the same whatever the value starts with."""
     return values.flatmap(lambda v: st.sampled_from([(name, v), (f"{name}={v}",)]))
 
 
@@ -791,7 +899,7 @@ def _optional(name: str, values: st.SearchStrategy) -> st.SearchStrategy:
 
 
 def _positional(values: st.SearchStrategy) -> st.SearchStrategy:
-    """The value, or ``-- value`` so that a leading '-' is not read as an option."""
+    """The value, or ``-- value``, after which no word is read as an option."""
     return values.flatmap(lambda v: st.sampled_from([(v,), ("--", v)]))
 
 
@@ -856,8 +964,7 @@ def _finite(text: str) -> float:
 
 
 def test_exit_contract_strategy_covers_every_subcommand():
-    (choices,) = re.findall(r"\{([^}]*)\}", cli._build_parser().format_usage())
-    assert sorted(COMMANDS) == sorted(choices.split(","))
+    assert sorted(COMMANDS) == sorted(cli.COMMANDS)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

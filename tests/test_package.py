@@ -129,17 +129,19 @@ def test_unknown_attribute_names_the_package():
 
 
 # Runs one CLI call, then prints its exit status, the qcone3 submodules it
-# loaded and whether it imported ``decimal``.
+# loaded, whether it imported ``decimal``, and which of argparse's modules
+# (``argparse``, ``gettext``, ``locale``) it imported.
 _CLI_CALL = (
     "import json, sys\n"
     "from qcone3 import cli\n"
     "code = cli.run(sys.argv[1:])\n"
     "loaded = sorted(m[7:] for m in sys.modules if m.startswith('qcone3.'))\n"
-    "print(json.dumps([code, loaded, 'decimal' in sys.modules]))\n"
+    "parsers = sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))\n"
+    "print(json.dumps([code, loaded, 'decimal' in sys.modules, parsers]))\n"
 )
 
 
-def _cli_call(*argv: str) -> tuple[int, list[str], bool]:
+def _cli_call(*argv: str) -> tuple[int, list[str], bool, list[str]]:
     *_, last = _fresh(_CLI_CALL, *argv).splitlines()
     return tuple(json.loads(last))
 
@@ -175,12 +177,14 @@ _FOOTPRINTS = [
     "argv, extra", _FOOTPRINTS, ids=[argv[0] for argv, _ in _FOOTPRINTS]
 )
 def test_each_subcommand_loads_only_its_modules(argv, extra):
-    # The sets README.md's import contract lists; no subcommand loads stem.
-    code, loaded, _ = _cli_call(*argv)
+    # The sets README.md's import contract lists; no subcommand loads stem,
+    # and none loads argparse or what its messages import.
+    code, loaded, _, parsers = _cli_call(*argv)
     assert code == 0
     assert loaded == sorted(_BASE + extra)
+    assert parsers == []
 
 
 def test_decimal_loads_only_for_numbers_printed_with_an_exponent():
-    assert _cli_call("split", "0.5e1") == (0, _BASE, False)
-    assert _cli_call("split", "0.00000000000001e1") == (0, _BASE, True)
+    assert _cli_call("split", "0.5e1") == (0, _BASE, False, [])
+    assert _cli_call("split", "0.00000000000001e1") == (0, _BASE, True, [])
