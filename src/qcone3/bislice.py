@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .clifford3 import E0, EPS, Q_ONE, CliffordElement, Quat, QuatPair, ZERO, _new, join, negligible, scalar, split
 from .errors import InvalidStep, NotImaginaryUnit, NotInvertibleAtPoint, NotOrthogonal, RealPoint
-from .qsplit import ConePoint
+from .qsplit import ConePoint, _slice_point
 
 
 class QuatPoly:
@@ -267,10 +267,10 @@ def sample_slice_values(
     fp, fq = poly.split()
     a, b = x.alpha, x.beta
     return SliceSamples(
-        fp.eval(Quat(a) + w1 * b),
-        fp.eval(Quat(a) - w1 * b),
-        fq.eval(Quat(a) + w2 * b),
-        fq.eval(Quat(a) - w2 * b),
+        fp.eval(_slice_point(a, w1, b)),
+        fp.eval(_slice_point(a, w1, -b)),
+        fq.eval(_slice_point(a, w2, b)),
+        fq.eval(_slice_point(a, w2, -b)),
         w1,
         w2,
     )
@@ -338,12 +338,12 @@ def slice_map(target: "BiSlicePoly | Callable", x: ConePoint) -> SliceMap:
         fp, fq = target.split()
 
         def phi(u: float, v: float) -> CliffordElement:
-            return join(fp.eval(Quat(u) + i1 * v), fq.eval(Quat(u) + i2 * v))
+            return join(fp.eval(_slice_point(u, i1, v)), fq.eval(_slice_point(u, i2, v)))
 
         return phi
 
     def phi_fn(u: float, v: float) -> CliffordElement:
-        return target(join(Quat(u) + i1 * v, Quat(u) + i2 * v))
+        return target(join(_slice_point(u, i1, v), _slice_point(u, i2, v)))
 
     return phi_fn
 

@@ -97,7 +97,7 @@ from .errors import (
     OnSingularSphere,
     PointOutsideContour,
 )
-from .qsplit import ConePoint
+from .qsplit import ConePoint, _slice_point
 
 DEFAULT_NODES = 512
 MIN_NODES = 16
@@ -244,6 +244,11 @@ def _horner(ws: tuple, rows: list, zs) -> None:
         put7(v3)
 
 
+def _rows(fp: QuatPoly, fq: QuatPoly) -> list:
+    """Both components' coefficient rows for :func:`_horner`, leading one first."""
+    return [a.as_tuple() + b.as_tuple() for a, b in zip(reversed(fp.coeffs), reversed(fq.coeffs))]
+
+
 def _slice_table(fp: QuatPoly, fq: QuatPoly, contour: SliceContour) -> tuple:
     """The node table ``(phi, z, c w0, ..., c w3, c w0', ..., c w3')``,
     columns over the nodes k <= N//2 of weight c: the circle, then four
@@ -255,7 +260,7 @@ def _slice_table(fp: QuatPoly, fq: QuatPoly, contour: SliceContour) -> tuple:
     values stay normal."""
     n = contour.nodes
     phis, zs = _circle(contour)
-    rows = [a.as_tuple() + b.as_tuple() for a, b in zip(reversed(fp.coeffs), reversed(fq.coeffs))]
+    rows = _rows(fp, fq)
     doubled = [tuple([2.0 * c for c in row]) for row in rows]
     nodes = iter(zs)
     ws = [], [], [], [], [], [], [], []
@@ -414,7 +419,7 @@ def kernel_regularity_residual(
 
     def slice_operator(fixed: Quat, at: ConePoint, unit: Quat, right_sided: bool) -> Quat:
         def kernel(u: float, v: float) -> Quat:
-            y = Quat(u) + unit * v
+            y = _slice_point(u, unit, v)
             return cauchy_kernel_quat(y, fixed) if right_sided else cauchy_kernel_quat(fixed, y)
 
         du, dv = central_differences(kernel, at.alpha, at.beta, h)

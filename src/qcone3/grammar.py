@@ -94,6 +94,23 @@ def _parse_terms(text: str) -> list[float]:
         pos = m.end()
 
 
+def _finite_reals(text: str, parts: list[str], what: str) -> list[float]:
+    """The comma-separated ``parts`` of ``text`` as finite reals; an error
+    puts its caret at the start of the offending part."""
+    values = []
+    at = 0
+    for part in parts:
+        try:
+            value = float(part)
+        except ValueError:
+            raise ParseError("invalid real number", text, at) from None
+        if not math.isfinite(value):
+            raise ParseError(f"{what} must be finite", text, at)
+        values.append(value)
+        at += len(part) + 1
+    return values
+
+
 def _parse_within(parse, text: str, start: int, piece: str):
     """``parse(piece)`` for the ``piece`` of ``text`` that starts at ``start``:
     a parse error inside it is reported against the whole text."""
@@ -122,18 +139,7 @@ def parse_element(text: str) -> CliffordElement:
                 text,
                 0,
             )
-        coeffs = []
-        offset = 0
-        for part in parts:
-            try:
-                value = float(part)
-            except ValueError:
-                raise ParseError("invalid real number", text, offset) from None
-            if not math.isfinite(value):
-                raise ParseError("coefficient must be finite", text, offset)
-            coeffs.append(value)
-            offset += len(part) + 1
-        return CliffordElement(coeffs)
+        return CliffordElement(_finite_reals(text, parts, "coefficient"))
     return _element_from_floats(tuple(_parse_terms(text)))
 
 
@@ -325,13 +331,7 @@ def parse_sphere(text: str) -> SphereDescriptor:
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError("expected 'center,radius'", text, 0)
-    try:
-        center = float(parts[0])
-        radius = float(parts[1])
-    except ValueError:
-        raise ParseError("invalid real number", text, 0) from None
-    if not (math.isfinite(center) and math.isfinite(radius)):
-        raise ParseError("center and radius must be finite", text, 0)
+    center, radius = _finite_reals(text, parts, "center and radius")
     if radius < 0:
-        raise ParseError("radius must be nonnegative", text, 0)
+        raise ParseError("radius must be nonnegative", text, len(parts[0]) + 1)
     return SphereDescriptor(center, radius)

@@ -89,7 +89,7 @@ class SphereDescriptor(NamedTuple):
         return negligible(self.radius, max(abs(self.center), abs(self.radius)), tol=tol)
 
     def sample(self, unit: Quat) -> Quat:
-        return Quat(self.center) + unit * self.radius
+        return _slice_point(self.center, unit, self.radius)
 
 
 def _slice_point(alpha: float, unit: Quat | None, beta: float) -> Quat:

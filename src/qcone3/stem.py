@@ -1,7 +1,7 @@
 """Stem functions on a plane domain and the slice functions they induce.
 
-A stem is four quaternion-valued component maps (f1, f2, g1, g2) of a plane
-point z = (alpha, beta), subject to the parity rule that the first/third
+A stem is one map from a plane point z = (alpha, beta) to four quaternions
+(f1, f2, g1, g2), subject to the parity rule that the first/third
 components are even in beta and the second/fourth odd.  The induced function
 takes the value ``w+ (f1 + I1 f2) + w- (g1 + I2 g2)`` at the cone point with
 slice data (alpha, beta, I1, I2); parity makes this independent of the
@@ -18,15 +18,15 @@ identity function has spherical derivative 1 and the decomposition
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, NamedTuple
 
 from .clifford3 import EPS, CliffordElement, Quat, _new, join, split
 from .errors import OutOfDomain, RealPoint
 from . import bislice
+from .cauchy import _horner, _rows
 from .qsplit import ConePoint
-
-ComponentMap = Callable[[float, float], Quat]
 
 
 class _RectFields(NamedTuple):
@@ -41,6 +41,8 @@ class RectDomain(_RectFields):
     __slots__ = ()
 
     def __new__(cls, alpha_min: float, alpha_max: float, beta_max: float) -> "RectDomain":
+        if not all(map(math.isfinite, (alpha_min, alpha_max, beta_max))):
+            raise ValueError("stem domain bounds must be finite")
         if alpha_min > alpha_max or beta_max < 0:
             raise ValueError("empty stem domain")
         return super().__new__(cls, alpha_min, alpha_max, beta_max)
@@ -56,19 +58,10 @@ DEFAULT_DOMAIN = RectDomain(-4.0, 4.0, 4.0)
 
 
 class StemFunction(NamedTuple):
-    f1: ComponentMap
-    f2: ComponentMap
-    g1: ComponentMap
-    g2: ComponentMap
-    domain: RectDomain = DEFAULT_DOMAIN
+    """The map ``(alpha, beta) -> (f1, f2, g1, g2)`` on its domain."""
 
-    def components(self, alpha: float, beta: float) -> tuple[Quat, Quat, Quat, Quat]:
-        return (
-            self.f1(alpha, beta),
-            self.f2(alpha, beta),
-            self.g1(alpha, beta),
-            self.g2(alpha, beta),
-        )
+    components: Callable[[float, float], tuple[Quat, Quat, Quat, Quat]]
+    domain: RectDomain = DEFAULT_DOMAIN
 
 
 def _require_in_domain(stem: StemFunction, alpha: float, beta: float) -> None:
@@ -113,10 +106,12 @@ class ParityReport(NamedTuple):
 
 def check_parity(stem: StemFunction, samples: int = 200, seed: int = 0) -> ParityReport:
     """Worst violation of the even/odd component rules over conjugate pairs."""
+    if samples < 1:
+        raise ValueError(f"parity check needs at least one sample, got {samples}")
     rng = random.Random(seed)
     dom = stem.domain
     worst = 0.0
-    for _ in range(max(1, samples)):
+    for _ in range(samples):
         a = rng.uniform(dom.alpha_min, dom.alpha_max)
         b = rng.uniform(0.0, dom.beta_max)
         f1p, f2p, g1p, g2p = stem.components(a, b)
@@ -155,22 +150,24 @@ def check_cauchy_riemann(
     scale, floored at 1 so affine stems are judged against rounding noise,
     not against zero.
     """
+    if samples < 1:
+        raise ValueError(f"Cauchy-Riemann check needs at least one sample, got {samples}")
     rng = random.Random(0)
     dom = stem.domain
     worst = 0.0
     curvature = 0.0
-    for _ in range(max(1, samples)):
+    for _ in range(samples):
         a = rng.uniform(dom.alpha_min + 2 * h, dom.alpha_max - 2 * h)
         b = rng.uniform(-dom.beta_max + 2 * h, dom.beta_max - 2 * h)
-        for one, two in ((stem.f1, stem.f2), (stem.g1, stem.g2)):
-            da1, db1 = bislice.central_differences(one, a, b, h)
-            da2, db2 = bislice.central_differences(two, a, b, h)
+        # The map once per stencil point; each component is differenced from these.
+        stencil = ((a + h, b), (a - h, b)), ((a, b + h), (a, b - h))
+        at = {pt: stem.components(*pt) for pt in ((a, b), *stencil[0], *stencil[1])}
+        d = [bislice.central_differences(lambda u, v, k=k: at[u, v][k], a, b, h) for k in range(4)]
+        for (da1, db1), (da2, db2) in (d[:2], d[2:]):
             worst = bislice.nan_max(worst, (da1 - db2).modulus(), (db1 + da2).modulus())
-            for comp in (one, two):
-                center = comp(a, b)
-                dd_a = (comp(a + h, b) - center * 2.0 + comp(a - h, b)) / (h * h)
-                dd_b = (comp(a, b + h) - center * 2.0 + comp(a, b - h)) / (h * h)
-                curvature = max(curvature, dd_a.modulus(), dd_b.modulus())
+        for ahead, behind in stencil:
+            for c, up, down in zip(at[a, b], at[ahead], at[behind]):
+                curvature = max(curvature, ((up - c * 2.0 + down) / (h * h)).modulus())
     c = 10.0 * max(curvature, 1.0)
     return CauchyRiemannReport(worst, c * h * h, curvature, h, samples)
 
@@ -181,13 +178,7 @@ def check_cauchy_riemann(
 def constant_stem(value: CliffordElement, domain: RectDomain = DEFAULT_DOMAIN) -> StemFunction:
     p, q = split(value)
     zero = Quat()
-    return StemFunction(
-        lambda a, b: p,
-        lambda a, b: zero,
-        lambda a, b: q,
-        lambda a, b: zero,
-        domain,
-    )
+    return StemFunction(lambda a, b: (p, zero, q, zero), domain)
 
 
 def stem_from_poly(
@@ -197,33 +188,21 @@ def stem_from_poly(
 
     With z = alpha + i*beta, the component pairs are
     ``f1 + i f2 = sum z^n b_n`` and ``g1 + i g2 = sum z^n c_n`` where b, c
-    are the split coefficient sequences.  Real and imaginary parts of the
-    complex powers multiply the quaternion coefficients from the left.
+    are the split coefficient sequences: the complex columns ``F(s) = R(w)``
+    of the Cauchy quadrature, from one Horner pass at z over the rows of
+    both components.
     """
-    fp, fq = poly.split()
+    rows = _rows(*poly.split())
 
-    def build(coeffs: tuple[Quat, ...], pick_imag: bool) -> ComponentMap:
-        def component(alpha: float, beta: float) -> Quat:
-            # acc + c * w on floats, in the operator form's order.
-            z = complex(alpha, beta)
-            a0 = a1 = a2 = a3 = 0.0
-            zn = complex(1.0, 0.0)
-            for c0, c1, c2, c3 in coeffs:
-                w = zn.imag if pick_imag else zn.real
-                if w != 0.0:
-                    a0 += c0 * w
-                    a1 += c1 * w
-                    a2 += c2 * w
-                    a3 += c3 * w
-                zn *= z
-            return _new(Quat, (a0, a1, a2, a3))
+    def components(alpha: float, beta: float) -> tuple[Quat, Quat, Quat, Quat]:
+        ws = [], [], [], [], [], [], [], []
+        _horner(ws, rows, (complex(alpha, beta),))
+        (u0,), (u1,), (u2,), (u3,), (v0,), (v1,), (v2,), (v3,) = ws
+        return (
+            _new(Quat, (u0.real, u1.real, u2.real, u3.real)),
+            _new(Quat, (u0.imag, u1.imag, u2.imag, u3.imag)),
+            _new(Quat, (v0.real, v1.real, v2.real, v3.real)),
+            _new(Quat, (v0.imag, v1.imag, v2.imag, v3.imag)),
+        )
 
-        return component
-
-    return StemFunction(
-        build(fp.coeffs, False),
-        build(fp.coeffs, True),
-        build(fq.coeffs, False),
-        build(fq.coeffs, True),
-        domain,
-    )
+    return StemFunction(components, domain)

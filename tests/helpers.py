@@ -459,10 +459,10 @@ def split_top_level(text: str, sep: str = ",") -> list[str]:
 
 # -- oracle: the polynomial kernels in operator form ------------------------------
 #
-# The library runs Horner, the star convolution and the stem components on
-# float locals.  These are the loops they replaced, one Quat operation per step;
-# the kernels keep every operation and its order, so the tests require equal
-# reprs, signed zeros included.
+# The library runs Horner and the star convolution on float locals.  These are
+# the loops they replaced, one Quat operation per step; the kernels keep every
+# operation and its order, so the tests require equal reprs, signed zeros
+# included.
 
 
 def quat_horner(coeffs: Sequence[Quat], p: Quat) -> Quat:
@@ -482,19 +482,6 @@ def quat_star(f: Sequence[Quat], g: Sequence[Quat]) -> list[Quat]:
         for j, b in enumerate(g):
             out[i + j] = out[i + j] + a * b
     return out
-
-
-def stem_component(coeffs: Sequence[Quat], alpha: float, beta: float, pick_imag: bool) -> Quat:
-    """Real or imaginary part of sum z^n c_n, z = alpha + i beta, with Quat operators."""
-    z = complex(alpha, beta)
-    acc = Quat()
-    zn = complex(1.0, 0.0)
-    for c in coeffs:
-        w = zn.imag if pick_imag else zn.real
-        if w != 0.0:
-            acc = acc + c * w
-        zn *= z
-    return acc
 
 
 # -- oracle: the splitting projection reassembled ---------------------------------

@@ -50,10 +50,10 @@ from helpers import (
     rand_cone_point,
     rand_element,
     rand_poly,
+    per_node_slice_columns,
     rand_quat,
     rand_unit_imaginary,
     reassemble_splitting,
-    stem_component,
 )
 
 
@@ -448,10 +448,12 @@ def test_kernels_are_the_operator_form_bit_for_bit(f, g, p, alpha, beta):
     assert _bits(QuatPoly(f).star(QuatPoly(g)).coeffs) == _bits(quat_star(f, g))
     fq = [a.conj() for a in reversed(f)]
     stem = stem_from_poly(BiSlicePoly.from_pair(QuatPoly(f), QuatPoly(fq)))
+    # The stem is the quadrature's Horner columns at z = alpha + i beta.
+    z = complex(alpha, beta)
     want = [
-        stem_component(side, alpha, beta, pick_imag)
+        Quat(*(getattr(w, part) for (w,) in per_node_slice_columns(QuatPoly(side), [z], 1)))
         for side in (f, fq)
-        for pick_imag in (False, True)
+        for part in ("real", "imag")
     ]
     assert _bits(stem.components(alpha, beta)) == _bits(want)
 

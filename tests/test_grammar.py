@@ -433,3 +433,20 @@ def test_parse_sphere():
     for text in ("nan,1", "inf,1", "0,nan", "0,inf"):
         with pytest.raises(ParseError, match="finite"):
             parse_sphere(text)
+
+
+@pytest.mark.parametrize(
+    "text, message, pos",
+    [
+        ("abc,1", "invalid real number", 0),
+        ("0,abc", "invalid real number", 2),
+        ("0.25,-1", "radius must be nonnegative", 5),
+        ("nan,1", "center and radius must be finite", 0),
+        ("0,nan", "center and radius must be finite", 2),
+        ("10,-inf", "center and radius must be finite", 3),
+    ],
+)
+def test_sphere_errors_point_at_the_offending_number(text, message, pos):
+    with pytest.raises(ParseError) as info:
+        parse_sphere(text)
+    assert (info.value.message, info.value.pos) == (message, pos)

@@ -68,6 +68,12 @@ def test_rect_domain_validates_and_is_immutable():
     for bounds in ((1.0, 0.0, 1.0), (0.0, 1.0, -1.0)):
         with pytest.raises(ValueError):
             RectDomain(*bounds)
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in range(3):
+            bounds = [-1.0, 1.0, 2.0]
+            bounds[field] = bad
+            with pytest.raises(ValueError, match="finite"):
+                RectDomain(*bounds)
     dom = RectDomain(-1.0, 1.0, 2.0)
     assert repr(dom) == "RectDomain(alpha_min=-1.0, alpha_max=1.0, beta_max=2.0)"
     with pytest.raises(AttributeError):
@@ -77,12 +83,7 @@ def test_rect_domain_validates_and_is_immutable():
 def test_parity_reports():
     assert check_parity(IDENT).max_violation == 0
     assert check_parity(SQ).passed
-    constant_second = StemFunction(
-        lambda a, b: Quat(a),
-        lambda a, b: Quat(1.0),
-        lambda a, b: Quat(a),
-        lambda a, b: Quat(b),
-    )
+    constant_second = StemFunction(lambda a, b: (Quat(a), Quat(1.0), Quat(a), Quat(b)))
     report = check_parity(constant_second)
     assert not report.passed and report.max_violation >= 2.0
 
@@ -90,24 +91,25 @@ def test_parity_reports():
 def test_cauchy_riemann_reports():
     assert check_cauchy_riemann(IDENT, 1e-5).max_residual < 1e-10
     assert check_cauchy_riemann(SQ, 1e-5).passed
-    not_holo = StemFunction(
-        lambda a, b: Quat(a * a),
-        lambda a, b: Quat(0.0),
-        lambda a, b: Quat(a),
-        lambda a, b: Quat(b),
-    )
+    not_holo = StemFunction(lambda a, b: (Quat(a * a), Quat(0.0), Quat(a), Quat(b)))
     assert not check_cauchy_riemann(not_holo, 1e-5).passed
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_checks_refuse_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match="at least one sample"):
+        check_parity(IDENT, samples)
+    with pytest.raises(ValueError, match="at least one sample"):
+        check_cauchy_riemann(IDENT, 1e-5, samples)
 
 
 def test_checks_keep_a_nan_residual():
     # nan for alpha > 0 only, so finite residuals come before the first nan.
     def half_nan(a, b):
-        return Quat(math.nan if a > 0 else a)
+        even = Quat(math.nan if a > 0 else a)
+        return even, Quat(b), even, Quat(b)
 
-    def odd(a, b):
-        return Quat(b)
-
-    nan_stem = StemFunction(half_nan, odd, half_nan, odd)
+    nan_stem = StemFunction(half_nan)
     parity = check_parity(nan_stem)
     assert math.isnan(parity.max_violation) and not parity.passed
     cr = check_cauchy_riemann(nan_stem, 1e-5)
