@@ -27,7 +27,7 @@ Write ``phi = r e^{i t}`` and ``z = x0 + phi``, and for a complex 4-vector
 ``v`` let ``R(v) = Re v + I Im v``; left multiplication by an element of C_I
 is then complex multiplication, ``(a + I b) R(v) = R((a + i b) v)``.
 
-* ``F(s) = R(w)``, where ``w`` is four complex Horner evaluations at ``z``,
+* ``F(s) = R(w)``, where ``w`` is four complex polynomial values at ``z``,
   one per real coefficient column.
 * For a target ``q = alpha + J beta`` (beta >= 0, J = Im q / |Im q|; any unit
   when q is real) put ``q_c = alpha + i beta``.  The kernel has real
@@ -66,10 +66,18 @@ node, and the answer is the node loop's either way (:func:`_kernel_weights`).
 Both quadratures read one node table over k = 0 ... N//2: the circle's
 ``phi`` and ``z``, and ``c_k w`` for each split component, 202 bytes per
 contour node (tracemalloc), so at most 13 MB at :data:`MAX_NODES`, and a
-reconstruction's columns ``x, y`` 40 (2.5 MB) while it runs.  One Horner
-pass over ``z`` fills both components' columns (:func:`_horner`).  The unit
-circle ``e^{i t_k}`` is kept for the last four node counts, about 1.3 MB an
-entry at :data:`MAX_NODES`, and each circle scales it (:func:`_circle`).
+reconstruction's columns ``x, y`` 40 (2.5 MB) while it runs.  The columns
+come from f's Taylor rows about x0 (an O(d^2) synthetic division once per
+table), split into even and odd parts, ``f(x0 + phi) = E(phi^2) + phi
+O(phi^2)``.  For even N the antipode ``-conj(phi_k)`` of node k is node
+N/2 - k, and as each column has real coefficients its value is ``conj(E -
+phi O)``: one pass over the quarter circle k <= N/4, about d/2 Horner steps
+in ``phi^2`` per table node, fills both components' columns on both halves
+(:func:`_slice_pass`, :func:`_slice_table`).  The unit circle ``e^{i t_k}``
+is kept for the last four node counts, about 1.3 MB an entry at
+:data:`MAX_NODES`; for even N its back half is the front half's antipodes,
+so the table and the kernel weights read the same nodes, and each circle
+scales it (:func:`_circle`).
 The module keeps the table of its last (polynomial, contour) call, matched
 by identity, and replaces it in one assignment, so concurrent callers see a
 whole entry or none.
@@ -102,9 +110,9 @@ from .qsplit import ConePoint, _slice_point
 DEFAULT_NODES = 512
 MIN_NODES = 16
 MAX_NODES = 65536
-#: Most nodes x coefficients one contour's quadrature may evaluate (about
-#: 0.12 us each, as only nodes k <= N//2 are evaluated: 0.25 s per contour,
-#: measured with Python 3.11 on a 2-CPU shared host).
+#: Most nodes x coefficients one contour's quadrature may evaluate (the node
+#: table at 8192 nodes and 256 coefficients took 0.29 s, 0.14 us each, with
+#: Python 3.11 on a 2-CPU shared host).
 MAX_NODE_TERMS = 2**21
 #: Machine epsilon, 2^-52: the unit of the singular screen's rounding slack.
 _MACHINE_EPS = sys.float_info.epsilon
@@ -196,10 +204,17 @@ def cauchy_kernel(s: ConePoint, x: ConePoint, tol: float = EPS) -> CliffordEleme
 @lru_cache(maxsize=4)
 def _unit_circle(n: int) -> tuple:
     """``e^{i t_k}`` for ``t_k = 2 pi k / N``, k <= N//2: each circle of N
-    nodes scales it, so no contour computes a cosine or sine of its own."""
-    return tuple(
-        complex(math.cos(t), math.sin(t)) for t in (2.0 * math.pi * k / n for k in range(n // 2 + 1))
-    )
+    nodes scales it, so no contour computes a cosine or sine of its own.
+
+    For even N only the quarter circle k <= N//4 takes a cosine and sine;
+    the rest is its antipodes, ``e^{i t_{N/2-k}} = -conj(e^{i t_k})``, so the
+    table's antipodal nodes and the kernel weights' nodes are the same
+    floats."""
+    front = n // 4 if n % 2 == 0 else n // 2
+    units = [complex(math.cos(t), math.sin(t)) for t in (2.0 * math.pi * k / n for k in range(front + 1))]
+    if n % 2 == 0:
+        units += [-u.conjugate() for u in reversed(units[: n // 2 - front])]
+    return tuple(units)
 
 
 def _circle(contour: SliceContour) -> tuple:
@@ -209,44 +224,98 @@ def _circle(contour: SliceContour) -> tuple:
     r > 0.  The product adds ``-(sin t * 0)`` to r cos t and ``cos t * 0`` to r
     sin t; adding a zero changes only a -0.0, to +0.0, which needs sin t < 0
     with ``r cos t == -0.0`` or cos t > 0 with ``r sin t == -0.0``, and
-    neither occurs on the half circle."""
+    neither occurs on the half circle.  So the antipode of node k is
+    ``-conj(phi_k)`` here too."""
     phis = list(map(mul, _unit_circle(contour.nodes), repeat(contour.radius)))
     return phis, list(map(add, repeat(contour.center), phis))
 
 
-def _horner(ws: tuple, rows: list, zs) -> None:
-    """Append the Horner values at each node z to the eight columns ``ws``:
-    four of the first component, then four of the second.  ``rows`` holds
-    both components' coefficient columns, side by side, from the leading one
-    down."""
+def _slice_pass(ws: tuple, backs, rows: list, phis) -> None:
+    """Append ``f(x0 + phi) = E(phi^2) + phi O(phi^2)`` at each phi to the
+    eight columns ``ws``, four of the first component, then four of the
+    second; with ``backs`` (else None), append ``E - phi O`` to its eight
+    columns, whose conjugate is the value at the antipode ``-conj(phi)``.
+
+    ``rows`` holds E's eight coefficient columns and then O's, sixteen a
+    row, from the leading one down (:func:`_parity_rows`); Horner over
+    ``phi^2`` starts from the leading row as complex numbers."""
     lead, *rows = rows
-    # From the leading coefficient as a complex: the same bits as from 0j * z + c.
     lead = tuple(map(complex, lead))
     put0, put1, put2, put3, put4, put5, put6, put7 = (w.append for w in ws)
-    for z in zs:
-        u0, u1, u2, u3, v0, v1, v2, v3 = lead
-        for a0, a1, a2, a3, b0, b1, b2, b3 in rows:
-            u0 = u0 * z + a0
-            u1 = u1 * z + a1
-            u2 = u2 * z + a2
-            u3 = u3 * z + a3
-            v0 = v0 * z + b0
-            v1 = v1 * z + b1
-            v2 = v2 * z + b2
-            v3 = v3 * z + b3
-        put0(u0)
-        put1(u1)
-        put2(u2)
-        put3(u3)
-        put4(v0)
-        put5(v1)
-        put6(v2)
-        put7(v3)
+    if backs is not None:
+        back0, back1, back2, back3, back4, back5, back6, back7 = (b.append for b in backs)
+    for p in phis:
+        s = p * p
+        u0, u1, u2, u3, u4, u5, u6, u7, v0, v1, v2, v3, v4, v5, v6, v7 = lead
+        for a0, a1, a2, a3, a4, a5, a6, a7, b0, b1, b2, b3, b4, b5, b6, b7 in rows:
+            u0 = u0 * s + a0
+            u1 = u1 * s + a1
+            u2 = u2 * s + a2
+            u3 = u3 * s + a3
+            u4 = u4 * s + a4
+            u5 = u5 * s + a5
+            u6 = u6 * s + a6
+            u7 = u7 * s + a7
+            v0 = v0 * s + b0
+            v1 = v1 * s + b1
+            v2 = v2 * s + b2
+            v3 = v3 * s + b3
+            v4 = v4 * s + b4
+            v5 = v5 * s + b5
+            v6 = v6 * s + b6
+            v7 = v7 * s + b7
+        v0 = p * v0
+        v1 = p * v1
+        v2 = p * v2
+        v3 = p * v3
+        v4 = p * v4
+        v5 = p * v5
+        v6 = p * v6
+        v7 = p * v7
+        put0(u0 + v0)
+        put1(u1 + v1)
+        put2(u2 + v2)
+        put3(u3 + v3)
+        put4(u4 + v4)
+        put5(u5 + v5)
+        put6(u6 + v6)
+        put7(u7 + v7)
+        if backs is not None:
+            back0(u0 - v0)
+            back1(u1 - v1)
+            back2(u2 - v2)
+            back3(u3 - v3)
+            back4(u4 - v4)
+            back5(u5 - v5)
+            back6(u6 - v6)
+            back7(u7 - v7)
 
 
 def _rows(fp: QuatPoly, fq: QuatPoly) -> list:
-    """Both components' coefficient rows for :func:`_horner`, leading one first."""
+    """Both components' coefficient rows, eight columns side by side,
+    leading one first."""
     return [a.as_tuple() + b.as_tuple() for a, b in zip(reversed(fp.coeffs), reversed(fq.coeffs))]
+
+
+def _taylor_rows(rows: list, x0: float) -> list:
+    """The rows of ``f(x0 + phi)`` in phi, leading one first: synthetic
+    division by ``x - x0`` d times, ``a + x0 b`` a step, O(d^2)."""
+    rows = list(rows)
+    for end in range(len(rows) - 1, 0, -1):
+        for k in range(1, end + 1):
+            rows[k] = tuple([a + x0 * b for a, b in zip(rows[k], rows[k - 1])])
+    return rows
+
+
+def _parity_rows(rows: list) -> list:
+    """The rows of E and O for :func:`_slice_pass`, leading one first, from
+    rows ``b_d ... b_0``: ``b_0, b_2, ...`` make E and ``b_1, b_3, ...`` O.
+    For an even degree O's leading row is zero, so both run the same number
+    of steps."""
+    even, odd = rows[-1::-2], rows[-2::-2]
+    if len(odd) < len(even):
+        odd.append((0.0,) * 8)
+    return [e + o for e, o in zip(reversed(even), reversed(odd))]
 
 
 def _slice_table(fp: QuatPoly, fq: QuatPoly, contour: SliceContour) -> tuple:
@@ -257,16 +326,39 @@ def _slice_table(fp: QuatPoly, fq: QuatPoly, contour: SliceContour) -> tuple:
     Nodes 0 < k < N - k stand for themselves and their conjugates N - k, so
     c = 2 there.  Doubling is exact, so it is folded into the coefficients:
     Horner on 2 f gives the same floats as 2 times Horner on f while the
-    values stay normal."""
+    values stay normal.
+
+    The coefficients are f's Taylor rows about the center x0, so ``f(x0 +
+    phi) = E(phi^2) + phi O(phi^2)`` with E and O of about d/2 steps each.
+    For even N the antipode ``-conj(phi)`` of node k is node N/2 - k, and as
+    every column has real coefficients its value is ``conj(E - phi O)``:
+    one pass over the quarter circle k <= N/4 fills both halves.  Node 0
+    and its antipode N/2 have weight 1, the other pairs 2, and node N/4
+    (N % 4 == 0) is its own antipode, written once.  Odd N has no
+    antipodes; the pass runs over the whole half circle.  Against Horner at
+    ``z = x0 + phi`` on the same nodes each value differs by at most ``8 (d
+    + 1) eps c sum_n |a_n| (|x0| + r)^n``, with eps = 2^-52: to first order
+    each is within half of that of the exact value, the Taylor rows'
+    rounding included."""
     n = contour.nodes
     phis, zs = _circle(contour)
-    rows = _rows(fp, fq)
+    rows = _parity_rows(_taylor_rows(_rows(fp, fq), contour.center))
     doubled = [tuple([2.0 * c for c in row]) for row in rows]
-    nodes = iter(zs)
+    nodes = iter(phis)
     ws = [], [], [], [], [], [], [], []
-    _horner(ws, rows, islice(nodes, 1))
-    _horner(ws, doubled, islice(nodes, (n + 1) // 2 - 1))  # nodes 1 ... (N-1)//2
-    _horner(ws, rows, nodes)  # node N/2 when N is even, else none
+    if n % 2:
+        _slice_pass(ws, None, rows, islice(nodes, 1))
+        _slice_pass(ws, None, doubled, islice(nodes, n // 2))  # nodes 1 ... (N-1)/2
+        return (phis, zs, *ws)
+    backs = [], [], [], [], [], [], [], []
+    _slice_pass(ws, backs, rows, islice(nodes, 1))  # node 0 and its antipode N/2
+    _slice_pass(ws, backs, doubled, islice(nodes, (n - 2) // 4))  # 0 < k < N/4, N/2 - k
+    if n % 4 == 0:
+        _slice_pass(ws, None, doubled, islice(nodes, 1))  # node N/4, its own antipode
+    for w, back in zip(ws, backs):
+        back.reverse()
+        w.extend(map(complex.conjugate, back))
+        back.clear()  # so one column's unconjugated values are alive at a time
     return (phis, zs, *ws)
 
 

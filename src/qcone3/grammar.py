@@ -94,18 +94,23 @@ def _parse_terms(text: str) -> list[float]:
         pos = m.end()
 
 
+def _blanks(part: str) -> int:
+    """How many blanks ``part`` starts with."""
+    return len(part) - len(part.lstrip())
+
+
 def _finite_reals(text: str, parts: list[str], what: str) -> list[float]:
     """The comma-separated ``parts`` of ``text`` as finite reals; an error
-    puts its caret at the start of the offending part."""
+    puts its caret under the first non-blank character of the offending part."""
     values = []
     at = 0
     for part in parts:
         try:
             value = float(part)
         except ValueError:
-            raise ParseError("invalid real number", text, at) from None
+            raise ParseError("invalid real number", text, at + _blanks(part)) from None
         if not math.isfinite(value):
-            raise ParseError(f"{what} must be finite", text, at)
+            raise ParseError(f"{what} must be finite", text, at + _blanks(part))
         values.append(value)
         at += len(part) + 1
     return values
@@ -333,5 +338,5 @@ def parse_sphere(text: str) -> SphereDescriptor:
         raise ParseError("expected 'center,radius'", text, 0)
     center, radius = _finite_reals(text, parts, "center and radius")
     if radius < 0:
-        raise ParseError("radius must be nonnegative", text, len(parts[0]) + 1)
+        raise ParseError("radius must be nonnegative", text, len(parts[0]) + 1 + _blanks(parts[1]))
     return SphereDescriptor(center, radius)

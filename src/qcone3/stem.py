@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 from .clifford3 import EPS, CliffordElement, Quat, _new, join, split
 from .errors import OutOfDomain, RealPoint
 from . import bislice
-from .cauchy import _horner, _rows
+from .cauchy import _parity_rows, _rows, _slice_pass
 from .qsplit import ConePoint
 
 
@@ -148,17 +148,27 @@ def check_cauchy_riemann(
     The samples are drawn with a fixed seed.  The pass threshold is
     ``c * h^2`` with c 10 times the largest observed second-derivative
     scale, floored at 1 so affine stems are judged against rounding noise,
-    not against zero.
+    not against zero.  The samples lie in ``[alpha_min + 2h, alpha_max - 2h]
+    x [-beta_max + 2h, beta_max - 2h]``, so the stencil stays inside the
+    domain; a domain narrower than 4h in alpha or in beta is refused.
     """
     if samples < 1:
         raise ValueError(f"Cauchy-Riemann check needs at least one sample, got {samples}")
-    rng = random.Random(0)
     dom = stem.domain
+    alphas = dom.alpha_min + 2 * h, dom.alpha_max - 2 * h
+    betas = -dom.beta_max + 2 * h, dom.beta_max - 2 * h
+    # A step that is not positive and finite is central_differences' to refuse.
+    if 0.0 < h < math.inf and not (alphas[0] <= alphas[1] and betas[0] <= betas[1]):
+        raise ValueError(
+            f"Cauchy-Riemann check with step h = {h:.6g} needs a domain at least "
+            f"4h wide in alpha and in beta, got {dom}"
+        )
+    rng = random.Random(0)
     worst = 0.0
     curvature = 0.0
     for _ in range(samples):
-        a = rng.uniform(dom.alpha_min + 2 * h, dom.alpha_max - 2 * h)
-        b = rng.uniform(-dom.beta_max + 2 * h, dom.beta_max - 2 * h)
+        a = rng.uniform(*alphas)
+        b = rng.uniform(*betas)
         # The map once per stencil point; each component is differenced from these.
         stencil = ((a + h, b), (a - h, b)), ((a, b + h), (a, b - h))
         at = {pt: stem.components(*pt) for pt in ((a, b), *stencil[0], *stencil[1])}
@@ -189,14 +199,14 @@ def stem_from_poly(
     With z = alpha + i*beta, the component pairs are
     ``f1 + i f2 = sum z^n b_n`` and ``g1 + i g2 = sum z^n c_n`` where b, c
     are the split coefficient sequences: the complex columns ``F(s) = R(w)``
-    of the Cauchy quadrature, from one Horner pass at z over the rows of
-    both components.
+    of the Cauchy quadrature, from its slice-plane pass at ``phi = z`` over
+    the rows of both components (centre 0, so ``E(z^2) + z O(z^2)``).
     """
-    rows = _rows(*poly.split())
+    rows = _parity_rows(_rows(*poly.split()))
 
     def components(alpha: float, beta: float) -> tuple[Quat, Quat, Quat, Quat]:
         ws = [], [], [], [], [], [], [], []
-        _horner(ws, rows, (complex(alpha, beta),))
+        _slice_pass(ws, None, rows, (complex(alpha, beta),))
         (u0,), (u1,), (u2,), (u3,), (v0,), (v1,), (v2,), (v3,) = ws
         return (
             _new(Quat, (u0.real, u1.real, u2.real, u3.real)),

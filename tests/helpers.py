@@ -244,6 +244,66 @@ def per_node_slice_columns(poly: QuatPoly, zs: Sequence[complex], nodes: int) ->
     return columns
 
 
+def coefficient_columns(poly: QuatPoly) -> list[list[float]]:
+    """The four real coefficient columns of poly, each from the leading
+    coefficient down."""
+    return [[c[i] for c in reversed(poly.coeffs)] for i in range(4)]
+
+
+def taylor_columns(poly: QuatPoly, x0: float) -> list[list[float]]:
+    """The columns of ``poly(x0 + phi)`` in phi, ``b_d ... b_0``: synthetic
+    division by ``x - x0``, d times, ``b[k] = b[k] + x0 * b[k - 1]`` a step."""
+    columns = coefficient_columns(poly)
+    for b in columns:
+        for end in range(len(b) - 1, 0, -1):
+            for k in range(1, end + 1):
+                b[k] = b[k] + x0 * b[k - 1]
+    return columns
+
+
+def even_odd_form(column: Sequence[float], phi: complex) -> tuple[complex, complex]:
+    """``(E(s), phi O(s))`` at ``s = phi^2`` for one column ``b_d ... b_0``,
+    where E has the even-index and O the odd-index coefficients.  Each is
+    Horner over s from its leading coefficient as a complex; O's leading
+    coefficient is 0.0 when d is even, so both take the same steps."""
+    even, odd = list(column[::-1][0::2]), list(column[::-1][1::2])
+    if len(odd) < len(even):
+        odd.append(0.0)
+    s = phi * phi
+    e, o = complex(even[-1]), complex(odd[-1])
+    for c in reversed(even[:-1]):
+        e = e * s + c
+    for c in reversed(odd[:-1]):
+        o = o * s + c
+    return e, phi * o
+
+
+def quarter_circle_columns(
+    poly: QuatPoly, phis: Sequence[complex], x0: float, nodes: int
+) -> list:
+    """The columns ``c w0 ... c w3`` of a slice table, node by node, in the
+    quarter-circle form: ``E + phi O`` from poly's Taylor columns about x0,
+    doubled for 0 < k < N - k.  For even N a node k > N/4 is the antipode
+    ``-conj(phi)`` of node ``N/2 - k``, and its value is ``conj(E - phi O)``
+    at that node's phi."""
+    columns: list[list[complex]] = [[], [], [], []]
+    taylor = taylor_columns(poly, x0)
+    for k in range(nodes // 2 + 1):
+        weight = 2.0 if 0 < k < nodes - k else 1.0
+        antipode = nodes % 2 == 0 and 4 * k > nodes
+        phi = phis[nodes // 2 - k] if antipode else phis[k]
+        for column, b in zip(columns, taylor):
+            e, po = even_odd_form([weight * c for c in b], phi)
+            column.append((e - po).conjugate() if antipode else e + po)
+    return columns
+
+
+def horner_bound(poly: QuatPoly, size: float) -> list[float]:
+    """Per column, ``sum_n |a_n| size^n``: the scale of Horner's rounding at
+    points of modulus up to ``size``."""
+    return [sum(abs(c) * size**n for n, c in enumerate(reversed(b))) for b in coefficient_columns(poly)]
+
+
 # -- oracle: the exact trapezoid value, in mpmath ------------------------------
 
 

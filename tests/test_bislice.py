@@ -44,13 +44,14 @@ from helpers import (
     clifford_conjugate,
     clifford_from_factors,
     clifford_star,
+    coefficient_columns,
     complex_on_slice,
+    even_odd_form,
     quat_horner,
     quat_star,
     rand_cone_point,
     rand_element,
     rand_poly,
-    per_node_slice_columns,
     rand_quat,
     rand_unit_imaginary,
     reassemble_splitting,
@@ -448,13 +449,13 @@ def test_kernels_are_the_operator_form_bit_for_bit(f, g, p, alpha, beta):
     assert _bits(QuatPoly(f).star(QuatPoly(g)).coeffs) == _bits(quat_star(f, g))
     fq = [a.conj() for a in reversed(f)]
     stem = stem_from_poly(BiSlicePoly.from_pair(QuatPoly(f), QuatPoly(fq)))
-    # The stem is the quadrature's Horner columns at z = alpha + i beta.
+    # The stem is the quadrature's slice-plane pass at phi = z = alpha + i beta
+    # on the raw coefficients (centre 0): E(z^2) + z O(z^2) per column.
     z = complex(alpha, beta)
-    want = [
-        Quat(*(getattr(w, part) for (w,) in per_node_slice_columns(QuatPoly(side), [z], 1)))
-        for side in (f, fq)
-        for part in ("real", "imag")
-    ]
+    want = []
+    for side in (f, fq):
+        values = [e + zo for e, zo in (even_odd_form(b, z) for b in coefficient_columns(QuatPoly(side)))]
+        want += [Quat(*(w.real for w in values)), Quat(*(w.imag for w in values))]
     assert _bits(stem.components(alpha, beta)) == _bits(want)
 
 

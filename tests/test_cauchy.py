@@ -57,7 +57,9 @@ from helpers import (
     contour_phase,
     contour_point,
     exact_trapezoid_component,
+    horner_bound,
     per_node_slice_columns,
+    quarter_circle_columns,
     rand_cone_point,
     rand_poly,
     rand_quat,
@@ -880,10 +882,15 @@ def test_small_contour_about_1_keeps_its_digits(radius):
 # -- the slice table: weights folded into the Horner coefficients --------------
 
 
-@pytest.mark.parametrize("nodes", [16, 17, 64, 65, 512])
+@pytest.mark.parametrize("nodes", [16, 17, 18, 19, 64, 65, 66, 67, 512])
 def test_folded_weights_give_the_per_node_floats(nodes):
-    # Horner on 2 f is 2 times Horner on f, float for float, while the values
-    # stay normal: coefficients from 1e-3 to 1e3.
+    # The quarter-circle form node by node, float for float: Taylor rows about
+    # x0, E and O at phi^2, conj(E - phi O) at the antipodes of an even N, and
+    # the weight folded into the coefficients, exact while the values stay
+    # normal: coefficients from 1e-3 to 1e3.  N mod 4 takes each of 0 ... 3.
+    # Horner at z = x0 + phi on the plain coefficients stays the reference:
+    # each value lies within 8 (d + 1) eps c sum_n |a_n| (|x0| + r)^n of it
+    # (the largest seen is about a tenth of that).
     rng = random.Random(nodes)
     for degree in range(9):
         poly = BiSlicePoly(
@@ -897,8 +904,15 @@ def test_folded_weights_give_the_per_node_floats(nodes):
         table = _node_table(poly, contour)
         assert _bits(table[0]) == _bits(_circle(contour)[0])
         assert _bits(table[1]) == _bits(_circle(contour)[1])
+        size = abs(contour.center) + contour.radius
         for ws, component in zip((table[2:6], table[6:]), poly.split()):
-            assert list(ws) == per_node_slice_columns(component, table[1], nodes)
+            want = quarter_circle_columns(component, table[0], contour.center, nodes)
+            assert [_bits(w) for w in ws] == [_bits(w) for w in want]
+            reference = per_node_slice_columns(component, table[1], nodes)
+            for w, ref, scale in zip(ws, reference, horner_bound(component, size)):
+                bound = 8 * (degree + 1) * sys.float_info.epsilon * scale
+                for k, (got, horner) in enumerate(zip(w, ref)):
+                    assert abs(got - horner) <= (2.0 if 0 < k < nodes - k else 1.0) * bound
 
 
 # -- the unit circle, kept per node count ---------------------------------------
@@ -909,18 +923,25 @@ def _bits(zs) -> bytes:
     return array("d", [x for z in zs for x in (z.real, z.imag)]).tobytes()
 
 
-@pytest.mark.parametrize("nodes", [16, 17, 64, 65, 512, 65536])
+@pytest.mark.parametrize("nodes", [16, 17, 18, 19, 64, 65, 66, 512, 65536])
 def test_cached_unit_circle_gives_the_per_node_floats(nodes):
     # e^{i t} r and x0 + phi from the cache against r cos t, r sin t per node,
-    # over centres of both zero signs and radii across SliceContour's bounds.
-    thetas = [2.0 * math.pi * k / nodes for k in range(nodes // 2 + 1)]
+    # over centres of both zero signs and radii across SliceContour's bounds:
+    # the quarter circle k <= N/4 of an even N, the half circle of an odd N.
+    # An even N's other nodes are antipodes, phi_{N/2-k} = -conj(phi_k).
+    front = nodes // 4 if nodes % 2 == 0 else nodes // 2
+    thetas = [2.0 * math.pi * k / nodes for k in range(front + 1)]
     radii = (math.ldexp(1.0, -511), 1e-150, 1e-13, 0.7, 1.0, 3.0, 1e50, 6.7e153 - 3.0)
     for radius in radii:
         want_phis = [complex(radius * math.cos(t), radius * math.sin(t)) for t in thetas]
         for center in (0.0, -0.0, 3.0, -3.0):
             phis, zs = _circle(SliceContour(center, radius, Q23, nodes))
-            assert _bits(phis) == _bits(want_phis)
-            assert _bits(zs) == _bits([center + phi for phi in want_phis])
+            assert len(phis) == nodes // 2 + 1
+            assert _bits(phis[: front + 1]) == _bits(want_phis)
+            if nodes % 2 == 0:
+                back = range(front + 1, nodes // 2 + 1)
+                assert _bits([phis[j] for j in back]) == _bits([-phis[nodes // 2 - j].conjugate() for j in back])
+            assert _bits(zs) == _bits([center + phi for phi in phis])
 
 
 def test_unit_circle_cache_holds_at_most_its_bound():

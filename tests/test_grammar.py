@@ -234,11 +234,15 @@ def test_factor_constant_needs_its_sign_after_x(text, pos):
         (parse_matrix, "[[e1, 2 2], [0, e2]]", "expected '+' or '-' between terms", 8),
         (parse_matrix, " [ [e1, 2], [0,   e2 e3]] ", "expected '+' or '-' between terms", 21),
         (parse_matrix, "[[e1, 2], [0, ]]", "expected an element", 14),
+        # a positional number: the caret under its first non-blank character
+        (parse_element, "1, x,0,0,0,0,0,0", "invalid real number", 3),
+        (parse_element, "1,x,0,0,0,0,0,0", "invalid real number", 2),
+        (parse_element, "1,0,0,0,0,0,0,  inf", "coefficient must be finite", 16),
     ],
 )
 def test_errors_inside_a_piece_cite_the_whole_text(parse, text, message, pos):
-    # A factor, a coeffs: item or a matrix cell is parsed on its own; its
-    # error is re-based onto the whole argument, caret and all.
+    # A factor, a coeffs: item, a matrix cell or a positional number is parsed
+    # on its own; its error is re-based onto the whole argument, caret and all.
     with pytest.raises(ParseError) as info:
         parse(text)
     assert (info.value.message, info.value.text, info.value.pos) == (message, text, pos)
@@ -444,9 +448,15 @@ def test_parse_sphere():
         ("nan,1", "center and radius must be finite", 0),
         ("0,nan", "center and radius must be finite", 2),
         ("10,-inf", "center and radius must be finite", 3),
+        # the caret goes under the number, past the blanks before it
+        ("0, -1", "radius must be nonnegative", 3),
+        ("0,  nan", "center and radius must be finite", 4),
+        (" nan,1", "center and radius must be finite", 1),
+        ("0, \tabc", "invalid real number", 4),
     ],
 )
 def test_sphere_errors_point_at_the_offending_number(text, message, pos):
     with pytest.raises(ParseError) as info:
         parse_sphere(text)
     assert (info.value.message, info.value.pos) == (message, pos)
+

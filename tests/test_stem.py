@@ -103,6 +103,45 @@ def test_checks_refuse_fewer_than_one_sample(samples):
         check_cauchy_riemann(IDENT, 1e-5, samples)
 
 
+def _recorded(domain: RectDomain, seen: list) -> StemFunction:
+    """The identity's stem on ``domain``, keeping every point it is evaluated at."""
+
+    def components(alpha: float, beta: float):
+        seen.append((alpha, beta))
+        return IDENT.components(alpha, beta)
+
+    return StemFunction(components, domain)
+
+
+@pytest.mark.parametrize("h", [1e-5, 2.0**-17])
+def test_cauchy_riemann_refuses_a_domain_narrower_than_its_stencil(h):
+    # The samples lie 2h inside the domain, so a width of exactly 4h in alpha,
+    # or a beta_max of exactly 2h, leaves one line of samples and one ulp less
+    # leaves none.  Before, RectDomain(0.0, 1e-6, 1.0) at h = 1e-5 evaluated
+    # alpha from -2.3e-5 to 1.4e-5 and passed.
+    accepted = (
+        RectDomain(0.0, 4 * h, 1.0),
+        RectDomain(-2 * h, 2 * h, 1.0),
+        RectDomain(-1.0, 1.0, 2 * h),
+    )
+    for domain in accepted:
+        seen: list = []
+        assert check_cauchy_riemann(_recorded(domain, seen), h, samples=3).passed
+        assert len(seen) == 15 and all(domain.contains(a, b) for a, b in seen)
+    refused = (
+        RectDomain(0.0, math.nextafter(4 * h, 0.0), 1.0),
+        RectDomain(math.nextafter(-2 * h, 0.0), 2 * h, 1.0),
+        RectDomain(-2 * h, math.nextafter(2 * h, 0.0), 1.0),
+        RectDomain(-1.0, 1.0, math.nextafter(2 * h, 0.0)),
+        RectDomain(0.0, 1e-6, 1.0),
+    )
+    for domain in refused:
+        seen = []
+        with pytest.raises(ValueError, match=r"step h = .* 4h wide .* RectDomain\("):
+            check_cauchy_riemann(_recorded(domain, seen), h, samples=3)
+        assert seen == []
+
+
 def test_checks_keep_a_nan_residual():
     # nan for alpha > 0 only, so finite residuals come before the first nan.
     def half_nan(a, b):
