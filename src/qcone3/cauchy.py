@@ -67,14 +67,17 @@ Both quadratures read one node table over k = 0 ... N//2: the circle's
 ``phi`` and ``z``, and ``c_k w`` for each split component, 202 bytes per
 contour node (tracemalloc), so at most 13 MB at :data:`MAX_NODES`, and a
 reconstruction's columns ``x, y`` 40 (2.5 MB) while it runs.  The columns
-come from f's Taylor rows about x0 (an O(d^2) synthetic division once per
-table), split into even and odd parts, ``f(x0 + phi) = E(phi^2) + phi
-O(phi^2)``.  For even N the antipode ``-conj(phi_k)`` of node k is node
-N/2 - k, and as each column has real coefficients its value is ``conj(E -
-phi O)``: one pass over the quarter circle k <= N/4, about d/2 Horner steps
-in ``phi^2`` per table node, fills both components' columns on both halves
-(:func:`_slice_pass`, :func:`_slice_table`).  The unit circle ``e^{i t_k}``
-is kept for the last four node counts, about 1.3 MB an entry at
+come from f's Taylor rows about x0 in the unit variable ``u = phi / r``
+(Horner in u once per table, O(d^2)), split into even and odd parts,
+``f(x0 + r u) = E(u^2) + u O(u^2)``.  No row exceeds the largest of f's
+Horner partials on the circle, so the table stays finite where Horner at z
+does, short of a factor of about 2 (d + 1), though the Taylor coefficients
+themselves may overflow.  For even N the antipode ``-conj(u_k)`` of node k
+is node N/2 - k, and as each column has real coefficients its value is
+``conj(E - u O)``: one pass over the quarter circle k <= N/4, about d/2
+Horner steps in ``u^2`` per table node, fills both components' columns on
+both halves (:func:`_slice_pass`, :func:`_slice_table`).  The unit circle
+``e^{i t_k}`` is kept for the last four node counts, about 1.3 MB an entry at
 :data:`MAX_NODES`; for even N its back half is the front half's antipodes,
 so the table and the kernel weights read the same nodes, and each circle
 scales it (:func:`_circle`).
@@ -83,8 +86,9 @@ by identity, and replaces it in one assignment, so concurrent callers see a
 whole entry or none.
 
 Contours accept at most :data:`MAX_NODES` nodes, and one quadrature at most
-:data:`MAX_NODE_TERMS` nodes times coefficients, so no request does
-unbounded work.
+:data:`MAX_NODE_TERMS` nodes times coefficients for the node pass and
+:data:`MAX_TAYLOR_TERMS` coefficients for the O(d^2) shift to the center,
+so no request does unbounded work.
 """
 
 from __future__ import annotations
@@ -110,10 +114,15 @@ from .qsplit import ConePoint, _slice_point
 DEFAULT_NODES = 512
 MIN_NODES = 16
 MAX_NODES = 65536
-#: Most nodes x coefficients one contour's quadrature may evaluate (the node
-#: table at 8192 nodes and 256 coefficients took 0.29 s, 0.14 us each, with
-#: Python 3.11 on a 2-CPU shared host).
+#: Most nodes x coefficients one contour's quadrature may evaluate in its
+#: node pass (a node table at 8192 nodes and 256 coefficients, the shift to
+#: the center included, took 0.38 to 0.57 s with Python 3.11 on a 2-CPU
+#: shared host).
 MAX_NODE_TERMS = 2**21
+#: Most coefficients one quadrature may shift to the contour's center: the
+#: shift takes about terms^2 / 2 row steps at any node count (0.15 to 0.18 s
+#: at 512 coefficients on the same host, four times that at twice as many).
+MAX_TAYLOR_TERMS = 512
 #: Machine epsilon, 2^-52: the unit of the singular screen's rounding slack.
 _MACHINE_EPS = sys.float_info.epsilon
 
@@ -230,21 +239,21 @@ def _circle(contour: SliceContour) -> tuple:
     return phis, list(map(add, repeat(contour.center), phis))
 
 
-def _slice_pass(ws: tuple, backs, rows: list, phis) -> None:
-    """Append ``f(x0 + phi) = E(phi^2) + phi O(phi^2)`` at each phi to the
-    eight columns ``ws``, four of the first component, then four of the
-    second; with ``backs`` (else None), append ``E - phi O`` to its eight
-    columns, whose conjugate is the value at the antipode ``-conj(phi)``.
+def _slice_pass(ws: tuple, backs, rows: list, points) -> None:
+    """Append ``g(u) = E(u^2) + u O(u^2)`` at each point u to the eight
+    columns ``ws``, four of the first component, then four of the second;
+    with ``backs`` (else None), append ``E - u O`` to its eight columns,
+    whose conjugate is the value at the antipode ``-conj(u)``.
 
     ``rows`` holds E's eight coefficient columns and then O's, sixteen a
     row, from the leading one down (:func:`_parity_rows`); Horner over
-    ``phi^2`` starts from the leading row as complex numbers."""
+    ``u^2`` starts from the leading row as complex numbers."""
     lead, *rows = rows
     lead = tuple(map(complex, lead))
     put0, put1, put2, put3, put4, put5, put6, put7 = (w.append for w in ws)
     if backs is not None:
         back0, back1, back2, back3, back4, back5, back6, back7 = (b.append for b in backs)
-    for p in phis:
+    for p in points:
         s = p * p
         u0, u1, u2, u3, u4, u5, u6, u7, v0, v1, v2, v3, v4, v5, v6, v7 = lead
         for a0, a1, a2, a3, a4, a5, a6, a7, b0, b1, b2, b3, b4, b5, b6, b7 in rows:
@@ -297,19 +306,30 @@ def _rows(fp: QuatPoly, fq: QuatPoly) -> list:
     return [a.as_tuple() + b.as_tuple() for a, b in zip(reversed(fp.coeffs), reversed(fq.coeffs))]
 
 
-def _taylor_rows(rows: list, x0: float) -> list:
-    """The rows of ``f(x0 + phi)`` in phi, leading one first: synthetic
-    division by ``x - x0`` d times, ``a + x0 b`` a step, O(d^2)."""
-    rows = list(rows)
-    for end in range(len(rows) - 1, 0, -1):
-        for k in range(1, end + 1):
-            rows[k] = tuple([a + x0 * b for a, b in zip(rows[k], rows[k - 1])])
-    return rows
+def _taylor_rows(rows: list, x0: float, r: float) -> list:
+    """The rows ``c_d ... c_0`` of ``f(x0 + r u)`` in u, leading one first,
+    from f's rows: Horner in u, ``P (x0 + r u) + a`` a step, O(d^2).
+
+    ``c_k`` is f's Taylor coefficient ``b_k`` about x0 times ``r^k``.  Each
+    partial P is a Horner partial of f along the circle ``x0 + r u``, |u| =
+    1, and no coefficient of P exceeds P's largest value there, so the rows
+    stay finite where those partials do; ``b_k`` alone may overflow."""
+    rows = iter(rows)
+    out = [next(rows)]
+    for a in rows:
+        hi = out[0]
+        new = [tuple([r * p for p in hi])]
+        for lo in out[1:]:
+            new.append(tuple([r * p + x0 * q for p, q in zip(lo, hi)]))
+            hi = lo
+        new.append(tuple([x0 * q + c for q, c in zip(hi, a)]))
+        out = new
+    return out
 
 
 def _parity_rows(rows: list) -> list:
     """The rows of E and O for :func:`_slice_pass`, leading one first, from
-    rows ``b_d ... b_0``: ``b_0, b_2, ...`` make E and ``b_1, b_3, ...`` O.
+    rows ``c_d ... c_0``: ``c_0, c_2, ...`` make E and ``c_1, c_3, ...`` O.
     For an even degree O's leading row is zero, so both run the same number
     of steps."""
     even, odd = rows[-1::-2], rows[-2::-2]
@@ -328,23 +348,28 @@ def _slice_table(fp: QuatPoly, fq: QuatPoly, contour: SliceContour) -> tuple:
     Horner on 2 f gives the same floats as 2 times Horner on f while the
     values stay normal.
 
-    The coefficients are f's Taylor rows about the center x0, so ``f(x0 +
-    phi) = E(phi^2) + phi O(phi^2)`` with E and O of about d/2 steps each.
-    For even N the antipode ``-conj(phi)`` of node k is node N/2 - k, and as
-    every column has real coefficients its value is ``conj(E - phi O)``:
-    one pass over the quarter circle k <= N/4 fills both halves.  Node 0
-    and its antipode N/2 have weight 1, the other pairs 2, and node N/4
-    (N % 4 == 0) is its own antipode, written once.  Odd N has no
-    antipodes; the pass runs over the whole half circle.  Against Horner at
-    ``z = x0 + phi`` on the same nodes each value differs by at most ``8 (d
-    + 1) eps c sum_n |a_n| (|x0| + r)^n``, with eps = 2^-52: to first order
-    each is within half of that of the exact value, the Taylor rows'
-    rounding included."""
+    The coefficients are f's Taylor rows about the center x0 in the unit
+    variable u = phi / r, so ``f(x0 + r u) = E(u^2) + u O(u^2)`` with E and
+    O of about d/2 steps each, and the pass runs over the unit circle.  For
+    even N the antipode ``-conj(u)`` of node k is node N/2 - k, and as every
+    column has real coefficients its value is ``conj(E - u O)``: one pass
+    over the quarter circle k <= N/4 fills both halves.  Node 0 and its
+    antipode N/2 have weight 1, the other pairs 2, and node N/4 (N % 4 == 0)
+    is its own antipode, written once.  Odd N has no antipodes; the pass
+    runs over the whole half circle.
+
+    The rows are bounded by f's Horner partials on the circle
+    (:func:`_taylor_rows`) and the pass's partials by the sum of the rows,
+    so the table overflows only within a factor of about 2 (d + 1) of where
+    Horner at ``z = x0 + phi`` would.  Against Horner at z on the same
+    nodes each value differs by at most ``8 (d + 1) eps c sum_n |a_n| (|x0|
+    + r)^n``, with eps = 2^-52: to first order each is within half of that
+    of the exact value, the Taylor rows' rounding included."""
     n = contour.nodes
     phis, zs = _circle(contour)
-    rows = _parity_rows(_taylor_rows(_rows(fp, fq), contour.center))
+    rows = _parity_rows(_taylor_rows(_rows(fp, fq), contour.center, contour.radius))
     doubled = [tuple([2.0 * c for c in row]) for row in rows]
-    nodes = iter(phis)
+    nodes = iter(_unit_circle(n))
     ws = [], [], [], [], [], [], [], []
     if n % 2:
         _slice_pass(ws, None, rows, islice(nodes, 1))
@@ -388,7 +413,8 @@ def _closed_integral(phis: list, ws: tuple, contour: SliceContour) -> Quat:
 
 
 def _check_contours(poly: BiSlicePoly, ci: SliceContour, cj: SliceContour) -> None:
-    """Both split components on one circle, within :data:`MAX_NODE_TERMS`."""
+    """Both split components on one circle, within :data:`MAX_NODE_TERMS`
+    and :data:`MAX_TAYLOR_TERMS`."""
     if ci[:2] != cj[:2] or ci.nodes != cj.nodes:  # center, radius
         raise InvalidContour(
             "the two contours must share center, radius and node count, got "
@@ -399,6 +425,10 @@ def _check_contours(poly: BiSlicePoly, ci: SliceContour, cj: SliceContour) -> No
         raise InputTooLarge(
             f"{ci.nodes} nodes x {terms} coefficients is more than "
             f"MAX_NODE_TERMS = {MAX_NODE_TERMS}"
+        )
+    if terms > MAX_TAYLOR_TERMS:
+        raise InputTooLarge(
+            f"{terms} coefficients is more than MAX_TAYLOR_TERMS = {MAX_TAYLOR_TERMS}"
         )
 
 

@@ -250,51 +250,52 @@ def coefficient_columns(poly: QuatPoly) -> list[list[float]]:
     return [[c[i] for c in reversed(poly.coeffs)] for i in range(4)]
 
 
-def taylor_columns(poly: QuatPoly, x0: float) -> list[list[float]]:
-    """The columns of ``poly(x0 + phi)`` in phi, ``b_d ... b_0``: synthetic
-    division by ``x - x0``, d times, ``b[k] = b[k] + x0 * b[k - 1]`` a step."""
-    columns = coefficient_columns(poly)
-    for b in columns:
-        for end in range(len(b) - 1, 0, -1):
-            for k in range(1, end + 1):
-                b[k] = b[k] + x0 * b[k - 1]
+def taylor_columns(poly: QuatPoly, x0: float, r: float) -> list[list[float]]:
+    """The columns of ``poly(x0 + r u)`` in u, ``c_d ... c_0``: Horner in u,
+    the partial P times ``x0 + r u`` plus the next coefficient a step, so
+    ``P[j] = r * P[j] + x0 * P[j - 1]`` and the last is ``x0 * P[m] + a``."""
+    columns = []
+    for a in coefficient_columns(poly):
+        p = a[:1]
+        for c in a[1:]:
+            p = [r * p[0]] + [r * p[j] + x0 * p[j - 1] for j in range(1, len(p))] + [x0 * p[-1] + c]
+        columns.append(p)
     return columns
 
 
-def even_odd_form(column: Sequence[float], phi: complex) -> tuple[complex, complex]:
-    """``(E(s), phi O(s))`` at ``s = phi^2`` for one column ``b_d ... b_0``,
+def even_odd_form(column: Sequence[float], u: complex) -> tuple[complex, complex]:
+    """``(E(s), u O(s))`` at ``s = u^2`` for one column ``c_d ... c_0``,
     where E has the even-index and O the odd-index coefficients.  Each is
     Horner over s from its leading coefficient as a complex; O's leading
     coefficient is 0.0 when d is even, so both take the same steps."""
     even, odd = list(column[::-1][0::2]), list(column[::-1][1::2])
     if len(odd) < len(even):
         odd.append(0.0)
-    s = phi * phi
+    s = u * u
     e, o = complex(even[-1]), complex(odd[-1])
     for c in reversed(even[:-1]):
         e = e * s + c
     for c in reversed(odd[:-1]):
         o = o * s + c
-    return e, phi * o
+    return e, u * o
 
 
-def quarter_circle_columns(
-    poly: QuatPoly, phis: Sequence[complex], x0: float, nodes: int
-) -> list:
+def quarter_circle_columns(poly: QuatPoly, x0: float, r: float, nodes: int) -> list:
     """The columns ``c w0 ... c w3`` of a slice table, node by node, in the
-    quarter-circle form: ``E + phi O`` from poly's Taylor columns about x0,
-    doubled for 0 < k < N - k.  For even N a node k > N/4 is the antipode
-    ``-conj(phi)`` of node ``N/2 - k``, and its value is ``conj(E - phi O)``
-    at that node's phi."""
+    quarter-circle form: ``E + u O`` at ``u = cos t + i sin t`` from poly's
+    Taylor columns about x0 in ``u = phi / r``, doubled for 0 < k < N - k.
+    For even N a node k > N/4 is the antipode ``-conj(u)`` of node ``N/2 -
+    k``, and its value is ``conj(E - u O)`` at that node's u."""
     columns: list[list[complex]] = [[], [], [], []]
-    taylor = taylor_columns(poly, x0)
+    taylor = taylor_columns(poly, x0, r)
     for k in range(nodes // 2 + 1):
         weight = 2.0 if 0 < k < nodes - k else 1.0
         antipode = nodes % 2 == 0 and 4 * k > nodes
-        phi = phis[nodes // 2 - k] if antipode else phis[k]
-        for column, b in zip(columns, taylor):
-            e, po = even_odd_form([weight * c for c in b], phi)
-            column.append((e - po).conjugate() if antipode else e + po)
+        t = 2.0 * math.pi * (nodes // 2 - k if antipode else k) / nodes
+        u = complex(math.cos(t), math.sin(t))
+        for column, c in zip(columns, taylor):
+            e, uo = even_odd_form([weight * x for x in c], u)
+            column.append((e - uo).conjugate() if antipode else e + uo)
     return columns
 
 

@@ -34,6 +34,7 @@ from qcone3 import (
 from qcone3.cauchy import (
     MAX_NODE_TERMS,
     MAX_NODES,
+    MAX_TAYLOR_TERMS,
     _accumulate,
     _closed_integral,
     _kernel_weights,
@@ -193,6 +194,30 @@ def test_quadrature_work_is_bounded_jointly():
     with pytest.raises(InputTooLarge):
         cauchy_reconstruct(poly, ci, cj, 0.5 * E1)
     with pytest.raises(InputTooLarge):
+        contour_integral_vanishes(poly, ci, cj)
+
+
+class _Shifted(Exception):
+    """Raised in place of the Taylor shift, so reaching it costs nothing."""
+
+
+@pytest.mark.parametrize("terms", [MAX_TAYLOR_TERMS, MAX_TAYLOR_TERMS + 1])
+def test_taylor_shift_work_is_bounded(monkeypatch, terms):
+    # The shift to the center takes about terms^2 / 2 row steps at any node
+    # count, so 16 nodes do not let a long polynomial through: one coefficient
+    # past MAX_TAYLOR_TERMS fails both quadratures before the shift starts.
+    def no_shift(rows, x0, r):
+        raise _Shifted
+
+    monkeypatch.setattr(cauchy, "_taylor_rows", no_shift)
+    ci = SliceContour(0.0, 2.0, Q23, 16)
+    cj = SliceContour(0.0, 2.0, Q13, 16)
+    poly = BiSlicePoly([E1] * terms)
+    assert 16 * terms <= MAX_NODE_TERMS
+    expected = _Shifted if terms <= MAX_TAYLOR_TERMS else InputTooLarge
+    with pytest.raises(expected):
+        cauchy_reconstruct(poly, ci, cj, 0.5 * E1)
+    with pytest.raises(expected):
         contour_integral_vanishes(poly, ci, cj)
 
 
@@ -885,9 +910,10 @@ def test_small_contour_about_1_keeps_its_digits(radius):
 @pytest.mark.parametrize("nodes", [16, 17, 18, 19, 64, 65, 66, 67, 512])
 def test_folded_weights_give_the_per_node_floats(nodes):
     # The quarter-circle form node by node, float for float: Taylor rows about
-    # x0, E and O at phi^2, conj(E - phi O) at the antipodes of an even N, and
-    # the weight folded into the coefficients, exact while the values stay
-    # normal: coefficients from 1e-3 to 1e3.  N mod 4 takes each of 0 ... 3.
+    # x0 in u = phi / r, E and O at u^2, conj(E - u O) at the antipodes of an
+    # even N, and the weight folded into the coefficients, exact while the
+    # values stay normal: coefficients from 1e-3 to 1e3.  N mod 4 takes each
+    # of 0 ... 3.
     # Horner at z = x0 + phi on the plain coefficients stays the reference:
     # each value lies within 8 (d + 1) eps c sum_n |a_n| (|x0| + r)^n of it
     # (the largest seen is about a tenth of that).
@@ -906,7 +932,7 @@ def test_folded_weights_give_the_per_node_floats(nodes):
         assert _bits(table[1]) == _bits(_circle(contour)[1])
         size = abs(contour.center) + contour.radius
         for ws, component in zip((table[2:6], table[6:]), poly.split()):
-            want = quarter_circle_columns(component, table[0], contour.center, nodes)
+            want = quarter_circle_columns(component, contour.center, contour.radius, nodes)
             assert [_bits(w) for w in ws] == [_bits(w) for w in want]
             reference = per_node_slice_columns(component, table[1], nodes)
             for w, ref, scale in zip(ws, reference, horner_bound(component, size)):
@@ -951,6 +977,30 @@ def test_unit_circle_cache_holds_at_most_its_bound():
     assert info.maxsize == 4 and info.currsize <= 4
     _unit_circle(1024)  # the newest is kept
     assert _unit_circle.cache_info().hits == info.hits + 1
+
+
+@pytest.mark.parametrize("nodes", [64, 65])
+def test_table_off_center_keeps_the_range_of_horner_at_z(capsys, nodes):
+    # 1e300 x^40 about 1 at radius 0.01: |f| <= 1.01^40 1e300, about 1.5e300,
+    # on the circle, but the Taylor coefficient b_20 = C(40, 20) 1e300 is
+    # past the float maximum.  The rows are b_k r^k, so the table is finite,
+    # within the Horner-type bound of Horner at z, and cauchy-verify answers.
+    big = "1" + "0" * 300
+    poly = BiSlicePoly([ZERO] * 40 + [CliffordElement([1e300] + [0.0] * 7)])
+    contour = SliceContour(1.0, 0.01, Q23, nodes)
+    table = _node_table(poly, contour)
+    fp = poly.split()[0]
+    assert [_bits(w) for w in table[2:6]] == [_bits(w) for w in quarter_circle_columns(fp, 1.0, 0.01, nodes)]
+    bound = 8 * 41 * sys.float_info.epsilon * horner_bound(fp, 1.01)[0]
+    for k, (got, horner) in enumerate(zip(table[2], per_node_slice_columns(fp, table[1], nodes)[0])):
+        assert math.isfinite(abs(got)) and math.isfinite(abs(horner))
+        assert abs(got - horner) <= (2.0 if 0 < k < nodes - k else 1.0) * bound
+    argv = ["cauchy-verify", "--poly", "coeffs: [" + "0, " * 40 + big + "]", "--center", "1"]
+    argv += ["--radius", "0.01", "--at", "1 + 0.001e1", "--nodes", str(nodes)]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    error = float(out.split("error: ")[1].split()[0])
+    assert error <= 1e-14 * 1.001**40 * 1e300
 
 
 def test_folded_weights_near_the_float_maximum_stay_a_named_error(capsys):
