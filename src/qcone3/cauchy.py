@@ -22,70 +22,72 @@ is the trapezoid rule on the periodic parameter, which converges
 geometrically for these integrands.
 
 For polynomials the node loops run in complex arithmetic on the slice
-plane, which is exact because every node ``s = x0 + r e^{I t}`` lies in C_I.
-Write ``phi = r e^{i t}`` and ``z = x0 + phi``, and for a complex 4-vector
-``v`` let ``R(v) = Re v + I Im v``; left multiplication by an element of C_I
-is then complex multiplication, ``(a + I b) R(v) = R((a + i b) v)``.
+plane, which is exact because every node ``s = x0 + r e^{I t}`` lies in C_I,
+and in the unit variable ``u = (s - x0) / r``: the nodes are the unit circle
+``u_k = e^{i t_k}``, the same floats for every contour of N nodes, and the
+contour's scale enters only the table's rows and one factor of the closed
+integral.  For a complex 4-vector ``v`` let ``R(v) = Re v + I Im v``; left
+multiplication by an element of C_I is then complex multiplication, ``(a +
+I b) R(v) = R((a + i b) v)``.
 
-* ``F(s) = R(w)``, where ``w`` is four complex polynomial values at ``z``,
-  one per real coefficient column.
+* ``F(s) = R(w)``, where ``w`` is four complex polynomial values at ``x0 +
+  r u``, one per real coefficient column.
 * For a target ``q = alpha + J beta`` (beta >= 0, J = Im q / |Im q|; any unit
-  when q is real) put ``q_c = alpha + i beta``.  The kernel has real
-  coefficients in q, so reading J as i or as -i turns ``S(s, q) r e^{I t}``
-  into the two complex Cauchy kernels ``x = phi / (z - q_c)`` and ``y = phi /
-  (z - conj q_c)``, and each node contributes ``R(g w) + J R(h w)`` with
-  ``g = (x + y)/2`` and ``h = (x - y)/2i``.
-* The nodes ``t_k = 2 pi k / N`` pair as ``phi_{N-k} = conj(phi_k)``, where
-  ``x`` and ``y`` trade places, conjugated, and ``w`` (real columns)
-  conjugates, so every N-node sum is real, ``sum' c_k Re(.)`` over ``k = 0
-  ... N//2`` with ``c_k`` 1 at k = 0 and (N even) N/2, else 2.  The weight
-  is folded into the coefficients: Horner on ``2 f`` is exactly ``2 w``
-  while the values stay normal.  With ``w`` for ``c_k w``, ``X = sum x w``
-  and ``Y = sum y w``, the reconstruction is ``((Re X + Re Y) + J (Im X - Im
-  Y)) / 2N``, free of I as the formula says, and the closed integral is ``I
-  Re(sum phi w) * 2 pi / N``.  The sums run in C, ``sum(map(mul, ...),
-  0j)``.
+  when q is real) put ``rho = ((alpha - x0) + i beta) / r``, the target in
+  the unit variable.  The kernel has real coefficients in q, so reading J as
+  i or as -i turns ``S(s, q) r e^{I t}`` into the two complex Cauchy kernels
+  ``x = u / (u - rho)`` and ``y = u / (u - conj rho)``, and each node
+  contributes ``R(g w) + J R(h w)`` with ``g = (x + y)/2`` and ``h = (x -
+  y)/2i``.
+* The nodes pair as ``u_{N-k} = conj(u_k)``, where ``x`` and ``y`` trade
+  places, conjugated, and ``w`` (real columns) conjugates, so every N-node
+  sum is real, ``sum' c_k Re(.)`` over ``k = 0 ... N//2`` with ``c_k`` 1 at
+  k = 0 and (N even) N/2, else 2.  The weight is folded into the
+  coefficients: Horner on ``2 f`` is exactly ``2 w`` while the values stay
+  normal.  With ``w`` for ``c_k w``, ``X = sum x w`` and ``Y = sum y w``, the
+  reconstruction is ``((Re X + Re Y) + J (Im X - Im Y)) / 2N``, free of I as
+  the formula says, and the closed integral is ``I r Re(sum u w) * 2 pi /
+  N``.  The sums run in C, ``sum(map(mul, ...), 0j)``.
 
-The weights depend on the target only through ``(alpha, beta)``, which a
-cone point's split components ``alpha + beta I1`` and ``alpha + beta I2``
-share, so one weight pass over the circle serves both; each component then
-sums against its own ``c_k w``.  The pass forms ``z - q_c`` centred, as
-``phi - (q_c - x0)``: ``x0 + phi`` would round away phi's low bits on a
-radius small beside the center.  The pass divides and sums without
-squaring, so it has degree 0: the circle and the target scaled by a power of
-two give the same floats.  Its singular test has degree 1: a node is
-singular where ``min(|z - q_c|, |z - conj q_c|)`` (which covers nodes k and
-N - k) is negligible beside ``|(z, q)|``.  The disc decides it for most
-targets in O(1): every node lies on the circle ``|z - x0| = r``, so it is at
-least ``r - |q_c - x0|`` from q_c and from conj q_c, and when that margin,
-less a rounding slack of ``eps (8 (|x0| + r) + 16 bound)``, exceeds the
-largest bound ``tol |(|x0| + r, q)|``, no node can be singular.  Only
-targets within about ``1.5 tol (|x0| + r)`` of the circle are tested node by
-node, and the answer is the node loop's either way (:func:`_kernel_weights`).
+The weights depend on the target only through rho, which a cone point's
+split components ``alpha + beta I1`` and ``alpha + beta I2`` share, so one
+weight pass over the unit circle serves both; each component then sums
+against its own ``c_k w``.  rho is formed from ``alpha - x0``, so a radius
+small beside the center keeps its digits.  The pass and its singular test
+see the contour and the target only through rho and square nothing, so both
+have degree 0: the circle and the target scaled by a power of two give the
+same floats and the same decision.  A node is singular where ``min(|u -
+rho|, |u - conj rho|)`` (which covers nodes k and N - k) is negligible
+beside ``|(1, rho)|``, the disc's own size ``|(r, q_c - x0)| / r`` with
+``q_c = alpha + i beta``.  That bound is one float for every node, and every
+node is at least ``1 - |rho|`` from rho and from conj rho, so when that
+margin, less a rounding slack of ``8 eps``, exceeds the bound, no node can
+be singular.  Only targets within about ``1.4 tol r`` of the circle are
+tested node by node, and the answer is the node loop's either way
+(:func:`_kernel_weights`).
 
-Both quadratures read one node table over k = 0 ... N//2: the circle's
-``phi`` and ``z``, and ``c_k w`` for each split component, 202 bytes per
-contour node (tracemalloc), so at most 13 MB at :data:`MAX_NODES`, and a
+Both quadratures read one node table over k = 0 ... N//2: ``c_k w`` for
+each split component, eight complex columns, 162 bytes per contour node
+(tracemalloc), so at most 10.6 MB at :data:`MAX_NODES`, and a
 reconstruction's columns ``x, y`` 40 (2.5 MB) while it runs.  The columns
-come from f's Taylor rows about x0 in the unit variable ``u = phi / r``
-(Horner in u once per table, O(d^2)), split into even and odd parts,
-``f(x0 + r u) = E(u^2) + u O(u^2)``.  No row exceeds the largest of f's
-Horner partials on the circle, so the table stays finite where Horner at z
-does, short of a factor of about 2 (d + 1), though the Taylor coefficients
-themselves may overflow.  For even N the antipode ``-conj(u_k)`` of node k
-is node N/2 - k, and as each column has real coefficients its value is
-``conj(E - u O)``: one pass over the quarter circle k <= N/4, about d/2
-Horner steps in ``u^2`` per table node, fills both components' columns on
-both halves (:func:`_slice_pass`, :func:`_slice_table`).  The unit circle
-``e^{i t_k}`` is kept for the last four node counts, about 1.3 MB an entry at
-:data:`MAX_NODES`; for even N its back half is the front half's antipodes,
-so the table and the kernel weights read the same nodes, and each circle
-scales it (:func:`_circle`).
+come from f's Taylor rows about x0 in u (Horner in u once per table,
+O(d^2)), split into even and odd parts, ``f(x0 + r u) = E(u^2) + u
+O(u^2)``.  No row exceeds the largest of f's Horner partials on the circle,
+so the table stays finite where Horner at ``x0 + r u`` does, short of a
+factor of about 2 (d + 1), though the Taylor coefficients themselves may
+overflow.  For even N the antipode ``-conj(u_k)`` of node k is node N/2 - k,
+and as each column has real coefficients its value is ``conj(E - u O)``:
+one pass over the quarter circle k <= N/4, about d/2 Horner steps in
+``u^2`` per table node, fills both components' columns on both halves
+(:func:`_slice_pass`, :func:`_slice_table`).  The unit circle is kept for
+the last four node counts, about 1.3 MB an entry at :data:`MAX_NODES`
+(:func:`_unit_circle`).
 The module keeps the table of its last (polynomial, contour) call, matched
 by identity, and replaces it in one assignment, so concurrent callers see a
 whole entry or none.
 
-Contours accept at most :data:`MAX_NODES` nodes, and one quadrature at most
+Contours accept a finite center, a radius that is a normal float, and at
+most :data:`MAX_NODES` nodes, and one quadrature at most
 :data:`MAX_NODE_TERMS` nodes times coefficients for the node pass and
 :data:`MAX_TAYLOR_TERMS` coefficients for the O(d^2) shift to the center,
 so no request does unbounded work.
@@ -97,10 +99,10 @@ import math
 import sys
 from functools import lru_cache
 from itertools import islice, repeat
-from operator import add, mul, sub, truediv
+from operator import mul, sub, truediv
 from typing import NamedTuple
 
-from .clifford3 import EPS, Q23, CliffordElement, Quat, _scaled, _times_power_of_two, join, negligible
+from .clifford3 import EPS, Q23, CliffordElement, Quat, _new, _scaled, _times_power_of_two, join, negligible
 from .bislice import BiSlicePoly, QuatPoly, central_differences
 from .errors import (
     InputTooLarge,
@@ -148,15 +150,13 @@ class SliceContour(_ContourFields):
             raise InvalidContour(
                 f"contour radius must be positive and finite, got {radius}"
             )
-        # Every node and every target inside the disc lies within ``reach`` of
-        # 0.  These bounds keep squares of the contour's size in range (4
-        # reach^2 finite, radius^2 normal); the weight pass, of degree 0,
-        # would need less.
-        reach = abs(center) + radius
-        if not (sys.float_info.min <= radius * radius and math.isfinite(4.0 * reach * reach)):
+        # The quadrature puts the target in the unit variable, dividing its
+        # offset from the center (below the radius) by the radius: a subnormal
+        # radius would leave the offset fewer digits than a float holds.
+        if radius < sys.float_info.min:
             raise InvalidContour(
-                f"contour of center {center:.6g}, radius {radius:.6g}: its kernel "
-                "values would overflow or underflow"
+                f"contour radius must be a normal float, at least "
+                f"{sys.float_info.min:.6g}, got {radius:.6g}"
             )
         if not MIN_NODES <= nodes <= MAX_NODES:
             raise InvalidContour(
@@ -212,8 +212,9 @@ def cauchy_kernel(s: ConePoint, x: ConePoint, tol: float = EPS) -> CliffordEleme
 
 @lru_cache(maxsize=4)
 def _unit_circle(n: int) -> tuple:
-    """``e^{i t_k}`` for ``t_k = 2 pi k / N``, k <= N//2: each circle of N
-    nodes scales it, so no contour computes a cosine or sine of its own.
+    """``e^{i t_k}`` for ``t_k = 2 pi k / N``, k <= N//2: the nodes in the
+    unit variable of every contour of N nodes, so no contour computes a
+    cosine or sine of its own.
 
     For even N only the quarter circle k <= N//4 takes a cosine and sine;
     the rest is its antipodes, ``e^{i t_{N/2-k}} = -conj(e^{i t_k})``, so the
@@ -224,19 +225,6 @@ def _unit_circle(n: int) -> tuple:
     if n % 2 == 0:
         units += [-u.conjugate() for u in reversed(units[: n // 2 - front])]
     return tuple(units)
-
-
-def _circle(contour: SliceContour) -> tuple:
-    """``(phi, z)``, columns over the nodes k <= N//2 of the contour's circle.
-
-    ``e^{i t} * r`` is ``complex(r cos t, r sin t)`` float for float for any
-    r > 0.  The product adds ``-(sin t * 0)`` to r cos t and ``cos t * 0`` to r
-    sin t; adding a zero changes only a -0.0, to +0.0, which needs sin t < 0
-    with ``r cos t == -0.0`` or cos t > 0 with ``r sin t == -0.0``, and
-    neither occurs on the half circle.  So the antipode of node k is
-    ``-conj(phi_k)`` here too."""
-    phis = list(map(mul, _unit_circle(contour.nodes), repeat(contour.radius)))
-    return phis, list(map(add, repeat(contour.center), phis))
 
 
 def _slice_pass(ws: tuple, backs, rows: list, points) -> None:
@@ -339,9 +327,8 @@ def _parity_rows(rows: list) -> list:
 
 
 def _slice_table(fp: QuatPoly, fq: QuatPoly, contour: SliceContour) -> tuple:
-    """The node table ``(phi, z, c w0, ..., c w3, c w0', ..., c w3')``,
-    columns over the nodes k <= N//2 of weight c: the circle, then four
-    columns of fp and four of fq.
+    """The node table ``(c w0, ..., c w3, c w0', ..., c w3')``, columns over
+    the nodes k <= N//2 of weight c: four columns of fp, then four of fq.
 
     Nodes 0 < k < N - k stand for themselves and their conjugates N - k, so
     c = 2 there.  Doubling is exact, so it is folded into the coefficients:
@@ -349,7 +336,7 @@ def _slice_table(fp: QuatPoly, fq: QuatPoly, contour: SliceContour) -> tuple:
     values stay normal.
 
     The coefficients are f's Taylor rows about the center x0 in the unit
-    variable u = phi / r, so ``f(x0 + r u) = E(u^2) + u O(u^2)`` with E and
+    variable u, so ``f(x0 + r u) = E(u^2) + u O(u^2)`` with E and
     O of about d/2 steps each, and the pass runs over the unit circle.  For
     even N the antipode ``-conj(u)`` of node k is node N/2 - k, and as every
     column has real coefficients its value is ``conj(E - u O)``: one pass
@@ -361,12 +348,11 @@ def _slice_table(fp: QuatPoly, fq: QuatPoly, contour: SliceContour) -> tuple:
     The rows are bounded by f's Horner partials on the circle
     (:func:`_taylor_rows`) and the pass's partials by the sum of the rows,
     so the table overflows only within a factor of about 2 (d + 1) of where
-    Horner at ``z = x0 + phi`` would.  Against Horner at z on the same
+    Horner at ``z = x0 + r u`` would.  Against Horner at z on the same
     nodes each value differs by at most ``8 (d + 1) eps c sum_n |a_n| (|x0|
     + r)^n``, with eps = 2^-52: to first order each is within half of that
     of the exact value, the Taylor rows' rounding included."""
     n = contour.nodes
-    phis, zs = _circle(contour)
     rows = _parity_rows(_taylor_rows(_rows(fp, fq), contour.center, contour.radius))
     doubled = [tuple([2.0 * c for c in row]) for row in rows]
     nodes = iter(_unit_circle(n))
@@ -374,7 +360,7 @@ def _slice_table(fp: QuatPoly, fq: QuatPoly, contour: SliceContour) -> tuple:
     if n % 2:
         _slice_pass(ws, None, rows, islice(nodes, 1))
         _slice_pass(ws, None, doubled, islice(nodes, n // 2))  # nodes 1 ... (N-1)/2
-        return (phis, zs, *ws)
+        return ws
     backs = [], [], [], [], [], [], [], []
     _slice_pass(ws, backs, rows, islice(nodes, 1))  # node 0 and its antipode N/2
     _slice_pass(ws, backs, doubled, islice(nodes, (n - 2) // 4))  # 0 < k < N/4, N/2 - k
@@ -384,7 +370,7 @@ def _slice_table(fp: QuatPoly, fq: QuatPoly, contour: SliceContour) -> tuple:
         back.reverse()
         w.extend(map(complex.conjugate, back))
         back.clear()  # so one column's unconjugated values are alive at a time
-    return (phis, zs, *ws)
+    return ws
 
 
 #: ``(poly, contour, table)`` of the last quadrature, replaced whole.
@@ -405,11 +391,12 @@ def _node_table(poly: BiSlicePoly, contour: SliceContour) -> tuple:
     return table
 
 
-def _closed_integral(phis: list, ws: tuple, contour: SliceContour) -> Quat:
+def _closed_integral(ws: tuple, contour: SliceContour) -> Quat:
     """Trapezoid value of the closed integral of ds poly(s) from its columns
-    ``ws``; the differential I r e^{I t} dt stays left of the integrand."""
-    v = [sum(map(mul, phis, w), 0j).real for w in ws]
-    return contour.unit * Quat(*v) * (2.0 * math.pi / contour.nodes)
+    ``ws``, ``I r Re(sum u w) * 2 pi / N``; the differential I r e^{I t} dt
+    stays left of the integrand.  ``r (2 pi / N)`` is below r, so finite."""
+    v = _new(Quat, [sum(map(mul, _unit_circle(contour.nodes), w), 0j).real for w in ws])
+    return contour.unit * v * (contour.radius * (2.0 * math.pi / contour.nodes))
 
 
 def _check_contours(poly: BiSlicePoly, ci: SliceContour, cj: SliceContour) -> None:
@@ -439,55 +426,47 @@ def contour_integral_vanishes(
     _check_contours(poly, contour_i, contour_j)
     table = _node_table(poly, contour_i)
     return (
-        _closed_integral(table[0], table[2:6], contour_i).modulus(),
-        _closed_integral(table[0], table[6:], contour_j).modulus(),
+        _closed_integral(table[:4], contour_i).modulus(),
+        _closed_integral(table[4:], contour_j).modulus(),
     )
 
 
-def _kernel_weights(
-    circle: tuple, contour: SliceContour, alpha: float, beta: float, tol: float
-) -> tuple:
-    """Columns ``(x, y)`` of the kernels ``phi / (z - q_c)`` and ``phi / (z -
-    conj q_c)`` over the nodes of a circle of the contour's center x0 and
-    radius r, for targets at ``alpha + J beta``.
+def _kernel_weights(contour: SliceContour, alpha: float, beta: float, tol: float) -> tuple:
+    """Columns ``(x, y)`` of the kernels ``u / (u - rho)`` and ``u / (u - conj
+    rho)`` over the unit circle of the contour's nodes, for targets at
+    ``alpha + J beta``: ``rho = ((alpha - x0) + i beta) / r`` is the target
+    in the unit variable.
 
-    A node is singular where ``min(|z - q_c|, |z - conj q_c|)`` is negligible
-    beside ``|(z, q)|``.  The disc settles that for most targets: q_c and conj
-    q_c lie ``d = |q_c - x0|`` from the center, so every point of the circle
-    is at least ``r - d`` from both, and every node's bound is about ``tol
-    |(reach, q)|`` or less, with ``reach = |x0| + r``.  The rounding slack,
-    with eps = 2^-52 and cos and sin within an ulp:
+    A node is singular where ``min(|u - rho|, |u - conj rho|)`` is negligible
+    beside ``|(1, rho)|``, so every node's bound is the one float ``tol |(1,
+    rho)|``.  The disc settles that for most targets: every node lies on the
+    unit circle, so it is at least ``1 - |rho|`` from rho and from conj rho.
+    The rounding slack, with eps = 2^-52, where ``|rho| < 1`` (elsewhere the
+    nodes are tested anyway):
 
-    * a node, ``x0 + (r cos t + i r sin t)``, is within 2.5 eps reach of the
-      circle; the computed ``r - d`` is at most 2.5 eps r too large, and a
-      computed gap at most eps gap too small: 6.5 eps reach in all;
-    * a node's computed bound, through ``|z|``, the hypot and the product
-      with tol, exceeds the computed ``bound`` by at most 7.5 eps bound;
-    * radius >= 2^-511 puts underflow far below eps reach.
+    * a node, ``cos t + i sin t`` with each part within an ulp, is within eps
+      of the unit circle;
+    * a node's computed gap, a subtraction per part and an abs, is at most
+      1.5 eps |u - rho|, so 3 eps, too small;
+    * the computed ``1 - |rho|`` is at most 1.5 eps too large, and
+      subtracting the slack rounds by at most eps / 2.
 
-    So no node can be singular when ``r - d - eps (8 reach + 16 bound)``
-    exceeds ``bound``, and the nodes are tested one by one only when it does
-    not: the answer is the node loop's.  (The targets of
+    So no node can be singular when ``1 - |rho| - 8 eps`` exceeds the bound,
+    and the nodes are tested one by one only when it does not: the answer is
+    the node loop's.  (The targets of
     ``test_screened_singular_test_decides_as_the_node_loop`` need at most
-    0.48 eps reach.)
+    0.49 eps.)
     """
-    phis, zs = circle
-    q_c = complex(alpha, beta)
-    q_bar, q_abs = q_c.conjugate(), abs(q_c)
     x0, r = contour.center, contour.radius
-    reach = abs(x0) + r
-    bound = tol * math.hypot(reach, q_abs)
-    margin = r - math.hypot(alpha - x0, beta)
-    if margin - _MACHINE_EPS * (8.0 * reach + 16.0 * bound) <= bound:
-        for z in zs:
-            gap = min(abs(z - q_c), abs(z - q_bar))
-            if negligible(gap, math.hypot(abs(z), q_abs), 1, tol):
-                raise _singular(z.real, abs(z.imag))
-    # z - q_c as phi - (q_c - x0): x0 + phi would round away phi's low bits
-    # when the radius is small beside the center.
-    return tuple(
-        [list(map(truediv, phis, map(sub, phis, repeat(c - x0)))) for c in (q_c, q_bar)]
-    )
+    rho = complex((alpha - x0) / r, beta / r)
+    rho_bar, rho_abs = rho.conjugate(), abs(rho)
+    units = _unit_circle(contour.nodes)
+    scale = math.hypot(1.0, rho_abs)
+    if 1.0 - rho_abs - 8.0 * _MACHINE_EPS <= tol * scale:
+        for u in units:
+            if negligible(min(abs(u - rho), abs(u - rho_bar)), scale, 1, tol):
+                raise _singular(x0 + r * u.real, r * abs(u.imag))
+    return tuple([list(map(truediv, units, map(sub, units, repeat(c)))) for c in (rho, rho_bar)])
 
 
 def _accumulate(weights: tuple, ws: tuple, unit_j: Quat, nodes: int) -> Quat:
@@ -496,8 +475,8 @@ def _accumulate(weights: tuple, ws: tuple, unit_j: Quat, nodes: int) -> Quat:
     xs, ys = weights
     sx = [sum(map(mul, xs, w), 0j) for w in ws]
     sy = [sum(map(mul, ys, w), 0j) for w in ws]
-    g = Quat(*[a.real + b.real for a, b in zip(sx, sy)])
-    h = Quat(*[a.imag - b.imag for a, b in zip(sx, sy)])
+    g = _new(Quat, [a.real + b.real for a, b in zip(sx, sy)])
+    h = _new(Quat, [a.imag - b.imag for a, b in zip(sx, sy)])
     return (g + unit_j * h) / (2 * nodes)
 
 
@@ -522,9 +501,9 @@ def cauchy_reconstruct(
     if not contour_j.contains(point.q):
         raise PointOutsideContour("second component outside its contour disc")
     table = _node_table(poly, contour_i)
-    weights = _kernel_weights(table[:2], contour_i, point.alpha, point.beta, tol)
-    vp = _accumulate(weights, table[2:6], _slice_unit(point.p, contour_i), contour_i.nodes)
-    vq = _accumulate(weights, table[6:], _slice_unit(point.q, contour_j), contour_j.nodes)
+    weights = _kernel_weights(contour_i, point.alpha, point.beta, tol)
+    vp = _accumulate(weights, table[:4], _slice_unit(point.p, contour_i), contour_i.nodes)
+    vq = _accumulate(weights, table[4:], _slice_unit(point.q, contour_j), contour_j.nodes)
     return join(vp, vq)
 
 

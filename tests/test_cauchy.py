@@ -38,7 +38,6 @@ from qcone3.cauchy import (
     _accumulate,
     _closed_integral,
     _kernel_weights,
-    _circle,
     _node_table,
     _slice_table,
     _slice_unit,
@@ -52,7 +51,7 @@ from qcone3.errors import (
     OnSingularSphere,
     PointOutsideContour,
 )
-from qcone3.clifford3 import Q12, Q13, Q23, negligible
+from qcone3.clifford3 import EPS, Q12, Q13, Q23, negligible
 from helpers import (
     contour_integral,
     contour_phase,
@@ -410,8 +409,13 @@ def test_odd_node_counts_match_quaternion_loop(nodes):
 
 
 def _side(f: QuatPoly, contour: SliceContour) -> tuple:
-    """``(phi, z, c w0, ..., c w3)``: the node table of one component."""
-    return _slice_table(f, f, contour)[:6]
+    """``(c w0, ..., c w3)``: the node table of one component."""
+    return _slice_table(f, f, contour)[:4]
+
+
+def _zs(contour: SliceContour) -> list:
+    """The nodes ``x0 + r u`` of the contour's circle, k <= N//2."""
+    return [contour.center + u * contour.radius for u in _unit_circle(contour.nodes)]
 
 
 def _check_closed_integrals(poly, ci, cj) -> tuple[float, float]:
@@ -419,8 +423,7 @@ def _check_closed_integrals(poly, ci, cj) -> tuple[float, float]:
     for value, f, c in zip(got, poly.split(), (ci, cj)):
         want = contour_integral(c, f.eval)
         scale = 1 + max(f.eval(contour_point(c, t)).modulus() for t in thetas(c))
-        side = _side(f, c)
-        assert (_closed_integral(side[0], side[2:], c) - want).modulus() <= 1e-13 * scale
+        assert (_closed_integral(_side(f, c), c) - want).modulus() <= 1e-13 * scale
         assert abs(value - want.modulus()) <= 1e-13 * scale
     return got
 
@@ -429,7 +432,7 @@ def test_slice_plane_quadrature_keeps_singular_test():
     # the node at t = pi/2 is I, whose sphere holds every unit imaginary
     contour = SliceContour(0.0, 1.0, Q23, 16)
     with pytest.raises(OnSingularSphere):
-        _kernel_weights(_circle(contour), contour, 0.0, 1.0, 1e-12)
+        _kernel_weights(contour, 0.0, 1.0, 1e-12)
 
 
 def _inside(rng, center: float, radius: float, rho: float) -> ConePoint:
@@ -481,9 +484,8 @@ def test_reconstruction_is_close_to_the_exact_trapezoid_value():
             x = ConePoint(x.alpha, 0.0, None, None)
         for f, target in zip(poly.split(), (x.p, x.q)):
             contour = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
-            side = _side(f, contour)
-            weights = _kernel_weights(side[:2], contour, x.alpha, x.beta, 1e-12)
-            got = _accumulate(weights, side[2:], _slice_unit(target, contour), nodes)
+            weights = _kernel_weights(contour, x.alpha, x.beta, 1e-12)
+            got = _accumulate(weights, _side(f, contour), _slice_unit(target, contour), nodes)
             want, largest = exact_trapezoid_component(f, contour, target)
             error = max(abs(a - b) for a, b in zip(got, want))
             assert error <= 2e-15 * largest, (k, nodes, error / largest)
@@ -546,8 +548,7 @@ def test_closed_integral_keeps_the_contour_unit(nodes):
     f = QuatPoly([0.0] * (nodes - 1) + [1.0])
     for radius in (0.9, 1.0, 1.3):
         contour = SliceContour(0.0, radius, rand_unit_imaginary(rng), nodes)
-        side = _side(f, contour)
-        got = _closed_integral(side[0], side[2:], contour)
+        got = _closed_integral(_side(f, contour), contour)
         size = 2.0 * math.pi * radius**nodes
         assert (got - contour.unit * size).modulus() <= 1e-13 * size
 
@@ -642,51 +643,44 @@ def test_memo_holds_one_node_table_at_a_time():
     assert two <= 1.2 * one, (one, two)
 
 
-def test_contour_reach_keeps_kernel_squares_finite():
-    # 4 (|center| + radius)^2 must be finite: about 6.7039e153 of reach.
-    for center, radius in ((0.0, 6.71e153), (-6e153, 1e153), (0.0, 1e200)):
-        with pytest.raises(InvalidContour, match="overflow"):
-            SliceContour(center, radius, Q23, 64)
-    ci = SliceContour(0.0, 6.7e153, Q23, 64)
-    cj = SliceContour(0.0, 6.7e153, Q13, 64)
-    value = cauchy_reconstruct(BiSlicePoly([E0]), ci, cj, cone_point(0.5, 0.5, Q23, Q13))
-    assert value.isclose(E0, 1e-12)
-
-
-def test_contour_radius_keeps_kernel_squares_normal():
-    # radius^2 must be a normal float: 2^-511 (about 1.49e-154) is the least
-    # radius; a contour through 0 with a smaller one read nan, though its
-    # reach is 2^-511
-    least = math.ldexp(1.0, -511)
-    for center, radius in (
-        (0.0, math.nextafter(least, 0.0)),
-        (0.0, 1e-156),
-        (-0.5 * least, 0.5 * least),
-    ):
-        with pytest.raises(InvalidContour, match="overflow or underflow"):
-            SliceContour(center, radius, Q23, 64)
+@pytest.mark.parametrize("radii", [0.0, 3.0])
+def test_contour_radius_needs_only_to_be_normal(radii):
+    # The quadrature squares nothing of the contour's size: it divides the
+    # target's offset from the center by the radius once, so any normal
+    # radius answers, far past the old bounds (radius^2 normal, 4 (|center| +
+    # radius)^2 finite), and a subnormal one is refused.  The center is
+    # ``radii`` radii from 0.
     poly = BiSlicePoly([E0, E1])
-    for center, radius in ((0.0, least), (-least, least), (0.0, 1e-150)):
+    for radius in (1e-300, 1e-156, 1e200, 1e300):
+        center = radii * radius
         ci, cj = SliceContour(center, radius, Q23, 64), SliceContour(center, radius, Q13, 64)
-        x = cone_point(center, 0.5 * radius, Q23, Q13)
-        error = (cauchy_reconstruct(poly, ci, cj, x) - poly.eval(x)).magnitude()
-        assert error < 1e-12
+        x = cone_point(center + 0.3 * radius, 0.4 * radius, Q23, Q13)
+        want = poly.eval(x)
+        error = (cauchy_reconstruct(poly, ci, cj, x) - want).magnitude()
+        assert error <= 1e-15 * want.magnitude(), (radius, error)
+    for radius in (sys.float_info.min, math.nextafter(sys.float_info.min, 0.0), 5e-324):
+        if radius < sys.float_info.min:
+            with pytest.raises(InvalidContour, match="normal float"):
+                SliceContour(radii * radius, radius, Q23, 64)
+        else:
+            assert SliceContour(radii * radius, radius, Q23, 64).radius == radius
 
 
 # -- the weight pass on the two complex kernels ---------------------------------
 
 
 def _weights(contour: SliceContour, alpha: float, beta: float, tol: float = 1e-12):
-    return _kernel_weights(_circle(contour), contour, alpha, beta, tol)
+    return _kernel_weights(contour, alpha, beta, tol)
 
 
 def _node_gaps(contour: SliceContour, alpha: float, beta: float) -> list[tuple[float, float]]:
-    """``(min(|z - q_c|, |z - conj q_c|), |(z, q)|)`` node by node: the value
-    and scale of the degree-1 singular test, without the screen."""
-    q_c = complex(alpha, beta)
+    """``(min(|u - rho|, |u - conj rho|), |(1, rho)|)`` node by node, with
+    ``rho = ((alpha - x0) + i beta) / r``: the value and scale of the
+    singular test in the unit variable, without the screen."""
+    rho = complex((alpha - contour.center) / contour.radius, beta / contour.radius)
     return [
-        (min(abs(z - q_c), abs(z - q_c.conjugate())), math.hypot(abs(z), abs(q_c)))
-        for z in _circle(contour)[1]
+        (min(abs(u - rho), abs(u - rho.conjugate())), math.hypot(1.0, abs(rho)))
+        for u in _unit_circle(contour.nodes)
     ]
 
 
@@ -721,10 +715,11 @@ def _raises(contour, alpha, beta, tol) -> bool:
 
 def _screen_cases():
     """``(contour, alpha, beta)`` for the singular-node screen: random targets
-    near a node, then targets 1 to 4 ulps of the radius inside the circle at
-    node angles and half way between, real ones among them, on odd and even N,
-    on circles that include radius 1e-5 about 1, each also scaled exactly by
-    2^-490 and 2^505, near both ends of the range SliceContour accepts."""
+    near a node, then targets 1 to 4 eps of the radius inside the circle (in
+    the unit variable, ``|rho| = 1 - 4 eps`` or ``1 - eps``) at node angles
+    and half way between, real ones among them, on odd and even N, on circles
+    that include radius 1e-5 about 1, each also scaled by 2^-1000 and
+    2^1000."""
     rng = random.Random(41)
     for k in range(300):
         nodes = rng.choice((16, 17, 64, 65))
@@ -738,13 +733,13 @@ def _screen_cases():
     for nodes in (16, 17, 64, 65):
         for center, radius in ((0.0, 1.0), (0.75, 1.25), (-1.5, 0.375), (1.0, 1e-5)):
             for ulps in (1, 4):
-                dist = radius - ulps * math.ulp(radius)
+                dist = radius * (1.0 - ulps * sys.float_info.epsilon)
                 targets = [(center + dist, 0.0), (center - dist, 0.0)]  # real
                 for half in (0.0, 0.5):  # at node k, or half way to node k + 1
                     for k in (0, 1, nodes // 4, nodes // 2):
                         t = 2.0 * math.pi * (k + half) / nodes
                         targets.append((center + dist * math.cos(t), abs(dist * math.sin(t))))
-                for e in (0, -490, 505):
+                for e in (0, -1000, 1000):
                     contour = SliceContour(
                         math.ldexp(center, e), math.ldexp(radius, e), Q23, nodes
                     )
@@ -805,7 +800,6 @@ def test_weight_pass_has_no_per_node_loop():
     # at 4096 nodes: all per-node work is in C.
     def traced_lines(nodes: int) -> int:
         contour = SliceContour(0.1, 1.5, Q23, nodes)
-        circle = _circle(contour)
         count = 0
 
         def tracer(frame, event, arg):
@@ -817,7 +811,7 @@ def test_weight_pass_has_no_per_node_loop():
 
         sys.settrace(tracer)
         try:
-            _kernel_weights(circle, contour, 0.3, 0.5, 1e-10)
+            _kernel_weights(contour, 0.3, 0.5, 1e-10)
         finally:
             sys.settrace(None)
         return count
@@ -825,35 +819,44 @@ def test_weight_pass_has_no_per_node_loop():
     assert traced_lines(16) == traced_lines(4096) > 0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     center=st.floats(-3.0, 3.0),
     radius=st.floats(0.5, 2.0),
-    rho=st.floats(0.0, 0.999),
+    rho=st.one_of(st.floats(0.0, 0.999), st.floats(1.0 - 1e-6, 1.0, exclude_max=True)),
     angle=st.floats(0.0, math.pi),
     nodes=st.sampled_from((16, 17, 64)),
-    k=st.integers(-400, 400),
+    k=st.integers(-1000, 1000),
 )
 def test_weights_have_degree_zero(center, radius, rho, angle, nodes, k):
-    # x = phi / (z - q_c) and y = phi / (z - conj q_c) are of degree 0: the
-    # circle and the target scaled by 2^k give the same floats, while every
-    # step stays a normal float.
+    # x = u / (u - rho) and y = u / (u - conj rho), and the singular test of
+    # |u - rho| beside |(1, rho)|, see the circle and the target only through
+    # rho = ((alpha - x0) + i beta) / r.  Scaled together by 2^k, while every
+    # input and alpha - x0 stay normal floats, they give the same weights and
+    # the same decision at the least singular tolerance and one step either
+    # side; targets up to 1e-6 of the radius from the circle reach the node
+    # loop.
     alpha = center + rho * radius * math.cos(angle)
     beta = rho * radius * math.sin(angle)
-    assume(all(v == 0.0 or abs(v) >= 1e-30 for v in (center, alpha, beta)))
-    f = math.ldexp(1.0, k)
+    values = (center, radius, alpha, beta, alpha - center)
+    assume(all(v == 0.0 or min(abs(v), abs(math.ldexp(v, k))) >= sys.float_info.min for v in values))
     contour = SliceContour(center, radius, Q23, nodes)
-    scaled = SliceContour(center * f, radius * f, Q23, nodes)
-    assert _weights(scaled, alpha * f, beta * f) == _weights(contour, alpha, beta)
+    assume(min(gap for gap, _ in _node_gaps(contour, alpha, beta)) > 0.0)
+    scaled = SliceContour(math.ldexp(center, k), math.ldexp(radius, k), Q23, nodes)
+    at = math.ldexp(alpha, k), math.ldexp(beta, k)
+    assert _weights(scaled, *at, 0.0) == _weights(contour, alpha, beta, 0.0)
+    tols = _threshold_tols(contour, alpha, beta)
+    decisions = [_raises(contour, alpha, beta, tol) for tol in tols]
+    assert decisions == [_raises(scaled, *at, tol) for tol in tols] == [False, True, True]
 
 
 @pytest.mark.parametrize("rho", [0.9, 0.99, 0.999, 0.9999, 0.99999])
 def test_near_contour_targets_at_the_least_radius(rho):
-    # At radius 2^-511 a kernel denominator of degree 2 is subnormal near the
-    # contour, and its inverse overflows; the weights, of degree 0, stay
-    # finite.  The trapezoid value of a target at rho of the radius aliases by
-    # f(q) rho^N / (1 - rho^N) per complex kernel.
-    radius, nodes = math.ldexp(1.0, -511), 64
+    # At the least normal radius, 2^-1022, a kernel denominator of degree 2
+    # would underflow to 0; the weights, of degree 0 in the unit variable,
+    # stay finite.  The trapezoid value of a target at rho of the radius
+    # aliases by f(q) rho^N / (1 - rho^N) per complex kernel.
+    radius, nodes = sys.float_info.min, 64
     poly = BiSlicePoly([E0, E1])
     ci, cj = SliceContour(0.0, radius, Q23, nodes), SliceContour(0.0, radius, Q13, nodes)
     angle = 1.0
@@ -895,13 +898,17 @@ def test_small_contour_far_from_zero_is_not_singular():
 
 @pytest.mark.parametrize("radius", [1e-10, 1e-13, 1e-15])
 def test_small_contour_about_1_keeps_its_digits(radius):
-    # The kernel denominators are phi - (q_c - x0): formed as (x0 + phi) - q_c
-    # they lost phi's low bits, and the errors read 5.2e-8, 2.4e-4 and 1.3e-2.
+    # The kernel denominators are u - rho, rho formed from alpha - x0: formed
+    # as (x0 + phi) - q_c they lost phi's low bits, and the errors read
+    # 5.2e-8, 2.4e-4 and 1.3e-2.  The singular test is sized by the disc, so
+    # the default tol passes the target 0.3 r from the center (sized by |x0|,
+    # it raised OnSingularSphere).
     poly = BiSlicePoly([E0, E1, E12])
     ci, cj = SliceContour(1.0, radius, Q23, 64), SliceContour(1.0, radius, Q13, 64)
     x = ConePoint.from_element(E0 + E1 * (0.3 * radius))
-    error = (cauchy_reconstruct(poly, ci, cj, x, 0.0) - poly.eval(x)).magnitude()
-    assert error < 1e-15
+    for tol in (0.0, EPS):
+        error = (cauchy_reconstruct(poly, ci, cj, x, tol) - poly.eval(x)).magnitude()
+        assert error < 1e-15
 
 
 # -- the slice table: weights folded into the Horner coefficients --------------
@@ -926,15 +933,14 @@ def test_folded_weights_give_the_per_node_floats(nodes):
             ]
         )
         contour = SliceContour(rng.uniform(-1, 1), rng.uniform(0.5, 2), Q12, nodes)
-        # the circle, then each component's per-node columns
+        # each component's per-node columns
         table = _node_table(poly, contour)
-        assert _bits(table[0]) == _bits(_circle(contour)[0])
-        assert _bits(table[1]) == _bits(_circle(contour)[1])
+        assert len(table) == 8
         size = abs(contour.center) + contour.radius
-        for ws, component in zip((table[2:6], table[6:]), poly.split()):
+        for ws, component in zip((table[:4], table[4:]), poly.split()):
             want = quarter_circle_columns(component, contour.center, contour.radius, nodes)
             assert [_bits(w) for w in ws] == [_bits(w) for w in want]
-            reference = per_node_slice_columns(component, table[1], nodes)
+            reference = per_node_slice_columns(component, _zs(contour), nodes)
             for w, ref, scale in zip(ws, reference, horner_bound(component, size)):
                 bound = 8 * (degree + 1) * sys.float_info.epsilon * scale
                 for k, (got, horner) in enumerate(zip(w, ref)):
@@ -951,28 +957,22 @@ def _bits(zs) -> bytes:
 
 @pytest.mark.parametrize("nodes", [16, 17, 18, 19, 64, 65, 66, 512, 65536])
 def test_cached_unit_circle_gives_the_per_node_floats(nodes):
-    # e^{i t} r and x0 + phi from the cache against r cos t, r sin t per node,
-    # over centres of both zero signs and radii across SliceContour's bounds:
-    # the quarter circle k <= N/4 of an even N, the half circle of an odd N.
-    # An even N's other nodes are antipodes, phi_{N/2-k} = -conj(phi_k).
+    # e^{i t} from the cache against cos t, sin t per node: the quarter
+    # circle k <= N/4 of an even N, the half circle of an odd N.  An even N's
+    # other nodes are antipodes, u_{N/2-k} = -conj(u_k).
     front = nodes // 4 if nodes % 2 == 0 else nodes // 2
     thetas = [2.0 * math.pi * k / nodes for k in range(front + 1)]
-    radii = (math.ldexp(1.0, -511), 1e-150, 1e-13, 0.7, 1.0, 3.0, 1e50, 6.7e153 - 3.0)
-    for radius in radii:
-        want_phis = [complex(radius * math.cos(t), radius * math.sin(t)) for t in thetas]
-        for center in (0.0, -0.0, 3.0, -3.0):
-            phis, zs = _circle(SliceContour(center, radius, Q23, nodes))
-            assert len(phis) == nodes // 2 + 1
-            assert _bits(phis[: front + 1]) == _bits(want_phis)
-            if nodes % 2 == 0:
-                back = range(front + 1, nodes // 2 + 1)
-                assert _bits([phis[j] for j in back]) == _bits([-phis[nodes // 2 - j].conjugate() for j in back])
-            assert _bits(zs) == _bits([center + phi for phi in phis])
+    units = _unit_circle(nodes)
+    assert len(units) == nodes // 2 + 1
+    assert _bits(units[: front + 1]) == _bits([complex(math.cos(t), math.sin(t)) for t in thetas])
+    if nodes % 2 == 0:
+        back = range(front + 1, nodes // 2 + 1)
+        assert _bits([units[j] for j in back]) == _bits([-units[nodes // 2 - j].conjugate() for j in back])
 
 
 def test_unit_circle_cache_holds_at_most_its_bound():
     for nodes in (16, 17, 64, 65, 512, 1024):
-        _circle(SliceContour(0.0, 1.0, Q23, nodes))
+        _unit_circle(nodes)
     info = _unit_circle.cache_info()
     assert info.maxsize == 4 and info.currsize <= 4
     _unit_circle(1024)  # the newest is kept
@@ -990,9 +990,9 @@ def test_table_off_center_keeps_the_range_of_horner_at_z(capsys, nodes):
     contour = SliceContour(1.0, 0.01, Q23, nodes)
     table = _node_table(poly, contour)
     fp = poly.split()[0]
-    assert [_bits(w) for w in table[2:6]] == [_bits(w) for w in quarter_circle_columns(fp, 1.0, 0.01, nodes)]
+    assert [_bits(w) for w in table[:4]] == [_bits(w) for w in quarter_circle_columns(fp, 1.0, 0.01, nodes)]
     bound = 8 * 41 * sys.float_info.epsilon * horner_bound(fp, 1.01)[0]
-    for k, (got, horner) in enumerate(zip(table[2], per_node_slice_columns(fp, table[1], nodes)[0])):
+    for k, (got, horner) in enumerate(zip(table[0], per_node_slice_columns(fp, _zs(contour), nodes)[0])):
         assert math.isfinite(abs(got)) and math.isfinite(abs(horner))
         assert abs(got - horner) <= (2.0 if 0 < k < nodes - k else 1.0) * bound
     argv = ["cauchy-verify", "--poly", "coeffs: [" + "0, " * 40 + big + "]", "--center", "1"]
@@ -1010,8 +1010,8 @@ def test_folded_weights_near_the_float_maximum_stay_a_named_error(capsys):
     poly = BiSlicePoly([CliffordElement([-1e308] + [0.0] * 7), CliffordElement([1e308] + [0.0] * 7)])
     contour = SliceContour(0.0, 2.0, Q23, 64)
     table = _node_table(poly, contour)
-    want = per_node_slice_columns(poly.split()[0], table[1], 64)
-    for columns in (table[2:6], want):
+    want = per_node_slice_columns(poly.split()[0], _zs(contour), 64)
+    for columns in (table[:4], want):
         assert not all(math.isfinite(abs(w)) for w in columns[0])
     argv = ["cauchy-verify", "--poly", f"coeffs: [-{big}, {big}]", "--at", "0.5e1"]
     assert run(argv + ["--radius", "2", "--nodes", "64"]) == 1

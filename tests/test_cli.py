@@ -602,22 +602,31 @@ def _diagonal(entry: str) -> tuple[str, ...]:
     return ("det", "--matrix", f"[[{entry}, 0], [0, {entry}]]")
 
 
-@pytest.mark.parametrize(
-    "argv, error",
-    [
-        (_diagonal(HUGE), "NonFiniteResult"),
-        (
-            ("cauchy-verify", "--poly", "coeffs: [1, e1]", "--radius", "1e200", "--at", "e1"),
-            "InvalidContour",
-        ),
-    ],
-)
+@pytest.mark.parametrize("argv, error", [(_diagonal(HUGE), "NonFiniteResult")])
 @pytest.mark.parametrize("mode", ["pretty", "records"])
 def test_squares_past_float_range_are_named_errors(capsys, argv, error, mode):
     code, out, err = invoke(capsys, *argv, "--output", mode)
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {error}:")
+
+
+@pytest.mark.parametrize("mode", ["pretty", "records"])
+def test_contour_of_radius_1e200_answers(capsys, mode):
+    # The quadrature squares nothing of the contour's size, so radius 1e200
+    # answers (its square once made it InvalidContour).  1 + e1 x is 0 at e1
+    # and of size 1e200 on the circle, so the error is rounding at that size.
+    argv = ("cauchy-verify", "--poly", "coeffs: [1, e1]", "--radius", "1e200", "--at", "e1")
+    code, out, err = invoke(capsys, *argv, "--output", mode)
+    assert (code, err) == (0, "")
+    if mode == "pretty":
+        error = float(out.split("error: ")[1].split()[0])
+        assert out.splitlines()[1] == "direct value:   0"
+    else:
+        (rec,) = records(out)
+        assert rec["radius"] == 1e200 and rec["expected"] == [0.0] * 8
+        error = rec["error"]
+    assert error <= 1e-15 * 1e200
 
 
 # det 1e-620 underflows to 0, but det / m^2 = 1 still reads invertible
