@@ -100,10 +100,9 @@ import sys
 from functools import lru_cache
 from itertools import islice, repeat
 from operator import mul, sub, truediv
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .clifford3 import EPS, Q23, CliffordElement, Quat, _new, _scaled, _times_power_of_two, join, negligible
-from .bislice import BiSlicePoly, QuatPoly, central_differences
 from .errors import (
     InputTooLarge,
     InvalidContour,
@@ -112,6 +111,9 @@ from .errors import (
     PointOutsideContour,
 )
 from .qsplit import ConePoint, _slice_point
+
+if TYPE_CHECKING:  # annotations only: the kernel alone loads no bislice
+    from .bislice import BiSlicePoly, QuatPoly
 
 DEFAULT_NODES = 512
 MIN_NODES = 16
@@ -517,6 +519,8 @@ def kernel_regularity_residual(
     the right-sided operator ``(d_u + d_v (.) I)/2`` in the first argument
     along the slices of s.  Both are O(h^2) away from the singular spheres.
     """
+
+    from .bislice import central_differences
 
     def slice_operator(fixed: Quat, at: ConePoint, unit: Quat, right_sided: bool) -> Quat:
         def kernel(u: float, v: float) -> Quat:

@@ -4,7 +4,8 @@ Every subcommand parses its inputs with the shared grammars, dispatches to
 one library operation family, and prints either a human-readable summary
 (``--output pretty``, numbers at 12 significant digits) or line-delimited
 JSON records with stable field names (``--output records``, full float
-precision).
+precision).  Records are written by ``_json``, which gives ``json.dumps``'s
+bytes for the few types records hold, so no call imports ``json``.
 
 ``argv[0]`` names a command in ``COMMANDS``; its options are the words that
 start with ``--``, and ``-h``.  ``--opt value`` is ``--opt=value`` whatever
@@ -20,7 +21,6 @@ or points outside a contour (the error class is named).
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from types import SimpleNamespace
@@ -29,7 +29,7 @@ from typing import Callable
 # Each handler imports the modules it computes with, so a call loads only
 # those (see the import contract in README.md).
 from . import grammar
-from .clifford3 import EPS, Q12, Q13, Q23, Quat, split
+from .clifford3 import EPS, Q12, Q13, Q23, CliffordElement, Quat, split
 from .errors import ConeAlgebraError, NonFiniteResult, ParseError
 
 PRETTY_DIGITS = 12
@@ -49,14 +49,73 @@ def _all_finite(value) -> bool:
     return True
 
 
+def _json_string(text: str) -> str:
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    raise ValueError(f"record string {text!r} needs escaping")
+
+
+def _json(value) -> str:
+    """``json.dumps(value)`` for str-keyed dicts, lists, tuples, bools, ints,
+    finite floats and strings that need no escape; any other value raises
+    ``TypeError`` (a non-finite float or a string to escape ``ValueError``),
+    so the text is always valid JSON."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"record float {value!r} is not finite")
+    if isinstance(value, (list, tuple)):
+        return f"[{', '.join(map(_json, value))}]"
+    if isinstance(value, dict):
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"record key {key!r} is not a str")
+            items.append(f"{_json_string(key)}: {_json(item)}")
+        return "{" + ", ".join(items) + "}"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _json_string(value)
+    raise TypeError(f"a record cannot hold {type(value).__name__}")
+
+
+def _readable(value) -> str:
+    """``value`` as pretty text: elements and quaternions in the term grammar
+    and floats at ``PRETTY_DIGITS``, a sphere of zeros as a point or a sphere,
+    other lists and tuples comma-separated, anything else by ``str``."""
+    if isinstance(value, Quat):
+        return grammar.format_quat(value, PRETTY_DIGITS)
+    if isinstance(value, CliffordElement):
+        return grammar.format_element(value, PRETTY_DIGITS)
+    if isinstance(value, float):
+        return _fmt(value)
+    if hasattr(value, "radius"):
+        # A SphereDescriptor, known by its fields so that formatting loads no
+        # qsplit; candidate_bases already folded a negligible radius to exactly 0.
+        if value.radius == 0.0:
+            return f"point {_fmt(value.center)}"
+        return f"sphere(center {_fmt(value.center)}, radius {_fmt(value.radius)})"
+    if isinstance(value, (list, tuple)):
+        return ", ".join(map(_readable, value))
+    return str(value)
+
+
 class _Output:
     def __init__(self, mode: str):
         self.mode = mode
         self.lines: list[str] = []
 
-    def pretty(self, text: str) -> None:
+    def pretty(self, text: str, *values) -> None:
+        """Keep a line of pretty text, each ``{}`` in ``text`` replaced by the
+        next of ``values`` as ``_readable`` writes it.
+
+        Records calls skip the formatting: they never print this text.
+        """
         if self.mode == "pretty":
-            self.lines.append(text)
+            self.lines.append(text.format(*map(_readable, values)) if values else text)
 
     def record(self, **fields) -> None:
         """Keep one record; every handler passes all of its numbers here.
@@ -70,7 +129,7 @@ class _Output:
                     f"{fields.get('cmd', 'result')}: {name} is not finite"
                 )
         if self.mode == "records":
-            self.lines.append(json.dumps(fields))
+            self.lines.append(_json(fields))
 
     def emit(self) -> None:
         for line in self.lines:
@@ -91,22 +150,13 @@ def _zero_part_fields(part) -> dict:
     return {"kind": "sphere", "center": part.center, "radius": part.radius}
 
 
-def _zero_part_pretty(part) -> str:
-    if isinstance(part, Quat):
-        return grammar.format_quat(part, PRETTY_DIGITS)
-    # candidate_bases already folded a negligible radius to exactly 0.
-    if part.radius == 0.0:
-        return f"point {_fmt(part.center)}"
-    return f"sphere(center {_fmt(part.center)}, radius {_fmt(part.radius)})"
-
-
 # -- subcommand handlers -----------------------------------------------------------
 
 
 def _cmd_split(args, out: _Output) -> None:
     x = grammar.parse_element(args.element)
     p, q = split(x)
-    out.pretty(grammar.format_quat_pair(p, q, PRETTY_DIGITS))
+    out.pretty("({} | {})", p, q)
     out.record(cmd="split", element=x.coeffs, p=p, q=q)
 
 
@@ -130,7 +180,7 @@ def _cmd_eval(args, out: _Output) -> None:
     poly = grammar.parse_poly(args.poly)
     x = grammar.parse_element(args.at)
     value = poly.eval(x)
-    out.pretty(grammar.format_element(value, PRETTY_DIGITS))
+    out.pretty("{}", value)
     out.record(cmd="eval", at=x.coeffs, value=value.coeffs)
 
 
@@ -140,19 +190,14 @@ def _cmd_star(args, out: _Output) -> None:
     left = grammar.parse_poly(args.left)
     right = grammar.parse_poly(args.right)
     product = bislice.star_mul(left, right)
-    coeff_text = ", ".join(
-        grammar.format_element(c, PRETTY_DIGITS) for c in product.coeffs
-    )
-    out.pretty(f"coeffs: [{coeff_text}]")
+    out.pretty("coeffs: [{}]", product.coeffs)
     record = {"cmd": "star", "coeffs": [c.coeffs for c in product.coeffs]}
     if args.at is not None:
         x = grammar.parse_element(args.at)
         conv = product.eval(x)
         pointwise = bislice.star_mul_pointwise(left, right, x, args.tol)
-        out.pretty(f"value at point: {grammar.format_element(conv, PRETTY_DIGITS)}")
-        out.pretty(
-            f"pointwise form: {grammar.format_element(pointwise, PRETTY_DIGITS)}"
-        )
+        out.pretty("value at point: {}", conv)
+        out.pretty("pointwise form: {}", pointwise)
         record["value"] = conv.coeffs
         record["pointwise"] = pointwise.coeffs
     out.record(**record)
@@ -172,16 +217,10 @@ def _cmd_roots(args, out: _Output) -> None:
     units = _sample_units()
     residual = zeros.verify_zeros(poly, zero_set, units)
     out.pretty(f"case: {zero_set.case}")
-    out.pretty(
-        "p-side: "
-        + ", ".join(_zero_part_pretty(part) for part in zero_set.side_p.parts())
-    )
-    out.pretty(
-        "q-side: "
-        + ", ".join(_zero_part_pretty(part) for part in zero_set.side_q.parts())
-    )
+    out.pretty("p-side: {}", zero_set.side_p.parts())
+    out.pretty("q-side: {}", zero_set.side_q.parts())
     for pp, qq in zero_set.pairs:
-        out.pretty(f"zero pair: ({_zero_part_pretty(pp)} | {_zero_part_pretty(qq)})")
+        out.pretty("zero pair: ({} | {})", pp, qq)
     out.pretty(f"max |f| over sampled zeros: {residual:.3e}")
     for pp, qq in zero_set.pairs:
         out.record(
@@ -204,11 +243,7 @@ def _cmd_mult(args, out: _Output) -> None:
         f"(sphere, sphere)"
     )
     p_loc, q_loc = report.isolated_location
-    loc = (
-        f"({grammar.format_quat(p_loc, PRETTY_DIGITS) if p_loc else '0'}, "
-        f"{grammar.format_quat(q_loc, PRETTY_DIGITS) if q_loc else '0'})"
-    )
-    out.pretty(f"isolated: {report.isolated} at {loc}")
+    out.pretty("isolated: {} at ({}, {})", report.isolated, p_loc or "0", q_loc or "0")
     out.pretty(f"two-dimensional first kind: {report.first_kind}")
     out.pretty(f"two-dimensional second kind: {report.second_kind}")
     out.record(
@@ -232,14 +267,10 @@ def _cmd_det(args, out: _Output) -> None:
     tilde, tilde2 = qdet.split_matrix(matrix)
     # one Schur form per side gives det and, as in is_right_invertible, det / m**2
     (d1, r1), (d2, r2) = qdet._schur(tilde), qdet._schur(tilde2)
-    out.pretty(_fmt(d1))
+    out.pretty("{}", d1)
     for name, side in (("first side", tilde), ("second side", tilde2)):
-        row_text = "; ".join(
-            ", ".join(grammar.format_quat(e, PRETTY_DIGITS) for e in row)
-            for row in side
-        )
-        out.pretty(f"{name}: [{row_text}]")
-    out.pretty(f"formula on second side: {_fmt(d2)}")
+        out.pretty("{}: [{}; {}]", name, *side)
+    out.pretty("formula on second side: {}", d2)
     out.record(
         cmd="det",
         det=d1,
@@ -263,8 +294,8 @@ def _cmd_cauchy_verify(args, out: _Output) -> None:
     value = cauchy.cauchy_reconstruct(poly, contour_i, contour_j, x, args.tol)
     expected = poly.eval(x)
     error = (value - expected).magnitude()
-    out.pretty(f"reconstruction: {grammar.format_element(value, PRETTY_DIGITS)}")
-    out.pretty(f"direct value:   {grammar.format_element(expected, PRETTY_DIGITS)}")
+    out.pretty("reconstruction: {}", value)
+    out.pretty("direct value:   {}", expected)
     out.pretty(f"error: {error:.3e} at {nodes} nodes")
     out.record(
         cmd="cauchy-verify",
@@ -302,7 +333,7 @@ def _cmd_kernel(args, out: _Output) -> None:
     s = ConePoint.from_element(grammar.parse_element(args.s), args.tol)
     x = ConePoint.from_element(grammar.parse_element(args.x), args.tol)
     value = cauchy.cauchy_kernel(s, x, args.tol)
-    out.pretty(grammar.format_element(value, PRETTY_DIGITS))
+    out.pretty("{}", value)
     out.record(cmd="kernel", value=value.coeffs)
 
 

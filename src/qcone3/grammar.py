@@ -49,6 +49,10 @@ _TERM_RE = re.compile(rf"\s*([+-]?)\s*({_NUMBER})?\s*(\*)?\s*({_BASIS}|1)?\s*")
 _SPACE_RE = re.compile(r"\s*")
 _BRACKET_RE = re.compile(r"[()[\]]")
 
+# Per basis position: the term of a unit coefficient, and the suffix after
+# any other number (none after the real part).
+_TERMS = tuple((name, "" if name == "1" else name) for name in BASIS_NAMES)
+
 #: Most coefficients a parsed polynomial may have.  It bounds the quadratic
 #: cost of the star product and of the factor expansion.
 MAX_COEFFS = 256
@@ -152,7 +156,7 @@ def format_element(x: CliffordElement, sig: int | None = None) -> str:
     """Render in the term grammar.  Default mode reparses to the same floats;
     ``sig`` rounds each coefficient to that many significant digits."""
     pieces: list[str] = []
-    for coeff, name in zip(x.coeffs, BASIS_NAMES):
+    for coeff, (unit, suffix) in zip(x.coeffs, _TERMS):
         if coeff == 0.0:
             continue
         value = abs(coeff)
@@ -163,15 +167,8 @@ def format_element(x: CliffordElement, sig: int | None = None) -> str:
             from decimal import Decimal
 
             number = format(Decimal(value if sig is None else number), "f")
-        if number.endswith(".0"):
-            number = number[:-2]
-        if name == "1":
-            body = number
-        elif number == "1":
-            body = name
-        else:
-            body = number + name
-        pieces.append(("- " if coeff < 0 else "+ ") + body)
+        number = number.removesuffix(".0")
+        pieces.append(("- " if coeff < 0 else "+ ") + (unit if number == "1" else number + suffix))
     if not pieces:
         return "0"
     out = " ".join(pieces)

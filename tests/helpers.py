@@ -598,6 +598,34 @@ def format_element_per_term(x: CliffordElement, sig: int | None = None) -> str:
     return " ".join(pieces)
 
 
+def format_element_by_branches(x: CliffordElement, sig: int | None = None) -> str:
+    """``format_element`` with a branch for each kind of term: the reference
+    its table of term suffixes must match byte for byte."""
+    pieces: list[str] = []
+    for coeff, name in zip(x.coeffs, BASIS_NAMES):
+        if coeff == 0.0:
+            continue
+        value = abs(coeff)
+        number = repr(value) if sig is None else f"{value:.{sig}g}"
+        if "e" in number:
+            from decimal import Decimal
+
+            number = format(Decimal(value if sig is None else number), "f")
+        if number.endswith(".0"):
+            number = number[:-2]
+        if name == "1":
+            body = number
+        elif number == "1":
+            body = name
+        else:
+            body = number + name
+        pieces.append(("- " if coeff < 0 else "+ ") + body)
+    if not pieces:
+        return "0"
+    out = " ".join(pieces)
+    return out[2:] if out[0] == "+" else "-" + out[2:]
+
+
 # -- oracle: the multiplicity engine on the expanded product -----------------------
 #
 # The library reads multiplicities off the factor list (``zeros.sphere_chain``).

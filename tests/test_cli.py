@@ -295,6 +295,50 @@ def test_kernel_value(capsys):
     assert rec["value"] == [0.4, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
+_KEYS = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters='"\\'))
+_LEAVES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16, 1e-7)),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    _KEYS,
+    st.builds(qcone3.Quat, *[st.floats(allow_nan=False, allow_infinity=False)] * 4),
+)
+_RECORDS = st.dictionaries(
+    _KEYS,
+    st.recursive(
+        _LEAVES,
+        lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(_KEYS, inner),
+        max_leaves=20,
+    ),
+)
+
+
+@given(_RECORDS)
+@settings(max_examples=300)
+def test_records_writer_matches_json_dumps(record):
+    assert cli._json(record) == json.dumps(record)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [None, {"a": None}, [1.0, None], {1: 2.0}, {("a",): 1}, 1j, b"x", {1.0}, qcone3.E1, object()],
+    ids=repr,
+)
+def test_records_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, [math.inf], {"a": -math.inf}, 'a"b', "a\\b", "\n", "\x7f", "\u00e9", {"\t": 1}]
+)
+def test_records_writer_refuses_what_json_would_escape_or_reject(value):
+    # json.dumps writes NaN or Infinity (not JSON) and escapes these strings.
+    with pytest.raises(ValueError):
+        cli._json(value)
+
+
 def test_usage_error_exit_code(capsys):
     code = run(["not-a-command"])
     capsys.readouterr()

@@ -229,6 +229,32 @@ def test_cli_matches_golden(argv):
         assert lines_close(g, w, records), (g, w)
 
 
+def test_records_writer_matches_json_dumps_on_the_corpus(monkeypatch):
+    from qcone3 import cli
+
+    fields_seen = []
+    record = cli._Output.record
+
+    def keep(self, **fields):
+        fields_seen.append(fields)
+        record(self, **fields)
+
+    monkeypatch.setattr(cli._Output, "record", keep)
+    for argv in CASES:
+        if argv[-1] == "records":
+            invoke(argv)
+    corpus_records = [
+        line
+        for case in _load().values()
+        if case["argv"][-1] == "records"
+        for line in case["stdout"].splitlines()
+        if line.startswith("{")
+    ]
+    assert len(fields_seen) == len(corpus_records)
+    for fields in fields_seen:
+        assert cli._json(fields) == json.dumps(fields)
+
+
 def test_pretty_fields_reparse_elements():
     words, numbers = pretty_fields("zero pair: (sphere(center 0, radius 2) | 0.5 - e23)")
     assert words == ["zero pair", "sphere", "element"]

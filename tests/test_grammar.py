@@ -30,6 +30,7 @@ from qcone3 import (
 from qcone3.errors import ParseError, UnfactoredInput
 from qcone3.grammar import _split_top_level
 from helpers import (
+    format_element_by_branches,
     format_element_per_term,
     rand_element,
     scanner_element,
@@ -126,6 +127,31 @@ _format_values = st.one_of(
 def test_format_matches_per_term_formatter(coeffs, sig):
     x = CliffordElement(coeffs)
     assert format_element(x, sig) == format_element_per_term(x, sig)
+
+
+# Coefficients at the edges of the formatter's branches: signed zero, unit
+# and near-unit magnitudes, subnormals, 1e+-300, and values whose repr or
+# rounding is in exponent form.
+_edge_values = st.one_of(
+    st.sampled_from(
+        (0.0, -0.0, 1.0, -1.0, 0.9999999999999, 1.0000000000001, 5e-324, -2.5e-320,
+         1e300, -1e-300, 1.7976931348623157e308, 1e16, 1e-5, 1.5e25, -3e-7)
+    ),
+    st.builds(
+        lambda m, k: m * 10.0**k,
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.integers(min_value=-300, max_value=300),
+    ),
+)
+
+
+@given(st.lists(_edge_values, min_size=8, max_size=8), st.sampled_from((None, 12)))
+@example([-0.0, 1.0, 5e-324, 1e300, -1e-300, 1e16, 0.9999999999999, 1.5e25], 12)
+@example([1.0, -1.0, 1.0, 0.0, -0.0, 5e-324, 1e-300, -1e300], None)
+@settings(max_examples=500)
+def test_format_matches_branching_formatter(coeffs, sig):
+    x = CliffordElement(coeffs)
+    assert format_element(x, sig) == format_element_by_branches(x, sig)
 
 
 def _magnitude_coeffs():

@@ -129,21 +129,28 @@ def test_unknown_attribute_names_the_package():
 
 
 # Runs one CLI call, then prints its exit status, the qcone3 submodules it
-# loaded, whether it imported ``decimal``, and which of argparse's modules
-# (``argparse``, ``gettext``, ``locale``) it imported.
+# loaded, whether it imported ``decimal``, which of argparse's modules
+# (``argparse``, ``gettext``, ``locale``) it imported, and whether it imported
+# ``json``.  It reads ``sys.modules`` before it imports ``json`` to print.
 _CLI_CALL = (
-    "import json, sys\n"
+    "import sys\n"
     "from qcone3 import cli\n"
     "code = cli.run(sys.argv[1:])\n"
     "loaded = sorted(m[7:] for m in sys.modules if m.startswith('qcone3.'))\n"
     "parsers = sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))\n"
-    "print(json.dumps([code, loaded, 'decimal' in sys.modules, parsers]))\n"
+    "found = [code, loaded, 'decimal' in sys.modules, parsers, 'json' in sys.modules]\n"
+    "import json\n"
+    "print(json.dumps(found))\n"
 )
 
 
 def _cli_call(*argv: str) -> tuple[int, list[str], bool, list[str]]:
+    """Exit status, qcone3 submodules, decimal loaded, argparse's modules;
+    asserts that the call loaded no ``json``."""
     *_, last = _fresh(_CLI_CALL, *argv).splitlines()
-    return tuple(json.loads(last))
+    *found, json_loaded = json.loads(last)
+    assert not json_loaded
+    return tuple(found)
 
 
 _BASE = ["cli", "clifford3", "errors", "grammar"]
@@ -169,17 +176,18 @@ _FOOTPRINTS = [
         ["bislice", "cauchy", "qsplit"],
     ),
     (["dbar-check", "--poly", _POLY, "--at", "0.5e1"], ["bislice", "qsplit"]),
-    (["kernel", "--s", "e1", "--x", "0.5e1"], ["bislice", "cauchy", "qsplit"]),
+    (["kernel", "--s", "e1", "--x", "0.5e1"], ["cauchy", "qsplit"]),
 ]
 
 
+@pytest.mark.parametrize("mode", ["pretty", "records"])
 @pytest.mark.parametrize(
     "argv, extra", _FOOTPRINTS, ids=[argv[0] for argv, _ in _FOOTPRINTS]
 )
-def test_each_subcommand_loads_only_its_modules(argv, extra):
+def test_each_subcommand_loads_only_its_modules(argv, extra, mode):
     # The sets README.md's import contract lists; no subcommand loads stem,
-    # and none loads argparse or what its messages import.
-    code, loaded, _, parsers = _cli_call(*argv)
+    # and none loads json, argparse or what argparse's messages import.
+    code, loaded, _, parsers = _cli_call(*argv, "--output", mode)
     assert code == 0
     assert loaded == sorted(_BASE + extra)
     assert parsers == []
@@ -188,3 +196,9 @@ def test_each_subcommand_loads_only_its_modules(argv, extra):
 def test_decimal_loads_only_for_numbers_printed_with_an_exponent():
     assert _cli_call("split", "0.5e1") == (0, _BASE, False, [])
     assert _cli_call("split", "0.00000000000001e1") == (0, _BASE, True, [])
+    # The reconstruction's e1 coefficient reads 2.9e-17: pretty text needs
+    # decimal for it, records print no pretty text.
+    cauchy = ["cauchy-verify", "--poly", _POLY, "--radius", "2", "--at", "0.5e1"]
+    modules = sorted(_BASE + ["bislice", "cauchy", "qsplit"])
+    assert _cli_call(*cauchy) == (0, modules, True, [])
+    assert _cli_call(*cauchy, "--output", "records") == (0, modules, False, [])
