@@ -41,47 +41,60 @@ I b) R(v) = R((a + i b) v)``.
   y)/2i``.
 * The nodes pair as ``u_{N-k} = conj(u_k)``, where ``x`` and ``y`` trade
   places, conjugated, and ``w`` (real columns) conjugates, so every N-node
-  sum is real, ``sum' c_k Re(.)`` over ``k = 0 ... N//2`` with ``c_k`` 1 at
-  k = 0 and (N even) N/2, else 2.  The weight is folded into the
-  coefficients: Horner on ``2 f`` is exactly ``2 w`` while the values stay
-  normal.  With ``w`` for ``c_k w``, ``X = sum x w`` and ``Y = sum y w``, the
-  reconstruction is ``((Re X + Re Y) + J (Im X - Im Y)) / 2N``, free of I as
-  the formula says, and the closed integral is ``I r Re(sum u w) * 2 pi /
-  N``.  The sums run in C, ``sum(map(mul, ...), 0j)``.
+  sum is real: ``X + conj Y`` over the half circle for the sum of ``x w``.
+* For even N the nodes u and -u are both nodes too, and with ``f(x0 + r u)
+  = E(s) + u O(s)``, ``s = u^2``, E and O of real coefficients, each pair
+  folds into one term: ``x(u) w(u) + x(-u) w(-u) = 2 K(s) (E(s) + rho
+  O(s))`` with ``K(s) = s / (s - rho^2)``, and ``u w(u) - u w(-u) = 2 s
+  O(s)``.  So the N-node sum is the N/2-node trapezoid sum over the circle
+  of s, ``s_m = u_{2m}``, for E and O, still f on the contour through its
+  even and odd parts (not the closed form ``f(q) / (1 - rho^N)``).  Odd N is
+  the same with one class, f itself over u, and ``K(u) = u / (u - rho)``.
+* Over the half circle of ``v = u^p`` (p = 2 for even N, else 1), weight
+  ``c`` 1 where v is real (v = 1, and v = -1 when N/p is even) and 2
+  elsewhere, folded into the coefficients: Horner on ``2 f_j`` is exactly
+  ``2 f_j`` while the values stay normal.  With ``X = sum_j rho^j sum c K
+  f_j`` (``sum c K E + rho sum c K O`` for even N) and Y the same at conj
+  rho, the reconstruction is ``p ((Re X + Re Y) + J (Im X - Im Y)) / 2N``,
+  free of I as the formula says, and the closed integral is ``I r p Re(sum
+  c v f_{p-1}) * 2 pi / N``.  The sums run in C, ``sum(map(mul, ...),
+  0j)``.
 
 The weights depend on the target only through rho, which a cone point's
 split components ``alpha + beta I1`` and ``alpha + beta I2`` share, so one
-weight pass over the unit circle serves both; each component then sums
-against its own ``c_k w``.  rho is formed from ``alpha - x0``, so a radius
+weight pass over the folded circle serves both; each component then sums
+against its own table.  rho is formed from ``alpha - x0``, so a radius
 small beside the center keeps its digits.  The pass and its singular test
-see the contour and the target only through rho and square nothing, so both
-have degree 0: the circle and the target scaled by a power of two give the
-same floats and the same decision.  A node is singular where ``min(|u -
-rho|, |u - conj rho|)`` (which covers nodes k and N - k) is negligible
-beside ``|(1, rho)|``, the disc's own size ``|(r, q_c - x0)| / r`` with
-``q_c = alpha + i beta``.  That bound is one float for every node, and every
-node is at least ``1 - |rho|`` from rho and from conj rho, so when that
-margin, less a rounding slack of ``8 eps``, exceeds the bound, no node can
-be singular.  Only targets within about ``1.4 tol r`` of the circle are
-tested node by node, and the answer is the node loop's either way
-(:func:`_kernel_weights`).
+see the contour and the target only through rho, so both have degree 0:
+the circle and the target scaled by a power of two give the same floats and
+the same decision.  A node is singular where ``min(|u - rho|, |u - conj
+rho|)`` (which covers nodes k and N - k) is negligible beside ``|(1,
+rho)|``, the disc's own size ``|(r, q_c - x0)| / r`` with ``q_c = alpha + i
+beta``.  That bound is one float for every node, and every node is at least
+``1 - |rho|`` from rho and from conj rho, so when that margin, less a
+rounding slack of ``8 eps``, exceeds the bound, no node can be singular.
+Only targets within about ``1.4 tol r`` of the circle are tested node by
+node, over the whole half circle u, and the answer is the node loop's
+either way (:func:`_kernel_weights`).
 
-Both quadratures read one node table over k = 0 ... N//2: ``c_k w`` for
-each split component, eight complex columns, 162 bytes per contour node
-(tracemalloc), so at most 10.6 MB at :data:`MAX_NODES`, and a
-reconstruction's columns ``x, y`` 40 (2.5 MB) while it runs.  The columns
-come from f's Taylor rows about x0 in u (Horner in u once per table,
-O(d^2)), split into even and odd parts, ``f(x0 + r u) = E(u^2) + u
-O(u^2)``.  No row exceeds the largest of f's Horner partials on the circle,
-so the table stays finite where Horner at ``x0 + r u`` does, short of a
-factor of about 2 (d + 1), though the Taylor coefficients themselves may
-overflow.  For even N the antipode ``-conj(u_k)`` of node k is node N/2 - k,
-and as each column has real coefficients its value is ``conj(E - u O)``:
-one pass over the quarter circle k <= N/4, about d/2 Horner steps in
-``u^2`` per table node, fills both components' columns on both halves
-(:func:`_slice_pass`, :func:`_slice_table`).  The unit circle is kept for
-the last four node counts, about 1.3 MB an entry at :data:`MAX_NODES`
-(:func:`_unit_circle`).
+Both quadratures read one node table over the folded circle: per class
+``f_j``, ``c f_j`` for each split component, eight complex columns a class.
+Even N holds sixteen columns over N/4 + 1 nodes and odd N eight over N/2 +
+1, about 160 bytes per contour node either way (tracemalloc; a constant
+holds one complex per column, 16 bytes per node), so at most 10.6 MB at
+:data:`MAX_NODES`, and a reconstruction's columns ``K, K'`` 20 bytes per
+node at even N (1.3 MB at :data:`MAX_NODES`), 40 at odd N, while it runs.
+The columns come from f's Taylor rows about x0 in u (Horner in u once per
+table, O(d^2)), split into the classes, each with its own leading row, and
+Horner over v (:func:`_classes`, :func:`_horner_values`,
+:func:`_slice_table`): about d/2 steps a node for E and for O at even N, d
+at odd N.  No row exceeds the largest of f's
+Horner partials on the circle, so the table stays finite where Horner at
+``x0 + r u`` does, short of a factor of about 2 (d + 1), though the Taylor
+coefficients themselves may overflow.  The unit circle is kept for the
+last four node counts, about 1.3 MB an entry at :data:`MAX_NODES`
+(:func:`_unit_circle`); the folded circle of even N is its every other
+node.
 The module keeps the table of its last (polynomial, contour) call, matched
 by identity, and replaces it in one assignment, so concurrent callers see a
 whole entry or none.
@@ -98,8 +111,8 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from itertools import islice, repeat
-from operator import mul, sub, truediv
+from itertools import chain, repeat
+from operator import add, mul, sub, truediv
 from typing import TYPE_CHECKING, NamedTuple
 
 from .clifford3 import EPS, Q23, CliffordElement, Quat, _new, _scaled, _times_power_of_two, join, negligible
@@ -113,6 +126,8 @@ from .errors import (
 from .qsplit import ConePoint, _slice_point
 
 if TYPE_CHECKING:  # annotations only: the kernel alone loads no bislice
+    from collections.abc import Callable
+
     from .bislice import BiSlicePoly, QuatPoly
 
 DEFAULT_NODES = 512
@@ -219,9 +234,7 @@ def _unit_circle(n: int) -> tuple:
     cosine or sine of its own.
 
     For even N only the quarter circle k <= N//4 takes a cosine and sine;
-    the rest is its antipodes, ``e^{i t_{N/2-k}} = -conj(e^{i t_k})``, so the
-    table's antipodal nodes and the kernel weights' nodes are the same
-    floats."""
+    the rest is its antipodes, ``e^{i t_{N/2-k}} = -conj(e^{i t_k})``."""
     front = n // 4 if n % 2 == 0 else n // 2
     units = [complex(math.cos(t), math.sin(t)) for t in (2.0 * math.pi * k / n for k in range(front + 1))]
     if n % 2 == 0:
@@ -229,65 +242,36 @@ def _unit_circle(n: int) -> tuple:
     return tuple(units)
 
 
-def _slice_pass(ws: tuple, backs, rows: list, points) -> None:
-    """Append ``g(u) = E(u^2) + u O(u^2)`` at each point u to the eight
-    columns ``ws``, four of the first component, then four of the second;
-    with ``backs`` (else None), append ``E - u O`` to its eight columns,
-    whose conjugate is the value at the antipode ``-conj(u)``.
+def _fold(n: int) -> tuple[int, tuple]:
+    """``(p, nodes)``: the classes p of the folded sum, 2 for even N and 1
+    for odd N, and its nodes ``v = u^p`` over their half circle, ``s_m =
+    u_{2m}`` (m <= N/4) for even N and u itself for odd N."""
+    units = _unit_circle(n)
+    return (1, units) if n % 2 else (2, units[::2])
 
-    ``rows`` holds E's eight coefficient columns and then O's, sixteen a
-    row, from the leading one down (:func:`_parity_rows`); Horner over
-    ``u^2`` starts from the leading row as complex numbers."""
+
+def _horner_values(rows: list, points: tuple):
+    """Horner over each point v of ``rows`` (eight real coefficient columns
+    a row, the leading one first), from the leading row as complex numbers:
+    yields the eight column values at v.  A single row is a constant,
+    yielded as is."""
     lead, *rows = rows
     lead = tuple(map(complex, lead))
-    put0, put1, put2, put3, put4, put5, put6, put7 = (w.append for w in ws)
-    if backs is not None:
-        back0, back1, back2, back3, back4, back5, back6, back7 = (b.append for b in backs)
-    for p in points:
-        s = p * p
-        u0, u1, u2, u3, u4, u5, u6, u7, v0, v1, v2, v3, v4, v5, v6, v7 = lead
-        for a0, a1, a2, a3, a4, a5, a6, a7, b0, b1, b2, b3, b4, b5, b6, b7 in rows:
-            u0 = u0 * s + a0
-            u1 = u1 * s + a1
-            u2 = u2 * s + a2
-            u3 = u3 * s + a3
-            u4 = u4 * s + a4
-            u5 = u5 * s + a5
-            u6 = u6 * s + a6
-            u7 = u7 * s + a7
-            v0 = v0 * s + b0
-            v1 = v1 * s + b1
-            v2 = v2 * s + b2
-            v3 = v3 * s + b3
-            v4 = v4 * s + b4
-            v5 = v5 * s + b5
-            v6 = v6 * s + b6
-            v7 = v7 * s + b7
-        v0 = p * v0
-        v1 = p * v1
-        v2 = p * v2
-        v3 = p * v3
-        v4 = p * v4
-        v5 = p * v5
-        v6 = p * v6
-        v7 = p * v7
-        put0(u0 + v0)
-        put1(u1 + v1)
-        put2(u2 + v2)
-        put3(u3 + v3)
-        put4(u4 + v4)
-        put5(u5 + v5)
-        put6(u6 + v6)
-        put7(u7 + v7)
-        if backs is not None:
-            back0(u0 - v0)
-            back1(u1 - v1)
-            back2(u2 - v2)
-            back3(u3 - v3)
-            back4(u4 - v4)
-            back5(u5 - v5)
-            back6(u6 - v6)
-            back7(u7 - v7)
+    if not rows:
+        yield from repeat(lead, len(points))
+        return
+    for v in points:
+        u0, u1, u2, u3, u4, u5, u6, u7 = lead
+        for a0, a1, a2, a3, a4, a5, a6, a7 in rows:
+            u0 = u0 * v + a0
+            u1 = u1 * v + a1
+            u2 = u2 * v + a2
+            u3 = u3 * v + a3
+            u4 = u4 * v + a4
+            u5 = u5 * v + a5
+            u6 = u6 * v + a6
+            u7 = u7 * v + a7
+        yield u0, u1, u2, u3, u4, u5, u6, u7
 
 
 def _rows(fp: QuatPoly, fq: QuatPoly) -> list:
@@ -317,69 +301,80 @@ def _taylor_rows(rows: list, x0: float, r: float) -> list:
     return out
 
 
-def _parity_rows(rows: list) -> list:
-    """The rows of E and O for :func:`_slice_pass`, leading one first, from
-    rows ``c_d ... c_0``: ``c_0, c_2, ...`` make E and ``c_1, c_3, ...`` O.
-    For an even degree O's leading row is zero, so both run the same number
-    of steps."""
-    even, odd = rows[-1::-2], rows[-2::-2]
-    if len(odd) < len(even):
-        odd.append((0.0,) * 8)
-    return [e + o for e, o in zip(reversed(even), reversed(odd))]
+def _classes(rows: list, p: int) -> list:
+    """The rows of ``f_0 ... f_{p-1}``, leading one first, with ``f(u) =
+    sum_j u^j f_j(u^p)``, from rows ``c_d ... c_0``: ``f_j`` has ``c_j,
+    c_{j+p}, ...``.  A class past the degree is left out, so every class
+    has rows of its own and no zero leading row."""
+    up = rows[::-1]
+    return [up[j::p][::-1] for j in range(min(p, len(rows)))]
 
 
-def _slice_table(fp: QuatPoly, fq: QuatPoly, contour: SliceContour) -> tuple:
-    """The node table ``(c w0, ..., c w3, c w0', ..., c w3')``, columns over
-    the nodes k <= N//2 of weight c: four columns of fp, then four of fq.
+def _plane_columns(poly: BiSlicePoly) -> Callable[[complex], tuple]:
+    """The map from z to both components' eight complex columns at z,
+    ``E(z^2) + z O(z^2)`` from the even and odd coefficients (E alone for a
+    constant): the node table's Horner pass at one point, on the plain
+    coefficients."""
+    classes = _classes(_rows(*poly.split()), 2)
 
-    Nodes 0 < k < N - k stand for themselves and their conjugates N - k, so
-    c = 2 there.  Doubling is exact, so it is folded into the coefficients:
-    Horner on 2 f gives the same floats as 2 times Horner on f while the
-    values stay normal.
+    def at(z: complex) -> tuple:
+        v = (z * z,)
+        (even,) = _horner_values(classes[0], v)
+        if len(classes) == 1:
+            return even
+        (odd,) = _horner_values(classes[1], v)
+        return tuple([e + z * o for e, o in zip(even, odd)])
+
+    return at
+
+
+def _slice_table(fp: QuatPoly, fq: QuatPoly, contour: SliceContour) -> list:
+    """The node table: per class ``f_j`` (:func:`_classes`), its eight
+    columns ``c f_j`` over the folded circle (:func:`_fold`), four of fp,
+    then four of fq.
 
     The coefficients are f's Taylor rows about the center x0 in the unit
-    variable u, so ``f(x0 + r u) = E(u^2) + u O(u^2)`` with E and
-    O of about d/2 steps each, and the pass runs over the unit circle.  For
-    even N the antipode ``-conj(u)`` of node k is node N/2 - k, and as every
-    column has real coefficients its value is ``conj(E - u O)``: one pass
-    over the quarter circle k <= N/4 fills both halves.  Node 0 and its
-    antipode N/2 have weight 1, the other pairs 2, and node N/4 (N % 4 == 0)
-    is its own antipode, written once.  Odd N has no antipodes; the pass
-    runs over the whole half circle.
+    variable u, so ``f(x0 + r u) = sum_j u^j f_j(u^p)``.  For even N (p = 2)
+    the nodes u and -u are both nodes and ``f(+-u) = E(s) +- u O(s)`` at
+    ``s = u^2``; E and O, of about d/2 steps each, are tabled at the nodes
+    ``s_m = u_{2m}``, m <= N/4, of the circle of s.  For odd N (p = 1) the
+    one class is f itself over the half circle k <= N//2.  The nodes pair
+    as ``v`` and ``conj v``, so c = 2 except where v is real: v = 1, and v
+    = -1 when N/p is even.  Doubling is exact, so it is folded into the
+    coefficients: Horner on 2 f_j gives the same floats as 2 times Horner
+    on f_j while the values stay normal.
 
     The rows are bounded by f's Horner partials on the circle
     (:func:`_taylor_rows`) and the pass's partials by the sum of the rows,
     so the table overflows only within a factor of about 2 (d + 1) of where
-    Horner at ``z = x0 + r u`` would.  Against Horner at z on the same
-    nodes each value differs by at most ``8 (d + 1) eps c sum_n |a_n| (|x0|
-    + r)^n``, with eps = 2^-52: to first order each is within half of that
-    of the exact value, the Taylor rows' rounding included."""
+    Horner at ``z = x0 + r u`` would.  With ``S = sum_n |a_n| (|x0| +
+    r)^n`` and eps = 2^-52, each value's rounding is, to first order, ``2 d
+    eps c S`` from the Taylor rows and about ``4 eps c S`` a Horner step at
+    |v| = 1, d/2 steps for E and for O at even N and d at odd N.  Against
+    Horner at ``x0 +- r u`` (E and O as ``(f(u) +- f(-u)) / 2`` and ``/
+    2u``) each value lies within ``8 (d + 1) eps c S``; the largest seen is
+    about a ninth of that."""
     n = contour.nodes
-    rows = _parity_rows(_taylor_rows(_rows(fp, fq), contour.center, contour.radius))
-    doubled = [tuple([2.0 * c for c in row]) for row in rows]
-    nodes = iter(_unit_circle(n))
-    ws = [], [], [], [], [], [], [], []
-    if n % 2:
-        _slice_pass(ws, None, rows, islice(nodes, 1))
-        _slice_pass(ws, None, doubled, islice(nodes, n // 2))  # nodes 1 ... (N-1)/2
-        return ws
-    backs = [], [], [], [], [], [], [], []
-    _slice_pass(ws, backs, rows, islice(nodes, 1))  # node 0 and its antipode N/2
-    _slice_pass(ws, backs, doubled, islice(nodes, (n - 2) // 4))  # 0 < k < N/4, N/2 - k
-    if n % 4 == 0:
-        _slice_pass(ws, None, doubled, islice(nodes, 1))  # node N/4, its own antipode
-    for w, back in zip(ws, backs):
-        back.reverse()
-        w.extend(map(complex.conjugate, back))
-        back.clear()  # so one column's unconjugated values are alive at a time
-    return ws
+    p, nodes = _fold(n)
+    # v = -1 is a node, of weight 1, when the circle of v has an even count
+    last = len(nodes) - 1 if (n // p) % 2 == 0 else len(nodes)
+    table = []
+    for rows in _classes(_taylor_rows(_rows(fp, fq), contour.center, contour.radius), p):
+        doubled = [tuple([2.0 * c for c in row]) for row in rows]
+        values = chain(
+            _horner_values(rows, nodes[:1]),
+            _horner_values(doubled, nodes[1:last]),
+            _horner_values(rows, nodes[last:]),
+        )
+        table.append(tuple(zip(*values)))
+    return table
 
 
 #: ``(poly, contour, table)`` of the last quadrature, replaced whole.
 _last_table: tuple = ()
 
 
-def _node_table(poly: BiSlicePoly, contour: SliceContour) -> tuple:
+def _node_table(poly: BiSlicePoly, contour: SliceContour) -> list:
     """The node table of both split components, reused while the polynomial
     and the contour are the same objects as in the previous call."""
     global _last_table
@@ -393,12 +388,21 @@ def _node_table(poly: BiSlicePoly, contour: SliceContour) -> tuple:
     return table
 
 
-def _closed_integral(ws: tuple, contour: SliceContour) -> Quat:
-    """Trapezoid value of the closed integral of ds poly(s) from its columns
-    ``ws``, ``I r Re(sum u w) * 2 pi / N``; the differential I r e^{I t} dt
-    stays left of the integrand.  ``r (2 pi / N)`` is below r, so finite."""
-    v = _new(Quat, [sum(map(mul, _unit_circle(contour.nodes), w), 0j).real for w in ws])
-    return contour.unit * v * (contour.radius * (2.0 * math.pi / contour.nodes))
+def _closed_integral(classes: list, contour: SliceContour) -> Quat:
+    """Trapezoid value of the closed integral of ds poly(s) from one
+    component's table ``classes``.  Over the N nodes ``sum u f(u) = p sum_v
+    v f_{p-1}(v)`` (for even N, ``u f(u) - u f(-u) = 2 s O(s)``), which is
+    ``p Re sum c v f_{p-1}`` over the folded half circle, so the integral is
+    ``I r p Re(sum c v f_{p-1}) * 2 pi / N``, and 0 for a constant at even
+    N; the differential I r e^{I t} dt stays left of the integrand.  ``r (2
+    pi p / N)`` is below r, so finite."""
+    n = contour.nodes
+    p, nodes = _fold(n)
+    if len(classes) < p:
+        v = Quat()
+    else:
+        v = _new(Quat, [sum(map(mul, nodes, w), 0j).real for w in classes[p - 1]])
+    return contour.unit * v * (contour.radius * (2.0 * math.pi * p / n))
 
 
 def _check_contours(poly: BiSlicePoly, ci: SliceContour, cj: SliceContour) -> None:
@@ -428,16 +432,20 @@ def contour_integral_vanishes(
     _check_contours(poly, contour_i, contour_j)
     table = _node_table(poly, contour_i)
     return (
-        _closed_integral(table[:4], contour_i).modulus(),
-        _closed_integral(table[4:], contour_j).modulus(),
+        _closed_integral([c[:4] for c in table], contour_i).modulus(),
+        _closed_integral([c[4:] for c in table], contour_j).modulus(),
     )
 
 
 def _kernel_weights(contour: SliceContour, alpha: float, beta: float, tol: float) -> tuple:
-    """Columns ``(x, y)`` of the kernels ``u / (u - rho)`` and ``u / (u - conj
-    rho)`` over the unit circle of the contour's nodes, for targets at
-    ``alpha + J beta``: ``rho = ((alpha - x0) + i beta) / r`` is the target
-    in the unit variable.
+    """The folded kernels over the folded circle of the contour's nodes, for
+    targets at ``alpha + J beta``: ``rho = ((alpha - x0) + i beta) / r`` is
+    the target in the unit variable, and the pairs ``(K, rho)``, ``(K',
+    conj rho)`` hold the columns ``K = v / (v - rho^p)`` and ``K' = v / (v -
+    conj rho^p)`` at the nodes ``v = u^p`` (:func:`_fold`).  For
+    even N, ``x(u) = u / (u - rho)`` at u and -u sums to ``2 K(s)`` and
+    differs by ``2 rho K(s) / u``, so ``x(u) f(u) + x(-u) f(-u) = 2 K(s)
+    (E(s) + rho O(s))``.
 
     A node is singular where ``min(|u - rho|, |u - conj rho|)`` is negligible
     beside ``|(1, rho)|``, so every node's bound is the one float ``tol |(1,
@@ -454,32 +462,50 @@ def _kernel_weights(contour: SliceContour, alpha: float, beta: float, tol: float
       subtracting the slack rounds by at most eps / 2.
 
     So no node can be singular when ``1 - |rho| - 8 eps`` exceeds the bound,
-    and the nodes are tested one by one only when it does not: the answer is
-    the node loop's.  (The targets of
+    and the nodes are tested one by one, over the half circle k <= N//2,
+    which holds each node or its conjugate, only when it does not: the
+    answer is the node loop's.  (The targets of
     ``test_screened_singular_test_decides_as_the_node_loop`` need at most
     0.49 eps.)
     """
-    x0, r = contour.center, contour.radius
+    x0, r, n = contour.center, contour.radius, contour.nodes
     rho = complex((alpha - x0) / r, beta / r)
     rho_bar, rho_abs = rho.conjugate(), abs(rho)
-    units = _unit_circle(contour.nodes)
+    units = _unit_circle(n)
     scale = math.hypot(1.0, rho_abs)
+    p, nodes = _fold(n)
+    gaps = [map(sub, nodes, repeat(c if p == 1 else c * c)) for c in (rho, rho_bar)]
     if 1.0 - rho_abs - 8.0 * _MACHINE_EPS <= tol * scale:
         for u in units:
             if negligible(min(abs(u - rho), abs(u - rho_bar)), scale, 1, tol):
                 raise _singular(x0 + r * u.real, r * abs(u.imag))
-    return tuple([list(map(truediv, units, map(sub, units, repeat(c)))) for c in (rho, rho_bar)])
+        if p == 2:
+            # An ulp from the circle rho^2 can round onto a node s that u and
+            # -u miss; (u - rho)(u + rho) is 0 only where the loop raised.
+            roots = units[: len(nodes)]
+            gaps = [map(mul, map(sub, roots, repeat(c)), map(add, roots, repeat(c))) for c in (rho, rho_bar)]
+    xs, ys = [list(map(truediv, nodes, g)) for g in gaps]
+    return (xs, rho), (ys, rho_bar)
 
 
-def _accumulate(weights: tuple, ws: tuple, unit_j: Quat, nodes: int) -> Quat:
-    """``(Re sum g w + J Re sum h w) / N`` for one split component, as
-    ``((Re X + Re Y) + J (Im X - Im Y)) / 2N`` from ``X, Y = sum x w, sum y w``."""
-    xs, ys = weights
-    sx = [sum(map(mul, xs, w), 0j) for w in ws]
-    sy = [sum(map(mul, ys, w), 0j) for w in ws]
+def _kernel_sums(ks: list, c: complex, classes: list) -> list:
+    """Per column, ``sum_j c^j sum K f_j`` over the classes (p <= 2)."""
+    sums = [sum(map(mul, ks, w), 0j) for w in classes[0]]
+    if len(classes) > 1:
+        sums = [a + c * sum(map(mul, ks, w), 0j) for a, w in zip(sums, classes[1])]
+    return sums
+
+
+def _accumulate(weights: tuple, classes: list, unit_j: Quat, nodes: int) -> Quat:
+    """``(Re sum g w + J Re sum h w) / N`` over the N nodes for one split
+    component, as ``((Re X + Re Y) + J (Im X - Im Y)) p / 2N`` from the
+    folded sums ``X = sum_j rho^j sum K f_j`` and Y the same at conj rho."""
+    (xs, rho), (ys, rho_bar) = weights
+    sx = _kernel_sums(xs, rho, classes)
+    sy = _kernel_sums(ys, rho_bar, classes)
     g = _new(Quat, [a.real + b.real for a, b in zip(sx, sy)])
     h = _new(Quat, [a.imag - b.imag for a, b in zip(sx, sy)])
-    return (g + unit_j * h) / (2 * nodes)
+    return (g + unit_j * h) / (2 * nodes if nodes % 2 else nodes)
 
 
 def _slice_unit(target: Quat, contour: SliceContour) -> Quat:
@@ -504,8 +530,8 @@ def cauchy_reconstruct(
         raise PointOutsideContour("second component outside its contour disc")
     table = _node_table(poly, contour_i)
     weights = _kernel_weights(contour_i, point.alpha, point.beta, tol)
-    vp = _accumulate(weights, table[:4], _slice_unit(point.p, contour_i), contour_i.nodes)
-    vq = _accumulate(weights, table[4:], _slice_unit(point.q, contour_j), contour_j.nodes)
+    vp = _accumulate(weights, [c[:4] for c in table], _slice_unit(point.p, contour_i), contour_i.nodes)
+    vq = _accumulate(weights, [c[4:] for c in table], _slice_unit(point.q, contour_j), contour_j.nodes)
     return join(vp, vq)
 
 

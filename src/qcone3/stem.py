@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 from .clifford3 import EPS, CliffordElement, Quat, _new, join, split
 from .errors import OutOfDomain, RealPoint
 from . import bislice
-from .cauchy import _parity_rows, _rows, _slice_pass
+from .cauchy import _plane_columns
 from .qsplit import ConePoint
 
 
@@ -202,12 +202,10 @@ def stem_from_poly(
     of the Cauchy quadrature, from its slice-plane pass at ``phi = z`` over
     the rows of both components (centre 0, so ``E(z^2) + z O(z^2)``).
     """
-    rows = _parity_rows(_rows(*poly.split()))
+    at = _plane_columns(poly)
 
     def components(alpha: float, beta: float) -> tuple[Quat, Quat, Quat, Quat]:
-        ws = [], [], [], [], [], [], [], []
-        _slice_pass(ws, None, rows, (complex(alpha, beta),))
-        (u0,), (u1,), (u2,), (u3,), (v0,), (v1,), (v2,), (v3,) = ws
+        u0, u1, u2, u3, v0, v1, v2, v3 = at(complex(alpha, beta))
         return (
             _new(Quat, (u0.real, u1.real, u2.real, u3.real)),
             _new(Quat, (u0.imag, u1.imag, u2.imag, u3.imag)),

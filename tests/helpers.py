@@ -263,40 +263,72 @@ def taylor_columns(poly: QuatPoly, x0: float, r: float) -> list[list[float]]:
     return columns
 
 
-def even_odd_form(column: Sequence[float], u: complex) -> tuple[complex, complex]:
-    """``(E(s), u O(s))`` at ``s = u^2`` for one column ``c_d ... c_0``,
-    where E has the even-index and O the odd-index coefficients.  Each is
-    Horner over s from its leading coefficient as a complex; O's leading
-    coefficient is 0.0 when d is even, so both take the same steps."""
+def even_odd_form(column: Sequence[float], u: complex) -> tuple[complex, complex | None]:
+    """``(E(s), O(s))`` at ``s = u^2`` for one column ``c_d ... c_0``, where
+    E has the even-index and O the odd-index coefficients.  Each is Horner
+    over s from its own leading coefficient as a complex; O is None for a
+    constant, which has no odd coefficient."""
     even, odd = list(column[::-1][0::2]), list(column[::-1][1::2])
-    if len(odd) < len(even):
-        odd.append(0.0)
     s = u * u
-    e, o = complex(even[-1]), complex(odd[-1])
+    e = complex(even[-1])
     for c in reversed(even[:-1]):
         e = e * s + c
+    if not odd:
+        return e, None
+    o = complex(odd[-1])
     for c in reversed(odd[:-1]):
         o = o * s + c
-    return e, u * o
+    return e, o
 
 
-def quarter_circle_columns(poly: QuatPoly, x0: float, r: float, nodes: int) -> list:
-    """The columns ``c w0 ... c w3`` of a slice table, node by node, in the
-    quarter-circle form: ``E + u O`` at ``u = cos t + i sin t`` from poly's
-    Taylor columns about x0 in ``u = phi / r``, doubled for 0 < k < N - k.
-    For even N a node k > N/4 is the antipode ``-conj(u)`` of node ``N/2 -
-    k``, and its value is ``conj(E - u O)`` at that node's u."""
-    columns: list[list[complex]] = [[], [], [], []]
+def parity_class_columns(poly: QuatPoly, x0: float, r: float, nodes: int) -> list:
+    """The classes of a slice table, node by node: with p = 2 for even N and
+    1 for odd N, ``poly(x0 + r u) = sum_j u^j f_j(u^p)`` from poly's Taylor
+    columns about x0 in ``u = phi / r``, and each ``f_j`` that has a
+    coefficient (so f_1 only past degree 0) is Horner over v from its own
+    leading coefficient, doubled, at the nodes ``v = u_{pm}`` of the half
+    circle of v, m <= N / 2p, except where v is real: v = 1, and v = -1
+    when N / p is even.  For even N a node ``u_k`` with 4k > N is the
+    antipode ``-conj(u_{N/2-k})``, as the library's cached circle holds it.
+    Returns ``[class][column][m]``."""
+    p = 2 if nodes % 2 == 0 else 1
     taylor = taylor_columns(poly, x0, r)
-    for k in range(nodes // 2 + 1):
-        weight = 2.0 if 0 < k < nodes - k else 1.0
-        antipode = nodes % 2 == 0 and 4 * k > nodes
-        t = 2.0 * math.pi * (nodes // 2 - k if antipode else k) / nodes
-        u = complex(math.cos(t), math.sin(t))
-        for column, c in zip(columns, taylor):
-            e, uo = even_odd_form([weight * x for x in c], u)
-            column.append((e - uo).conjugate() if antipode else e + uo)
-    return columns
+    classes = []
+    for j in range(min(p, len(taylor[0]))):
+        columns: list[list[complex]] = [[], [], [], []]
+        for m in range(nodes // (2 * p) + 1):
+            k = p * m
+            antipode = nodes % 2 == 0 and 4 * k > nodes
+            t = 2.0 * math.pi * (nodes // 2 - k if antipode else k) / nodes
+            v = complex(math.cos(t), math.sin(t))
+            if antipode:
+                v = -v.conjugate()
+            weight = 1.0 if m == 0 or 2 * m == nodes // p else 2.0
+            for column, c in zip(columns, taylor):
+                coeffs = [weight * x for x in c[::-1][j::p][::-1]]
+                w = complex(coeffs[0])
+                for a in coeffs[1:]:
+                    w = w * v + a
+                column.append(w)
+        classes.append(columns)
+    return classes
+
+
+def unfolded_component(poly: QuatPoly, contour, alpha: float, beta: float, unit_j: Quat) -> Quat:
+    """One split component's reconstruction by the half-circle sum without
+    the fold: Horner at ``z = x0 + r u_k`` node by node
+    (:func:`per_node_slice_columns`), the kernels ``x = u / (u - rho)`` and
+    ``y = u / (u - conj rho)`` at every node k <= N//2, and ``((Re X + Re Y)
+    + J (Im X - Im Y)) / 2N`` from ``X = sum x c w``, ``Y = sum y c w``."""
+    x0, r, n = contour.center, contour.radius, contour.nodes
+    units = [complex(math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n)) for k in range(n // 2 + 1)]
+    rho = complex((alpha - x0) / r, beta / r)
+    columns = per_node_slice_columns(poly, [x0 + r * u for u in units], n)
+    sx = [sum(u / (u - rho) * w for u, w in zip(units, col)) for col in columns]
+    sy = [sum(u / (u - rho.conjugate()) * w for u, w in zip(units, col)) for col in columns]
+    g = Quat(*(a.real + b.real for a, b in zip(sx, sy)))
+    h = Quat(*(a.imag - b.imag for a, b in zip(sx, sy)))
+    return (g + unit_j * h) / (2 * n)
 
 
 def horner_bound(poly: QuatPoly, size: float) -> list[float]:

@@ -8,7 +8,7 @@ from array import array
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcone3 import (
@@ -29,6 +29,7 @@ from qcone3 import (
     cone_point,
     contour_integral_vanishes,
     join,
+    split,
     kernel_regularity_residual,
 )
 from qcone3.cauchy import (
@@ -57,15 +58,17 @@ from helpers import (
     contour_phase,
     contour_point,
     exact_trapezoid_component,
+    coefficient_columns,
     horner_bound,
+    parity_class_columns,
     per_node_slice_columns,
-    quarter_circle_columns,
     rand_cone_point,
     rand_poly,
     rand_quat,
     rand_unit_imaginary,
     slice_plane_component,
     thetas,
+    unfolded_component,
 )
 
 
@@ -408,9 +411,9 @@ def test_odd_node_counts_match_quaternion_loop(nodes):
         _check_against_quaternion_loop(rng, nodes, degree)
 
 
-def _side(f: QuatPoly, contour: SliceContour) -> tuple:
-    """``(c w0, ..., c w3)``: the node table of one component."""
-    return _slice_table(f, f, contour)[:4]
+def _component(f: QuatPoly, contour: SliceContour) -> list:
+    """One component's node table: per class ``f_j``, its four columns."""
+    return [c[:4] for c in _slice_table(f, f, contour)]
 
 
 def _zs(contour: SliceContour) -> list:
@@ -423,7 +426,7 @@ def _check_closed_integrals(poly, ci, cj) -> tuple[float, float]:
     for value, f, c in zip(got, poly.split(), (ci, cj)):
         want = contour_integral(c, f.eval)
         scale = 1 + max(f.eval(contour_point(c, t)).modulus() for t in thetas(c))
-        assert (_closed_integral(_side(f, c), c) - want).modulus() <= 1e-13 * scale
+        assert (_closed_integral(_component(f, c), c) - want).modulus() <= 1e-13 * scale
         assert abs(value - want.modulus()) <= 1e-13 * scale
     return got
 
@@ -485,7 +488,7 @@ def test_reconstruction_is_close_to_the_exact_trapezoid_value():
         for f, target in zip(poly.split(), (x.p, x.q)):
             contour = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
             weights = _kernel_weights(contour, x.alpha, x.beta, 1e-12)
-            got = _accumulate(weights, _side(f, contour), _slice_unit(target, contour), nodes)
+            got = _accumulate(weights, _component(f, contour), _slice_unit(target, contour), nodes)
             want, largest = exact_trapezoid_component(f, contour, target)
             error = max(abs(a - b) for a, b in zip(got, want))
             assert error <= 2e-15 * largest, (k, nodes, error / largest)
@@ -548,7 +551,7 @@ def test_closed_integral_keeps_the_contour_unit(nodes):
     f = QuatPoly([0.0] * (nodes - 1) + [1.0])
     for radius in (0.9, 1.0, 1.3):
         contour = SliceContour(0.0, radius, rand_unit_imaginary(rng), nodes)
-        got = _closed_integral(_side(f, contour), contour)
+        got = _closed_integral(_component(f, contour), contour)
         size = 2.0 * math.pi * radius**nodes
         assert (got - contour.unit * size).modulus() <= 1e-13 * size
 
@@ -869,6 +872,30 @@ def test_near_contour_targets_at_the_least_radius(rho):
     assert (got - poly.eval(x)).magnitude() <= aliasing + 1e-12 * size / (1.0 - rho)
 
 
+def test_target_an_ulp_inside_by_a_node_answers_at_tol_0():
+    # An ulp inside the circle of radius 5 by node 13 of 64: no node's gap is
+    # 0, so at tol 0 the node loop finds none singular, but rho^2 rounds onto
+    # the node s = u_26 of the folded circle, where s - rho^2 would divide by
+    # 0.  Wherever the nodes are tested the folded kernels divide by (u -
+    # rho)(u + rho), 0 only at a gap of 0, so the quadrature answers as the
+    # unfolded sum does; at the default tol the target is singular.
+    poly = BiSlicePoly([E0, E1, E1])
+    ci, cj = SliceContour(0.0, 5.0, Q23, 64), SliceContour(0.0, 5.0, Q13, 64)
+    x = cone_point(1.4514233862723116, 4.784701678661044, Q12, Q13)
+    rho = complex(x.alpha / 5.0, x.beta / 5.0)
+    assert rho * rho == _unit_circle(64)[26] and min(g for g, _ in _node_gaps(ci, x.alpha, x.beta)) > 0.0
+    got = cauchy_reconstruct(poly, ci, cj, x, 0.0)
+    want = join(
+        *(
+            unfolded_component(f, c, x.alpha, x.beta, _target_unit(t, c))
+            for f, c, t in zip(poly.split(), (ci, cj), (x.p, x.q))
+        )
+    )
+    assert (got - want).magnitude() <= 1e-12 * want.magnitude()
+    with pytest.raises(OnSingularSphere):
+        cauchy_reconstruct(poly, ci, cj, x)
+
+
 def test_kernel_singular_test_is_of_degree_one():
     # 1e-5 from the real pole 1.00001: |s - q|^2 = 1e-10 would be negligible
     # at degree 2 beside the default tol, the distance 1e-5 at degree 1 is not.
@@ -911,19 +938,60 @@ def test_small_contour_about_1_keeps_its_digits(radius):
         assert error < 1e-15
 
 
-# -- the slice table: weights folded into the Horner coefficients --------------
+# -- the slice table: parity classes over the folded circle ---------------------
 
 
-@pytest.mark.parametrize("nodes", [16, 17, 18, 19, 64, 65, 66, 67, 512])
-def test_folded_weights_give_the_per_node_floats(nodes):
-    # The quarter-circle form node by node, float for float: Taylor rows about
-    # x0 in u = phi / r, E and O at u^2, conj(E - u O) at the antipodes of an
-    # even N, and the weight folded into the coefficients, exact while the
-    # values stay normal: coefficients from 1e-3 to 1e3.  N mod 4 takes each
-    # of 0 ... 3.
-    # Horner at z = x0 + phi on the plain coefficients stays the reference:
-    # each value lies within 8 (d + 1) eps c sum_n |a_n| (|x0| + r)^n of it
-    # (the largest seen is about a tenth of that).
+def _horner(column, z: complex) -> complex:
+    """Horner at z on one real coefficient column, the leading one first."""
+    w = complex(column[0])
+    for c in column[1:]:
+        w = w * z + c
+    return w
+
+
+def _per_node_classes(f: QuatPoly, contour: SliceContour) -> list:
+    """The classes' values without weights, from Horner at ``z = x0 + r u``
+    on the plain coefficients, node by node: f itself at u for odd N, and
+    ``E = (f(u) + f(-u)) / 2``, ``O = (f(u) - f(-u)) / 2u`` at ``s = u^2``
+    for even N, u the node of index m <= N/4."""
+    x0, r, n = contour.center, contour.radius, contour.nodes
+    columns = coefficient_columns(f)
+    units = _unit_circle(n)[: len(cauchy._fold(n)[1])]
+    if n % 2:
+        return [[[_horner(c, x0 + r * u) for u in units] for c in columns]]
+    even, odd = [], []
+    for c in columns:
+        plus = [_horner(c, x0 + r * u) for u in units]
+        minus = [_horner(c, x0 - r * u) for u in units]
+        even.append([(a + b) / 2 for a, b in zip(plus, minus)])
+        odd.append([(a - b) / (2 * u) for a, b, u in zip(plus, minus, units)])
+    return [even, odd] if len(f.coeffs) > 1 else [even]
+
+
+def _check_against_horner_at_z(classes: list, f: QuatPoly, contour: SliceContour, degree: int) -> None:
+    """Each value within ``8 (d + 1) eps c sum_n |a_n| (|x0| + r)^n`` of
+    Horner at z (:func:`_per_node_classes`), the bound
+    :func:`cauchy._slice_table` states for the table's and the reference's
+    rounding together."""
+    n = contour.nodes
+    p, nodes = cauchy._fold(n)
+    weights = [1.0 if m == 0 or 2 * m == n // p else 2.0 for m in range(len(nodes))]
+    scales = horner_bound(f, abs(contour.center) + contour.radius)
+    for got, want in zip(classes, _per_node_classes(f, contour)):
+        for w, ref, scale in zip(got, want, scales):
+            bound = 8 * (degree + 1) * sys.float_info.epsilon * scale
+            for value, horner, c in zip(w, ref, weights):
+                assert math.isfinite(abs(value)) and math.isfinite(abs(horner))
+                assert abs(value - c * horner) <= c * bound
+
+
+@pytest.mark.parametrize("nodes", [16, 17, 18, 19, 64, 65, 66, 67, 68, 512])
+def test_table_classes_give_the_per_node_floats(nodes):
+    # The parity classes node by node, float for float: Taylor rows about x0
+    # in u = phi / r; for even N, E and O over s = u_{2m}, m <= N/4, each from
+    # its own leading row; for odd N, f over u, k <= N//2; the weight folded
+    # into the coefficients, exact while the values stay normal: coefficients
+    # from 1e-3 to 1e3.  N mod 4 takes each of 0 ... 3.
     rng = random.Random(nodes)
     for degree in range(9):
         poly = BiSlicePoly(
@@ -933,18 +1001,95 @@ def test_folded_weights_give_the_per_node_floats(nodes):
             ]
         )
         contour = SliceContour(rng.uniform(-1, 1), rng.uniform(0.5, 2), Q12, nodes)
-        # each component's per-node columns
         table = _node_table(poly, contour)
-        assert len(table) == 8
-        size = abs(contour.center) + contour.radius
-        for ws, component in zip((table[:4], table[4:]), poly.split()):
-            want = quarter_circle_columns(component, contour.center, contour.radius, nodes)
-            assert [_bits(w) for w in ws] == [_bits(w) for w in want]
-            reference = per_node_slice_columns(component, _zs(contour), nodes)
-            for w, ref, scale in zip(ws, reference, horner_bound(component, size)):
-                bound = 8 * (degree + 1) * sys.float_info.epsilon * scale
-                for k, (got, horner) in enumerate(zip(w, ref)):
-                    assert abs(got - horner) <= (2.0 if 0 < k < nodes - k else 1.0) * bound
+        assert len(table) == (1 if nodes % 2 or degree == 0 else 2)
+        assert all(len(c) == 8 and len(w) == len(cauchy._fold(nodes)[1]) for c in table for w in c)
+        for k, component in enumerate(poly.split()):
+            got = [c[4 * k : 4 * k + 4] for c in table]
+            want = parity_class_columns(component, contour.center, contour.radius, nodes)
+            assert [[_bits(w) for w in c] for c in got] == [[_bits(w) for w in c] for c in want]
+            _check_against_horner_at_z(got, component, contour, degree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nodes=st.sampled_from((16, 17, 18, 64, 66, 67, 68, 512)),
+    degree=st.integers(0, 8),
+    rho=st.floats(0.0, 0.9),
+    angle=st.floats(0.0, math.pi),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nodes=512, degree=0, rho=0.0, angle=0.0, real=False, seed=695)  # 33 eps S
+def test_folded_sum_matches_the_unfolded_per_node_sum(nodes, degree, rho, angle, real, seed):
+    # The fold regroups the half-circle sum of x(u) f(u), Horner at z, node
+    # by node (``unfolded_component``), into K(s) (E + rho O) over s = u^2;
+    # both are the one trapezoid sum, so per component they differ by
+    # rounding: at most (8 (d + 1) + 3N/8) eps S / (1 - |rho|), S the largest
+    # sum_n |a_n| (|x0| + r)^n of the four columns.  8 (d + 1) is the tables'
+    # bound against each other, times the kernels' size 1 / (1 - |rho|);
+    # 3N/8 bounds the two sums' recursive summation of terms up to 2 S / (1 -
+    # |rho|), N/8 for the fold's N/4 + 1 and N/4 for the unfolded N/2 + 1
+    # (Higham 2002, sec. 4.2).  The largest seen is 33 eps S, at 512 nodes
+    # and degree 0 with the target at the centre, where every term is the
+    # same and the summation errors add up; seeded random targets read at
+    # most 3.5 eps S / (1 - |rho|).
+    rng = random.Random(seed)
+    poly = BiSlicePoly(
+        [CliffordElement([rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 3) for _ in range(8)]) for _ in range(degree + 1)]
+    )
+    center, radius = rng.uniform(-1, 1), rng.uniform(0.5, 2)
+    alpha, beta = center + rho * radius * math.cos(angle), rho * radius * math.sin(angle)
+    x = ConePoint(alpha, 0.0, None, None) if real else cone_point(
+        alpha, beta, rand_unit_imaginary(rng), rand_unit_imaginary(rng)
+    )
+    ci = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
+    cj = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
+    got = cauchy_reconstruct(poly, ci, cj, x, 0.0)
+    rho_abs = abs(complex(x.alpha - center, x.beta)) / radius
+    for f, c, target, value in zip(poly.split(), (ci, cj), (x.p, x.q), split(got)):
+        want = unfolded_component(f, c, x.alpha, x.beta, _target_unit(target, c))
+        size = max(horner_bound(f, abs(center) + radius))
+        bound = (8 * (degree + 1) + 3 * nodes / 8) * sys.float_info.epsilon * size / (1.0 - rho_abs)
+        assert (value - want).modulus() <= bound
+
+
+@pytest.mark.parametrize("nodes", [64, 65, 66])
+def test_table_off_center_keeps_the_range_of_horner_at_z(capsys, nodes):
+    # 1e300 x^40 about 1 at radius 0.01: |f| <= 1.01^40 1e300, about 1.5e300,
+    # on the circle, but the Taylor coefficient b_20 = C(40, 20) 1e300 is
+    # past the float maximum.  The rows are b_k r^k, so the table is finite,
+    # within the Horner-type bound of Horner at z, and cauchy-verify answers.
+    big = "1" + "0" * 300
+    poly = BiSlicePoly([ZERO] * 40 + [CliffordElement([1e300] + [0.0] * 7)])
+    contour = SliceContour(1.0, 0.01, Q23, nodes)
+    table = _node_table(poly, contour)
+    fp = poly.split()[0]
+    got = [c[:4] for c in table]
+    want = parity_class_columns(fp, 1.0, 0.01, nodes)
+    assert [[_bits(w) for w in c] for c in got] == [[_bits(w) for w in c] for c in want]
+    _check_against_horner_at_z(got, fp, contour, 40)
+    argv = ["cauchy-verify", "--poly", "coeffs: [" + "0, " * 40 + big + "]", "--center", "1"]
+    argv += ["--radius", "0.01", "--at", "1 + 0.001e1", "--nodes", str(nodes)]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    error = float(out.split("error: ")[1].split()[0])
+    assert error <= 1e-14 * 1.001**40 * 1e300
+
+
+def test_folded_weights_near_the_float_maximum_stay_a_named_error(capsys):
+    # Doubled, the coefficients 1e308 overflow where only the doubled values
+    # did; either way the node values are not finite, and cauchy-verify names it.
+    big = "1" + "0" * 308
+    poly = BiSlicePoly([CliffordElement([-1e308] + [0.0] * 7), CliffordElement([1e308] + [0.0] * 7)])
+    contour = SliceContour(0.0, 2.0, Q23, 64)
+    table = _node_table(poly, contour)
+    want = per_node_slice_columns(poly.split()[0], _zs(contour), 64)
+    assert not all(math.isfinite(abs(w)) for c in table for w in c[0])
+    assert not all(math.isfinite(abs(w)) for w in want[0])
+    argv = ["cauchy-verify", "--poly", f"coeffs: [-{big}, {big}]", "--at", "0.5e1"]
+    assert run(argv + ["--radius", "2", "--nodes", "64"]) == 1
+    assert capsys.readouterr().err.startswith("error: NonFiniteResult: ")
 
 
 # -- the unit circle, kept per node count ---------------------------------------
@@ -977,42 +1122,3 @@ def test_unit_circle_cache_holds_at_most_its_bound():
     assert info.maxsize == 4 and info.currsize <= 4
     _unit_circle(1024)  # the newest is kept
     assert _unit_circle.cache_info().hits == info.hits + 1
-
-
-@pytest.mark.parametrize("nodes", [64, 65])
-def test_table_off_center_keeps_the_range_of_horner_at_z(capsys, nodes):
-    # 1e300 x^40 about 1 at radius 0.01: |f| <= 1.01^40 1e300, about 1.5e300,
-    # on the circle, but the Taylor coefficient b_20 = C(40, 20) 1e300 is
-    # past the float maximum.  The rows are b_k r^k, so the table is finite,
-    # within the Horner-type bound of Horner at z, and cauchy-verify answers.
-    big = "1" + "0" * 300
-    poly = BiSlicePoly([ZERO] * 40 + [CliffordElement([1e300] + [0.0] * 7)])
-    contour = SliceContour(1.0, 0.01, Q23, nodes)
-    table = _node_table(poly, contour)
-    fp = poly.split()[0]
-    assert [_bits(w) for w in table[:4]] == [_bits(w) for w in quarter_circle_columns(fp, 1.0, 0.01, nodes)]
-    bound = 8 * 41 * sys.float_info.epsilon * horner_bound(fp, 1.01)[0]
-    for k, (got, horner) in enumerate(zip(table[0], per_node_slice_columns(fp, _zs(contour), nodes)[0])):
-        assert math.isfinite(abs(got)) and math.isfinite(abs(horner))
-        assert abs(got - horner) <= (2.0 if 0 < k < nodes - k else 1.0) * bound
-    argv = ["cauchy-verify", "--poly", "coeffs: [" + "0, " * 40 + big + "]", "--center", "1"]
-    argv += ["--radius", "0.01", "--at", "1 + 0.001e1", "--nodes", str(nodes)]
-    assert run(argv) == 0
-    out = capsys.readouterr().out
-    error = float(out.split("error: ")[1].split()[0])
-    assert error <= 1e-14 * 1.001**40 * 1e300
-
-
-def test_folded_weights_near_the_float_maximum_stay_a_named_error(capsys):
-    # Doubled, the coefficients 1e308 overflow where only the doubled values
-    # did; either way the node values are not finite, and cauchy-verify names it.
-    big = "1" + "0" * 308
-    poly = BiSlicePoly([CliffordElement([-1e308] + [0.0] * 7), CliffordElement([1e308] + [0.0] * 7)])
-    contour = SliceContour(0.0, 2.0, Q23, 64)
-    table = _node_table(poly, contour)
-    want = per_node_slice_columns(poly.split()[0], _zs(contour), 64)
-    for columns in (table[:4], want):
-        assert not all(math.isfinite(abs(w)) for w in columns[0])
-    argv = ["cauchy-verify", "--poly", f"coeffs: [-{big}, {big}]", "--at", "0.5e1"]
-    assert run(argv + ["--radius", "2", "--nodes", "64"]) == 1
-    assert capsys.readouterr().err.startswith("error: NonFiniteResult: ")
