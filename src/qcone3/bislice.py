@@ -20,6 +20,7 @@ implemented and cross-checked in the tests.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .clifford3 import E0, EPS, Q_ONE, CliffordElement, Quat, QuatPair, ZERO, _new, join, negligible, scalar, split
@@ -187,6 +188,37 @@ def _point_pair(x: "CliffordElement | ConePoint") -> QuatPair:
     if isinstance(x, ConePoint):
         return x.pair
     return split(x)
+
+
+def _rows(fp: QuatPoly, fq: QuatPoly) -> list:
+    """Both components' coefficient rows, eight real columns side by side
+    (four of fp, then four of fq), leading one first."""
+    return [a.as_tuple() + b.as_tuple() for a, b in zip(reversed(fp.coeffs), reversed(fq.coeffs))]
+
+
+def _horner_values(rows: list, points: tuple):
+    """Complex Horner over each point z of ``rows`` (:func:`_rows`), from
+    the leading row as complex numbers, ``w z + a`` a step: yields the
+    eight column values at z, a polynomial's stem at ``z = alpha + i beta``
+    and its slice-plane values at the Cauchy quadrature's nodes.  A single
+    row is a constant, yielded as is."""
+    lead, *rows = rows
+    lead = tuple(map(complex, lead))
+    if not rows:
+        yield from repeat(lead, len(points))
+        return
+    for z in points:
+        u0, u1, u2, u3, u4, u5, u6, u7 = lead
+        for a0, a1, a2, a3, a4, a5, a6, a7 in rows:
+            u0 = u0 * z + a0
+            u1 = u1 * z + a1
+            u2 = u2 * z + a2
+            u3 = u3 * z + a3
+            u4 = u4 * z + a4
+            u5 = u5 * z + a5
+            u6 = u6 * z + a6
+            u7 = u7 * z + a7
+        yield u0, u1, u2, u3, u4, u5, u6, u7
 
 
 def star_mul(f: BiSlicePoly, g: BiSlicePoly) -> BiSlicePoly:

@@ -86,15 +86,15 @@ holds one complex per column, 16 bytes per node), so at most 10.6 MB at
 node at even N (1.3 MB at :data:`MAX_NODES`), 40 at odd N, while it runs.
 The columns come from f's Taylor rows about x0 in u (Horner in u once per
 table, O(d^2)), split into the classes, each with its own leading row, and
-Horner over v (:func:`_classes`, :func:`_horner_values`,
-:func:`_slice_table`): about d/2 steps a node for E and for O at even N, d
-at odd N.  No row exceeds the largest of f's
-Horner partials on the circle, so the table stays finite where Horner at
-``x0 + r u`` does, short of a factor of about 2 (d + 1), though the Taylor
-coefficients themselves may overflow.  The unit circle is kept for the
-last four node counts, about 1.3 MB an entry at :data:`MAX_NODES`
-(:func:`_unit_circle`); the folded circle of even N is its every other
-node.
+Horner over v (:func:`_classes`, :func:`_slice_table`): about d/2 steps a
+node for E and for O at even N, d at odd N, by ``bislice``'s rows and
+Horner pass, which also evaluate a polynomial's stem.  No row exceeds the
+largest of f's Horner partials on the circle, so the table stays finite
+where Horner at ``x0 + r u`` does, short of a factor of about 2 (d + 1),
+though the Taylor coefficients themselves may overflow.  The unit circle
+is kept for the last four node counts, about 1.3 MB an entry at
+:data:`MAX_NODES` (:func:`_unit_circle`); the folded circle of even N is
+its every other node.
 The module keeps the table of its last (polynomial, contour) call, matched
 by identity, and replaces it in one assignment, so concurrent callers see a
 whole entry or none.
@@ -126,8 +126,6 @@ from .errors import (
 from .qsplit import ConePoint, _slice_point
 
 if TYPE_CHECKING:  # annotations only: the kernel alone loads no bislice
-    from collections.abc import Callable
-
     from .bislice import BiSlicePoly, QuatPoly
 
 DEFAULT_NODES = 512
@@ -250,36 +248,6 @@ def _fold(n: int) -> tuple[int, tuple]:
     return (1, units) if n % 2 else (2, units[::2])
 
 
-def _horner_values(rows: list, points: tuple):
-    """Horner over each point v of ``rows`` (eight real coefficient columns
-    a row, the leading one first), from the leading row as complex numbers:
-    yields the eight column values at v.  A single row is a constant,
-    yielded as is."""
-    lead, *rows = rows
-    lead = tuple(map(complex, lead))
-    if not rows:
-        yield from repeat(lead, len(points))
-        return
-    for v in points:
-        u0, u1, u2, u3, u4, u5, u6, u7 = lead
-        for a0, a1, a2, a3, a4, a5, a6, a7 in rows:
-            u0 = u0 * v + a0
-            u1 = u1 * v + a1
-            u2 = u2 * v + a2
-            u3 = u3 * v + a3
-            u4 = u4 * v + a4
-            u5 = u5 * v + a5
-            u6 = u6 * v + a6
-            u7 = u7 * v + a7
-        yield u0, u1, u2, u3, u4, u5, u6, u7
-
-
-def _rows(fp: QuatPoly, fq: QuatPoly) -> list:
-    """Both components' coefficient rows, eight columns side by side,
-    leading one first."""
-    return [a.as_tuple() + b.as_tuple() for a, b in zip(reversed(fp.coeffs), reversed(fq.coeffs))]
-
-
 def _taylor_rows(rows: list, x0: float, r: float) -> list:
     """The rows ``c_d ... c_0`` of ``f(x0 + r u)`` in u, leading one first,
     from f's rows: Horner in u, ``P (x0 + r u) + a`` a step, O(d^2).
@@ -310,24 +278,6 @@ def _classes(rows: list, p: int) -> list:
     return [up[j::p][::-1] for j in range(min(p, len(rows)))]
 
 
-def _plane_columns(poly: BiSlicePoly) -> Callable[[complex], tuple]:
-    """The map from z to both components' eight complex columns at z,
-    ``E(z^2) + z O(z^2)`` from the even and odd coefficients (E alone for a
-    constant): the node table's Horner pass at one point, on the plain
-    coefficients."""
-    classes = _classes(_rows(*poly.split()), 2)
-
-    def at(z: complex) -> tuple:
-        v = (z * z,)
-        (even,) = _horner_values(classes[0], v)
-        if len(classes) == 1:
-            return even
-        (odd,) = _horner_values(classes[1], v)
-        return tuple([e + z * o for e, o in zip(even, odd)])
-
-    return at
-
-
 def _slice_table(fp: QuatPoly, fq: QuatPoly, contour: SliceContour) -> list:
     """The node table: per class ``f_j`` (:func:`_classes`), its eight
     columns ``c f_j`` over the folded circle (:func:`_fold`), four of fp,
@@ -354,6 +304,9 @@ def _slice_table(fp: QuatPoly, fq: QuatPoly, contour: SliceContour) -> list:
     Horner at ``x0 +- r u`` (E and O as ``(f(u) +- f(-u)) / 2`` and ``/
     2u``) each value lies within ``8 (d + 1) eps c S``; the largest seen is
     about a ninth of that."""
+    # bislice owns the rows and their Horner pass; the kernel alone loads no bislice
+    from .bislice import _horner_values, _rows
+
     n = contour.nodes
     p, nodes = _fold(n)
     # v = -1 is a node, of weight 1, when the circle of v has an even count

@@ -25,7 +25,6 @@ from typing import Callable, NamedTuple
 from .clifford3 import EPS, CliffordElement, Quat, _new, join, split
 from .errors import OutOfDomain, RealPoint
 from . import bislice
-from .cauchy import _plane_columns
 from .qsplit import ConePoint
 
 
@@ -145,11 +144,22 @@ def check_cauchy_riemann(
 ) -> CauchyRiemannReport:
     """Finite-difference Cauchy-Riemann residuals over interior samples.
 
-    The samples are drawn with a fixed seed.  The pass threshold is
-    ``c * h^2`` with c 10 times the largest observed second-derivative
-    scale, floored at 1 so affine stems are judged against rounding noise,
-    not against zero.  The samples lie in ``[alpha_min + 2h, alpha_max - 2h]
-    x [-beta_max + 2h, beta_max - 2h]``, so the stencil stays inside the
+    The samples are drawn with a fixed seed.  The pass threshold is ``c h^2
+    + 4 eps M / h``, truncation plus rounding (eps = 2^-52): c is 10 times
+    the largest observed second-derivative scale, floored at 1, and M the
+    largest stencil value read.  If each value, read at the rounded points
+    ``a +- h`` and ``b +- h``, lies within ``2 eps M`` of the stem at the
+    intended point, a central difference moves by at most ``2 eps M / h``
+    (its subtraction and the division by 2h round by eps times a
+    derivative), and a residual, two of them differenced, by ``4 eps M /
+    h``.  M understates the rounding where the values cancel: a stem summed
+    from terms much larger than M errs by eps times those terms.  Past the
+    truncation term, polynomial stems of degrees 0 to 8 at steps 1e-3 to
+    1e-11 read at most ``1.6 eps M / h``.  A stencil value that is not
+    finite leaves no threshold (0), so the check fails.
+
+    The samples lie in ``[alpha_min + 2h, alpha_max - 2h] x
+    [-beta_max + 2h, beta_max - 2h]``, so the stencil stays inside the
     domain; a domain narrower than 4h in alpha or in beta is refused.
     """
     if samples < 1:
@@ -166,6 +176,7 @@ def check_cauchy_riemann(
     rng = random.Random(0)
     worst = 0.0
     curvature = 0.0
+    size = 0.0
     for _ in range(samples):
         a = rng.uniform(*alphas)
         b = rng.uniform(*betas)
@@ -175,11 +186,13 @@ def check_cauchy_riemann(
         d = [bislice.central_differences(lambda u, v, k=k: at[u, v][k], a, b, h) for k in range(4)]
         for (da1, db1), (da2, db2) in (d[:2], d[2:]):
             worst = bislice.nan_max(worst, (da1 - db2).modulus(), (db1 + da2).modulus())
+        size = bislice.nan_max(size, *[v.modulus() for values in at.values() for v in values])
         for ahead, behind in stencil:
             for c, up, down in zip(at[a, b], at[ahead], at[behind]):
                 curvature = max(curvature, ((up - c * 2.0 + down) / (h * h)).modulus())
     c = 10.0 * max(curvature, 1.0)
-    return CauchyRiemannReport(worst, c * h * h, curvature, h, samples)
+    tolerance = c * h * h + 4.0 * math.ulp(1.0) * size / h if math.isfinite(size) else 0.0
+    return CauchyRiemannReport(worst, tolerance, curvature, h, samples)
 
 
 # -- stem constructors -------------------------------------------------------------
@@ -198,14 +211,14 @@ def stem_from_poly(
 
     With z = alpha + i*beta, the component pairs are
     ``f1 + i f2 = sum z^n b_n`` and ``g1 + i g2 = sum z^n c_n`` where b, c
-    are the split coefficient sequences: the complex columns ``F(s) = R(w)``
-    of the Cauchy quadrature, from its slice-plane pass at ``phi = z`` over
-    the rows of both components (centre 0, so ``E(z^2) + z O(z^2)``).
+    are the split coefficient sequences: complex Horner in z over both
+    components' eight real coefficient columns, the pass of the Cauchy node
+    table (:func:`bislice._horner_values`) at one point.
     """
-    at = _plane_columns(poly)
+    rows = bislice._rows(*poly.split())
 
     def components(alpha: float, beta: float) -> tuple[Quat, Quat, Quat, Quat]:
-        u0, u1, u2, u3, v0, v1, v2, v3 = at(complex(alpha, beta))
+        ((u0, u1, u2, u3, v0, v1, v2, v3),) = bislice._horner_values(rows, (complex(alpha, beta),))
         return (
             _new(Quat, (u0.real, u1.real, u2.real, u3.real)),
             _new(Quat, (u0.imag, u1.imag, u2.imag, u3.imag)),

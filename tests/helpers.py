@@ -263,24 +263,6 @@ def taylor_columns(poly: QuatPoly, x0: float, r: float) -> list[list[float]]:
     return columns
 
 
-def even_odd_form(column: Sequence[float], u: complex) -> tuple[complex, complex | None]:
-    """``(E(s), O(s))`` at ``s = u^2`` for one column ``c_d ... c_0``, where
-    E has the even-index and O the odd-index coefficients.  Each is Horner
-    over s from its own leading coefficient as a complex; O is None for a
-    constant, which has no odd coefficient."""
-    even, odd = list(column[::-1][0::2]), list(column[::-1][1::2])
-    s = u * u
-    e = complex(even[-1])
-    for c in reversed(even[:-1]):
-        e = e * s + c
-    if not odd:
-        return e, None
-    o = complex(odd[-1])
-    for c in reversed(odd[:-1]):
-        o = o * s + c
-    return e, o
-
-
 def parity_class_columns(poly: QuatPoly, x0: float, r: float, nodes: int) -> list:
     """The classes of a slice table, node by node: with p = 2 for even N and
     1 for odd N, ``poly(x0 + r u) = sum_j u^j f_j(u^p)`` from poly's Taylor

@@ -46,7 +46,6 @@ from helpers import (
     clifford_star,
     coefficient_columns,
     complex_on_slice,
-    even_odd_form,
     quat_horner,
     quat_star,
     rand_cone_point,
@@ -449,14 +448,17 @@ def test_kernels_are_the_operator_form_bit_for_bit(f, g, p, alpha, beta):
     assert _bits(QuatPoly(f).star(QuatPoly(g)).coeffs) == _bits(quat_star(f, g))
     fq = [a.conj() for a in reversed(f)]
     stem = stem_from_poly(BiSlicePoly.from_pair(QuatPoly(f), QuatPoly(fq)))
-    # The stem is the quadrature's slice-plane pass at phi = z = alpha + i beta
-    # on the raw coefficients (centre 0): E(z^2) + z O(z^2) per column, E
-    # alone for a constant.
+    # The stem is plain complex Horner in z = alpha + i beta per real
+    # coefficient column, from the leading coefficient as a complex.
     z = complex(alpha, beta)
     want = []
     for side in (f, fq):
-        forms = [even_odd_form(b, z) for b in coefficient_columns(QuatPoly(side))]
-        values = [e if o is None else e + z * o for e, o in forms]
+        values = []
+        for column in coefficient_columns(QuatPoly(side)):
+            w = complex(column[0])
+            for c in column[1:]:
+                w = w * z + c
+            values.append(w)
         want += [Quat(*(w.real for w in values)), Quat(*(w.imag for w in values))]
     assert _bits(stem.components(alpha, beta)) == _bits(want)
 

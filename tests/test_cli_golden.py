@@ -196,14 +196,24 @@ def _load(path: str = CORPUS) -> dict:
 def record(filters: list[str], path: str = CORPUS) -> None:
     """Rewrite the corpus, invoking the cases that match a filter (all cases
     when there is none) and any case the corpus lacks; every other entry is
-    written back as it was loaded."""
+    written back as it was loaded.  The kept entries are invoked too, and
+    the argv of each one whose stored output differs from what the code
+    prints now is printed, so a partial re-record shows drift instead of
+    hiding it."""
     prefixes = [shlex.split(f) for f in filters]
     kept = _load(path) if prefixes else {}
 
     def fresh(argv) -> bool:
         return argv not in kept or any(list(argv[: len(p)]) == p for p in prefixes)
 
-    cases = [invoke(argv) if fresh(argv) else kept[argv] for argv in CASES]
+    cases = []
+    for argv in CASES:
+        case = invoke(argv)
+        if not fresh(argv):
+            if case != kept[argv]:
+                print("kept, differs from the code now:", shlex.join(argv))
+            case = kept[argv]
+        cases.append(case)
     with open(path, "w") as fh:
         json.dump(cases, fh, indent=1)
         fh.write("\n")
@@ -264,20 +274,26 @@ def test_pretty_fields_reparse_elements():
     assert not lines_close('{"a": [1.0]}', '{"b": [1.0]}', True)
 
 
-def test_record_rewrites_only_the_filtered_cases(tmp_path):
+def test_record_rewrites_only_the_filtered_cases(tmp_path, capsys):
     with open(CORPUS) as fh:
         original = fh.read()
     path = tmp_path / "corpus.json"
     path.write_text(original)
     record(["no-such-command"], str(path))
     assert path.read_text() == original
+    assert capsys.readouterr().out == ""
     stale = json.loads(original)
-    for case in stale:
+    for case in stale[:3]:
         case["stdout"] = "stale"
     path.write_text(json.dumps(stale, indent=1) + "\n")
     record(["split e1"], str(path))
     want = [invoke(c["argv"]) if c["argv"][:2] == ["split", "e1"] else c for c in stale]
     assert path.read_text() == json.dumps(want, indent=1) + "\n"
+    # The first three entries are split e1 in both modes, then cone-check
+    # e123: only the kept stale one is reported.
+    assert [c["argv"][:2] for c in stale[:3]] == [["split", "e1"], ["split", "e1"], ["cone-check", "e123"]]
+    drift = "kept, differs from the code now: cone-check e123 --output pretty\n"
+    assert capsys.readouterr().out == drift
 
 
 if __name__ == "__main__" and sys.argv[1:2] == ["--record"]:

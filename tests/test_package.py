@@ -110,6 +110,12 @@ def test_import_loads_no_submodule():
     assert _fresh(code).strip() == "[]"
 
 
+def test_stem_loads_no_quadrature():
+    # A polynomial's stem is bislice's Horner pass: stem reaches into no cauchy.
+    code = "import sys, qcone3.stem; print(sorted(m[7:] for m in sys.modules if m.startswith('qcone3.')))"
+    assert _fresh(code).strip() == "['bislice', 'clifford3', 'errors', 'qsplit', 'stem']"
+
+
 def test_every_name_resolves_in_a_fresh_interpreter():
     code = (
         "import qcone3\n"

@@ -26,6 +26,7 @@ from qcone3 import (
     stem_from_poly,
 )
 from qcone3.errors import OutOfDomain, RealPoint
+from qcone3.grammar import parse_poly
 from qcone3.clifford3 import Q13, Q23
 from helpers import rand_cone_point, rand_poly
 
@@ -88,11 +89,40 @@ def test_parity_reports():
     assert not report.passed and report.max_violation >= 2.0
 
 
+NOT_HOLO = StemFunction(lambda a, b: (Quat(a * a), Quat(0.0), Quat(a), Quat(b)))
+
+
 def test_cauchy_riemann_reports():
     assert check_cauchy_riemann(IDENT, 1e-5).max_residual < 1e-10
     assert check_cauchy_riemann(SQ, 1e-5).passed
-    not_holo = StemFunction(lambda a, b: (Quat(a * a), Quat(0.0), Quat(a), Quat(b)))
-    assert not check_cauchy_riemann(not_holo, 1e-5).passed
+    assert not check_cauchy_riemann(NOT_HOLO, 1e-5).passed
+
+
+@pytest.mark.parametrize("h", [10.0**-k for k in range(3, 10)])
+def test_cauchy_riemann_threshold_counts_rounding(h):
+    # Below h = 1e-5 rounding, about eps max|F| / h, outgrows the truncation
+    # term c h^2: at h = 1e-9 this holomorphic stem reads a residual of
+    # 4.3e-5 where c h^2 is about 1e-12.
+    holo = stem_from_poly(parse_poly("coeffs: [1, e1, e12, 3e23]"))
+    report = check_cauchy_riemann(holo, h, samples=50)
+    assert report.passed, report
+    not_holo = check_cauchy_riemann(NOT_HOLO, h)
+    assert not not_holo.passed and not_holo.max_residual > 7.9
+
+
+def test_cauchy_riemann_fails_where_a_stencil_value_is_not_finite():
+    # inf at the centre of every stencil only (the check reads each stencil's
+    # centre first): each central difference skips the centre, so the
+    # residuals stay finite, but no threshold is formed.
+    calls = []
+
+    def centre_inf(a, b):
+        calls.append(None)
+        return IDENT.components(a, b) if len(calls) % 5 != 1 else (Quat(math.inf),) * 4
+
+    report = check_cauchy_riemann(StemFunction(centre_inf), 1e-5, samples=3)
+    assert math.isfinite(report.max_residual) and report.tolerance == 0.0
+    assert not report.passed
 
 
 @pytest.mark.parametrize("samples", [0, -1])
