@@ -9,8 +9,11 @@ kernel, whose singular set is the corresponding product of spheres.
 Contours are circles with real center inside a slice plane, traversed
 counterclockwise.  A curve in a slice of the cone splits into the same circle
 ``x0 + r e^{i t}`` in both components, so the two split components' contours
-share center, radius and node count and differ only in their units; the
-quadratures refuse two contours that do not (:class:`InvalidContour`).  With
+share center, radius and node count; the quadratures refuse two contours
+that do not (:class:`InvalidContour`).  No result reads a contour's unit I:
+the Cauchy formula does not depend on its slice (Colombo, Gentili, Sabadini
+and Struppa, Adv. Math. 222, 2009), so a target is read through its own
+slice data and a closed integral through its modulus.  With
 the parametrization ``s = x0 + r e^{I t}`` the oriented slice measure is ``r
 e^{I t} dt``, and the reproduction integral
 
@@ -32,13 +35,13 @@ I b) R(v) = R((a + i b) v)``.
 
 * ``F(s) = R(w)``, where ``w`` is four complex polynomial values at ``x0 +
   r u``, one per real coefficient column.
-* For a target ``q = alpha + J beta`` (beta >= 0, J = Im q / |Im q|; any unit
-  when q is real) put ``rho = ((alpha - x0) + i beta) / r``, the target in
-  the unit variable.  The kernel has real coefficients in q, so reading J as
-  i or as -i turns ``S(s, q) r e^{I t}`` into the two complex Cauchy kernels
-  ``x = u / (u - rho)`` and ``y = u / (u - conj rho)``, and each node
-  contributes ``R(g w) + J R(h w)`` with ``g = (x + y)/2`` and ``h = (x -
-  y)/2i``.
+* For a target ``q = alpha + J beta`` (beta >= 0, J the point's own i1 or
+  i2; e23 when q is real, whose J part is exactly 0) put ``rho = ((alpha -
+  x0) + i beta) / r``, the target in the unit variable.  The kernel has
+  real coefficients in q, so reading J as i or as -i turns ``S(s, q) r e^{I
+  t}`` into the two complex Cauchy kernels ``x = u / (u - rho)`` and ``y =
+  u / (u - conj rho)``, and each node contributes ``R(g w) + J R(h w)`` with
+  ``g = (x + y)/2`` and ``h = (x - y)/2i``.
 * The nodes pair as ``u_{N-k} = conj(u_k)``, where ``x`` and ``y`` trade
   places, conjugated, and ``w`` (real columns) conjugates, so every N-node
   sum is real: ``X + conj Y`` over the half circle for the sum of ``x w``.
@@ -57,8 +60,8 @@ I b) R(v) = R((a + i b) v)``.
   f_j`` (``sum c K E + rho sum c K O`` for even N) and Y the same at conj
   rho, the reconstruction is ``p ((Re X + Re Y) + J (Im X - Im Y)) / 2N``,
   free of I as the formula says, and the closed integral is ``I r p Re(sum
-  c v f_{p-1}) * 2 pi / N``.  The sums run in C, ``sum(map(mul, ...),
-  0j)``.
+  c v f_{p-1}) * 2 pi / N``, whose modulus no I changes.  The sums run in
+  C, ``sum(map(mul, ...), 0j)``.
 
 The weights depend on the target only through rho, which a cone point's
 split components ``alpha + beta I1`` and ``alpha + beta I2`` share, so one
@@ -152,7 +155,7 @@ class _ContourFields(NamedTuple):
 
 
 class SliceContour(_ContourFields):
-    """Circle x0 + r e^{I t} inside the plane of the unit I."""
+    """Circle x0 + r e^{I t} in the plane of the unit I, which no result reads."""
 
     __slots__ = ()
 
@@ -181,10 +184,6 @@ class SliceContour(_ContourFields):
         if not unit.is_unit_imaginary():
             raise NotImaginaryUnit("contour unit must square to -1")
         return super().__new__(cls, center, radius, unit, nodes)
-
-    def contains(self, q: Quat) -> bool:
-        dist = math.hypot(q.re() - self.center, q.im_modulus())
-        return dist < self.radius
 
 
 def cauchy_kernel_quat(s: Quat, q: Quat, tol: float = EPS) -> Quat:
@@ -341,21 +340,20 @@ def _node_table(poly: BiSlicePoly, contour: SliceContour) -> list:
     return table
 
 
-def _closed_integral(classes: list, contour: SliceContour) -> Quat:
-    """Trapezoid value of the closed integral of ds poly(s) from one
-    component's table ``classes``.  Over the N nodes ``sum u f(u) = p sum_v
-    v f_{p-1}(v)`` (for even N, ``u f(u) - u f(-u) = 2 s O(s)``), which is
-    ``p Re sum c v f_{p-1}`` over the folded half circle, so the integral is
-    ``I r p Re(sum c v f_{p-1}) * 2 pi / N``, and 0 for a constant at even
-    N; the differential I r e^{I t} dt stays left of the integrand.  ``r (2
-    pi p / N)`` is below r, so finite."""
+def _closed_integral(classes: list, contour: SliceContour) -> float:
+    """Modulus of the trapezoid value of the closed integral of ds poly(s)
+    from one component's table ``classes``.  Over the N nodes ``sum u f(u) =
+    p sum_v v f_{p-1}(v)`` (for even N, ``u f(u) - u f(-u) = 2 s O(s)``),
+    which is ``p Re sum c v f_{p-1}`` over the folded half circle, so the
+    integral is ``I r p Re(sum c v f_{p-1}) * 2 pi / N``, and 0 for a
+    constant at even N; the unit I keeps the modulus.  ``r (2 pi p / N)`` is
+    below r, so finite."""
     n = contour.nodes
     p, nodes = _fold(n)
     if len(classes) < p:
-        v = Quat()
-    else:
-        v = _new(Quat, [sum(map(mul, nodes, w), 0j).real for w in classes[p - 1]])
-    return contour.unit * v * (contour.radius * (2.0 * math.pi * p / n))
+        return 0.0
+    v = _new(Quat, [sum(map(mul, nodes, w), 0j).real for w in classes[p - 1]])
+    return (v * (contour.radius * (2.0 * math.pi * p / n))).modulus()
 
 
 def _check_contours(poly: BiSlicePoly, ci: SliceContour, cj: SliceContour) -> None:
@@ -385,8 +383,8 @@ def contour_integral_vanishes(
     _check_contours(poly, contour_i, contour_j)
     table = _node_table(poly, contour_i)
     return (
-        _closed_integral([c[:4] for c in table], contour_i).modulus(),
-        _closed_integral([c[4:] for c in table], contour_j).modulus(),
+        _closed_integral([c[:4] for c in table], contour_i),
+        _closed_integral([c[4:] for c in table], contour_i),
     )
 
 
@@ -461,12 +459,6 @@ def _accumulate(weights: tuple, classes: list, unit_j: Quat, nodes: int) -> Quat
     return (g + unit_j * h) / (2 * nodes if nodes % 2 else nodes)
 
 
-def _slice_unit(target: Quat, contour: SliceContour) -> Quat:
-    """The target's own unit ``Im / |Im|``; any unit serves a real target."""
-    q_im = target.im_modulus()
-    return target.im() / q_im if q_im > 0.0 else contour.unit
-
-
 def cauchy_reconstruct(
     poly: BiSlicePoly,
     contour_i: SliceContour,
@@ -474,17 +466,16 @@ def cauchy_reconstruct(
     x: "ConePoint | CliffordElement",
     tol: float = EPS,
 ) -> CliffordElement:
-    """Reproduce poly(x) from its values on one circle in two slices."""
+    """Reproduce poly(x) from its values on one circle in two slices, read
+    through x's slice data ``(alpha, beta, i1, i2)`` alone."""
     _check_contours(poly, contour_i, contour_j)
     point = x if isinstance(x, ConePoint) else ConePoint.from_element(x, tol)
-    if not contour_i.contains(point.p):
-        raise PointOutsideContour("first component outside its contour disc")
-    if not contour_j.contains(point.q):
-        raise PointOutsideContour("second component outside its contour disc")
+    if not math.hypot(point.alpha - contour_i.center, point.beta) < contour_i.radius:
+        raise PointOutsideContour("target outside the contour disc")
     table = _node_table(poly, contour_i)
     weights = _kernel_weights(contour_i, point.alpha, point.beta, tol)
-    vp = _accumulate(weights, [c[:4] for c in table], _slice_unit(point.p, contour_i), contour_i.nodes)
-    vq = _accumulate(weights, [c[4:] for c in table], _slice_unit(point.q, contour_j), contour_j.nodes)
+    vp = _accumulate(weights, [c[:4] for c in table], point.i1 or Q23, contour_i.nodes)
+    vq = _accumulate(weights, [c[4:] for c in table], point.i2 or Q23, contour_i.nodes)
     return join(vp, vq)
 
 

@@ -246,18 +246,7 @@ def _cmd_mult(args, out: _Output) -> None:
     out.pretty("isolated: {} at ({}, {})", report.isolated, p_loc or "0", q_loc or "0")
     out.pretty(f"two-dimensional first kind: {report.first_kind}")
     out.pretty(f"two-dimensional second kind: {report.second_kind}")
-    out.record(
-        cmd="mult",
-        base={"center": base.center, "radius": base.radius},
-        four_dimensional=report.four_dimensional,
-        isolated=report.isolated,
-        first_kind=report.first_kind,
-        second_kind=report.second_kind,
-        p_spherical_power=report.p_spherical_power,
-        q_spherical_power=report.q_spherical_power,
-        p_points=report.p_points,
-        q_points=report.q_points,
-    )
+    out.record(cmd="mult", **{**report._asdict(), "base": base._asdict()})
 
 
 def _cmd_det(args, out: _Output) -> None:
@@ -288,10 +277,9 @@ def _cmd_cauchy_verify(args, out: _Output) -> None:
     nodes = cauchy.DEFAULT_NODES if args.nodes is None else args.nodes
     poly = grammar.parse_poly(args.poly)
     x = ConePoint.from_element(grammar.parse_element(args.at), args.tol)
-    # The contour units drop out of the reconstruction, so both sides use fixed ones.
-    contour_i = cauchy.SliceContour(args.center, args.radius, Q23, nodes)
-    contour_j = cauchy.SliceContour(args.center, args.radius, Q13, nodes)
-    value = cauchy.cauchy_reconstruct(poly, contour_i, contour_j, x, args.tol)
+    # No result reads the contour's unit, so one contour serves both components.
+    contour = cauchy.SliceContour(args.center, args.radius, Q23, nodes)
+    value = cauchy.cauchy_reconstruct(poly, contour, contour, x, args.tol)
     expected = poly.eval(x)
     error = (value - expected).magnitude()
     out.pretty("reconstruction: {}", value)

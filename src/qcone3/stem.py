@@ -93,6 +93,12 @@ def spherical_derivative(stem: StemFunction, at: ConePoint) -> CliffordElement:
     return join(f2 / at.beta, g2 / at.beta)
 
 
+def _tighter(reports):
+    """Of the component pairs' reports, the one with the smaller margin
+    ``tolerance - worst`` (the worst is the first field), a nan margin first."""
+    return min(reports, key=lambda r: (not math.isnan(r.tolerance - r[0]), r.tolerance - r[0]))
+
+
 class ParityReport(NamedTuple):
     max_violation: float
     samples: int
@@ -100,29 +106,37 @@ class ParityReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return self.max_violation < self.tolerance
+        return self.max_violation <= self.tolerance
 
 
 def check_parity(stem: StemFunction, samples: int = 200, seed: int = 0) -> ParityReport:
-    """Worst violation of the even/odd component rules over conjugate pairs."""
+    """Worst violation of the even/odd component rules over conjugate pairs.
+
+    Each component pair, (f1, f2) and (g1, g2), is judged at its own size:
+    it passes where its worst violation is negligible (degree 1,
+    :func:`clifford3.negligible`) beside the pair's largest value at ``+b``
+    (at ``-b`` the same, by parity), so its tolerance is ``EPS`` times that
+    value, or 0 where it is not finite.  The report is the pair with the
+    smaller margin."""
     if samples < 1:
         raise ValueError(f"parity check needs at least one sample, got {samples}")
     rng = random.Random(seed)
     dom = stem.domain
-    worst = 0.0
+    worst_f = worst_g = size_f = size_g = 0.0
     for _ in range(samples):
         a = rng.uniform(dom.alpha_min, dom.alpha_max)
         b = rng.uniform(0.0, dom.beta_max)
         f1p, f2p, g1p, g2p = stem.components(a, b)
         f1m, f2m, g1m, g2m = stem.components(a, -b)
-        worst = bislice.nan_max(
-            worst,
-            (f1p - f1m).modulus(),
-            (f2p + f2m).modulus(),
-            (g1p - g1m).modulus(),
-            (g2p + g2m).modulus(),
-        )
-    return ParityReport(worst, samples, EPS)
+        worst_f = bislice.nan_max(worst_f, (f1p - f1m).modulus(), (f2p + f2m).modulus())
+        worst_g = bislice.nan_max(worst_g, (g1p - g1m).modulus(), (g2p + g2m).modulus())
+        # A nan value leaves a nan violation, so a plain max serves the size.
+        size_f = max(size_f, f1p.modulus(), f2p.modulus())
+        size_g = max(size_g, g1p.modulus(), g2p.modulus())
+    return _tighter(
+        ParityReport(w, samples, EPS * m if math.isfinite(m) else 0.0)
+        for w, m in ((worst_f, size_f), (worst_g, size_g))
+    )
 
 
 class CauchyRiemannReport(NamedTuple):
@@ -144,10 +158,12 @@ def check_cauchy_riemann(
 ) -> CauchyRiemannReport:
     """Finite-difference Cauchy-Riemann residuals over interior samples.
 
-    The samples are drawn with a fixed seed.  The pass threshold is ``c h^2
-    + 4 eps M / h``, truncation plus rounding (eps = 2^-52): c is 10 times
-    the largest observed second-derivative scale, floored at 1, and M the
-    largest stencil value read.  If each value, read at the rounded points
+    The samples are drawn with a fixed seed.  Each component pair, (f1, f2)
+    and (g1, g2), is judged at its own size, and the report is the pair with
+    the smaller margin.  A pair's pass threshold is ``c h^2 + 4 eps M / h``,
+    truncation plus rounding (eps = 2^-52): c is 10 times the pair's largest
+    observed second-derivative scale, floored at 1, and M the largest
+    stencil value of the pair read.  If each value, read at the rounded points
     ``a +- h`` and ``b +- h``, lies within ``2 eps M`` of the stem at the
     intended point, a central difference moves by at most ``2 eps M / h``
     (its subtraction and the division by 2h round by eps times a
@@ -174,9 +190,9 @@ def check_cauchy_riemann(
             f"4h wide in alpha and in beta, got {dom}"
         )
     rng = random.Random(0)
-    worst = 0.0
-    curvature = 0.0
-    size = 0.0
+    worst = [0.0, 0.0]
+    curvature = [0.0, 0.0]
+    size = [0.0, 0.0]
     for _ in range(samples):
         a = rng.uniform(*alphas)
         b = rng.uniform(*betas)
@@ -184,15 +200,18 @@ def check_cauchy_riemann(
         stencil = ((a + h, b), (a - h, b)), ((a, b + h), (a, b - h))
         at = {pt: stem.components(*pt) for pt in ((a, b), *stencil[0], *stencil[1])}
         d = [bislice.central_differences(lambda u, v, k=k: at[u, v][k], a, b, h) for k in range(4)]
-        for (da1, db1), (da2, db2) in (d[:2], d[2:]):
-            worst = bislice.nan_max(worst, (da1 - db2).modulus(), (db1 + da2).modulus())
-        size = bislice.nan_max(size, *[v.modulus() for values in at.values() for v in values])
+        for k, ((da1, db1), (da2, db2)) in enumerate((d[:2], d[2:])):
+            worst[k] = bislice.nan_max(worst[k], (da1 - db2).modulus(), (db1 + da2).modulus())
+            pair = [v.modulus() for values in at.values() for v in values[2 * k : 2 * k + 2]]
+            size[k] = bislice.nan_max(size[k], *pair)
         for ahead, behind in stencil:
-            for c, up, down in zip(at[a, b], at[ahead], at[behind]):
-                curvature = max(curvature, ((up - c * 2.0 + down) / (h * h)).modulus())
-    c = 10.0 * max(curvature, 1.0)
-    tolerance = c * h * h + 4.0 * math.ulp(1.0) * size / h if math.isfinite(size) else 0.0
-    return CauchyRiemannReport(worst, tolerance, curvature, h, samples)
+            for j, (c, up, down) in enumerate(zip(at[a, b], at[ahead], at[behind])):
+                curvature[j // 2] = max(curvature[j // 2], ((up - c * 2.0 + down) / (h * h)).modulus())
+    reports = []
+    for w, c, m in zip(worst, curvature, size):
+        tolerance = 10.0 * max(c, 1.0) * h * h + 4.0 * math.ulp(1.0) * m / h if math.isfinite(m) else 0.0
+        reports.append(CauchyRiemannReport(w, tolerance, c, h, samples))
+    return _tighter(reports)
 
 
 # -- stem constructors -------------------------------------------------------------

@@ -41,7 +41,6 @@ from qcone3.cauchy import (
     _kernel_weights,
     _node_table,
     _slice_table,
-    _slice_unit,
     _unit_circle,
 )
 from qcone3.cli import run
@@ -422,12 +421,14 @@ def _zs(contour: SliceContour) -> list:
 
 
 def _check_closed_integrals(poly, ci, cj) -> tuple[float, float]:
+    # The reference integral points along each contour's own unit; the
+    # library reports the modulus, which no unit changes.
     got = contour_integral_vanishes(poly, ci, cj)
     for value, f, c in zip(got, poly.split(), (ci, cj)):
-        want = contour_integral(c, f.eval)
+        want = contour_integral(c, f.eval).modulus()
         scale = 1 + max(f.eval(contour_point(c, t)).modulus() for t in thetas(c))
-        assert (_closed_integral(_component(f, c), c) - want).modulus() <= 1e-13 * scale
-        assert abs(value - want.modulus()) <= 1e-13 * scale
+        assert abs(_closed_integral(_component(f, c), c) - want) <= 1e-13 * scale
+        assert abs(value - want) <= 1e-13 * scale
     return got
 
 
@@ -451,7 +452,7 @@ def _inside(rng, center: float, radius: float, rho: float) -> ConePoint:
 def test_reconstruction_does_not_depend_on_contour_units():
     # The Cauchy formula holds on any slice, so the contours' units drop out
     # of the value; the half-table sums are real, so they drop out of the
-    # floats too.  One in five targets is real, where J falls back to I.
+    # floats too.  One in five targets is real, whose J part is exactly 0.
     rng = random.Random(31)
     for k in range(200):
         nodes = rng.choice((16, 17, 33, 64, 65, 128))
@@ -485,10 +486,10 @@ def test_reconstruction_is_close_to_the_exact_trapezoid_value():
         x = _inside(rng, center, radius, rng.uniform(0.2, 0.7))
         if k >= 9:
             x = ConePoint(x.alpha, 0.0, None, None)
-        for f, target in zip(poly.split(), (x.p, x.q)):
+        for f, target, unit in zip(poly.split(), (x.p, x.q), (x.i1, x.i2)):
             contour = SliceContour(center, radius, rand_unit_imaginary(rng), nodes)
             weights = _kernel_weights(contour, x.alpha, x.beta, 1e-12)
-            got = _accumulate(weights, _component(f, contour), _slice_unit(target, contour), nodes)
+            got = _accumulate(weights, _component(f, contour), unit or Q23, nodes)
             want, largest = exact_trapezoid_component(f, contour, target)
             error = max(abs(a - b) for a, b in zip(got, want))
             assert error <= 2e-15 * largest, (k, nodes, error / largest)
@@ -543,17 +544,41 @@ def test_one_weight_pass_per_circle(monkeypatch):
 
 
 @pytest.mark.parametrize("nodes", [16, 17, 64])
-def test_closed_integral_keeps_the_contour_unit(nodes):
+def test_closed_integral_aliases_onto_the_constant_mode(nodes):
     # On a centred circle the N trapezoid nodes alias s^{N-1} ds onto
     # I r^N e^{I N t} dt, whose node values are all I r^N: the sum is
-    # 2 pi r^N I, pointing along the contour's own unit.
+    # 2 pi r^N I, of modulus 2 pi r^N whatever the contour's unit.
     rng = random.Random(nodes)
     f = QuatPoly([0.0] * (nodes - 1) + [1.0])
     for radius in (0.9, 1.0, 1.3):
         contour = SliceContour(0.0, radius, rand_unit_imaginary(rng), nodes)
         got = _closed_integral(_component(f, contour), contour)
         size = 2.0 * math.pi * radius**nodes
-        assert (got - contour.unit * size).modulus() <= 1e-13 * size
+        assert abs(got - size) <= 1e-13 * size
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nodes=st.sampled_from((16, 17, 33, 64, 65, 128)),
+    degree=st.integers(0, 6),
+    rho=st.floats(0.0, 0.7),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_result_reads_the_contour_unit(nodes, degree, rho, real, seed):
+    # Random units on both contours give the floats of one e23 contour: a
+    # target is read through its own slice data, a closed integral by its
+    # modulus.  Real targets and odd N included.
+    rng = random.Random(seed)
+    poly = rand_poly(rng, degree)
+    center, radius = rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.0)
+    x = _inside(rng, center, radius, rho)
+    if real:
+        x = ConePoint(x.alpha, 0.0, None, None)
+    fixed = SliceContour(center, radius, Q23, nodes)
+    ci, cj = (SliceContour(center, radius, rand_unit_imaginary(rng), nodes) for _ in range(2))
+    assert cauchy_reconstruct(poly, ci, cj, x).coeffs == cauchy_reconstruct(poly, fixed, fixed, x).coeffs
+    assert contour_integral_vanishes(poly, ci, cj) == contour_integral_vanishes(poly, fixed, fixed)
 
 
 # The node table of the last (polynomial, contour) call is kept and reused

@@ -92,6 +92,36 @@ def test_parity_reports():
 NOT_HOLO = StemFunction(lambda a, b: (Quat(a * a), Quat(0.0), Quat(a), Quat(b)))
 
 
+@pytest.mark.parametrize("f1", [1e12, 1e308])
+def test_cauchy_riemann_judges_each_pair_at_its_own_size(f1):
+    # (g1, g2) = (a, -b) is conjugation, residual 2.  Judged by one scale over
+    # all four components, f1 = 1e12 read tolerance 88.8 at h = 1e-5, and f1
+    # = 1e308 overflowed the curvature, so the tolerance read inf.
+    report = check_cauchy_riemann(StemFunction(lambda a, b: (Quat(f1), Quat(0.0), Quat(a), Quat(-b))), 1e-5)
+    assert not report.passed and report.max_residual > 1.9 and report.tolerance < 1e-8, report
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        # f2 = s is even, not odd: the violation 2s passed an absolute 1e-10 at s = 1e-12
+        lambda a, b, s=1e-12: (Quat(s * a), Quat(s), Quat(s * a), Quat(s * b)),
+        # g2 = 1 is even beside f1 = 1e12, a pair of its own
+        lambda a, b: (Quat(1e12), Quat(0.0), Quat(a), Quat(1.0)),
+    ],
+)
+def test_parity_judges_each_pair_at_its_own_size(components):
+    report = check_parity(StemFunction(components))
+    assert not report.passed and report.max_violation > 1e4 * report.tolerance, report
+
+
+def test_checks_pass_the_zero_stem():
+    # Every value is 0, so each pair's tolerance is 0 and its violation exactly 0.
+    zero = StemFunction(lambda a, b: (Quat(),) * 4)
+    assert check_parity(zero) == (0.0, 200, 0.0) and check_parity(zero).passed
+    assert check_cauchy_riemann(zero, 1e-5).passed
+
+
 def test_cauchy_riemann_reports():
     assert check_cauchy_riemann(IDENT, 1e-5).max_residual < 1e-10
     assert check_cauchy_riemann(SQ, 1e-5).passed
